@@ -84,20 +84,14 @@ def _build_tensor(lam: int) -> np.ndarray:
 
 PRODUCT_TENSOR = {+1: _build_tensor(+1), -1: _build_tensor(-1)}
 
-# flattened matmul form used by the batched product
-_TENSOR_MAT = {
-    lam: PRODUCT_TENSOR[lam].reshape(8, 64).T.astype(np.float64)
-    for lam in (+1, -1)
-}
-
 
 def _build_pair_rows(lam: int):
     """Entries for the scalar-free rows of the product, pair-grouped.
 
     For each output slot rho >= 1 this lists (mu, nu, s_fwd, s_rev) with
     mu < nu, where s_fwd is the sign of blade_mu * blade_nu and s_rev the
-    sign of blade_nu * blade_mu. mv_mul sums the two cross terms of a pair
-    in one expression so that antisymmetric contributions of a product
+    sign of blade_nu * blade_mu. The product sums the two cross terms of a
+    pair in one expression so that antisymmetric contributions of a product
     X * X cancel bitwise instead of leaving rounding dust.
     """
     t = PRODUCT_TENSOR[lam]
@@ -261,43 +255,61 @@ def basis_product(mu: int, nu: int, lam: int = +1) -> Multivector:
     return Multivector(PRODUCT_TENSOR[lam][:, mu, nu].astype(np.float64), lam)
 
 
+def product_scalar(a, b):
+    """Scalar part of the product of two eight-component sequences.
+
+    The components may be floats or equally shaped arrays, one per slot.
+    The scalar row carries no orientation sign, so no tag is needed. This is
+    row 0 of every product, so a chain that needs only the scalar of its
+    last factor gets the same bits as the full product would.
+    """
+    return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+            - a[4] * b[4] - a[5] * b[5] - a[6] * b[6] + a[7] * b[7])
+
+
+def _product(a, b, lam: int, out) -> None:
+    """Write the product of a and b under tag lam into out[0..7].
+
+    a, b and out are indexed by slot; each entry is a float or an array, so
+    the single and the batched product run this same expression. The cross
+    terms of every blade pair {mu, nu} are summed together before being
+    folded into the accumulator.
+    """
+    out[0] = product_scalar(a, b)
+    for rho in range(1, 8):
+        acc = a[0] * b[rho] + a[rho] * b[0]
+        for mu, nu, s_fwd, s_rev in _PAIR_ROWS[lam][rho]:
+            acc += s_fwd * a[mu] * b[nu] + s_rev * a[nu] * b[mu]
+        out[rho] = acc
+
+
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     """Geometric product. Both operands must carry the same orientation tag.
 
-    The cross terms of every blade pair {mu, nu} are summed together before
-    being folded into the accumulator. For a product X * X this makes the
-    antisymmetric contributions cancel exactly in floating point, so squares
-    of pair-built elements come out with a bitwise-zero non-scalar part.
+    Pair-grouped summation makes the antisymmetric contributions of a
+    product X * X cancel exactly in floating point, so squares of pair-built
+    elements come out with a bitwise-zero non-scalar part.
     """
     if x.lam != y.lam:
         raise OrientationMismatch(
             "product needs matching orientation tags, got %+d and %+d"
             % (x.lam, y.lam)
         )
-    a = x.coeffs.tolist()
-    b = y.coeffs.tolist()
     out = np.empty(8)
-    out[0] = (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-              - a[4] * b[4] - a[5] * b[5] - a[6] * b[6] + a[7] * b[7])
-    for rho in range(1, 8):
-        acc = a[0] * b[rho] + a[rho] * b[0]
-        for mu, nu, s_fwd, s_rev in _PAIR_ROWS[x.lam][rho]:
-            acc += s_fwd * a[mu] * b[nu] + s_rev * a[nu] * b[mu]
-        out[rho] = acc
+    _product(x.coeffs.tolist(), y.coeffs.tolist(), x.lam, out)
     return Multivector(out, x.lam)
 
 
 def mul_batch(xs: np.ndarray, ys: np.ndarray, lam: int) -> np.ndarray:
     """Row-wise geometric product of two (n, 8) coefficient arrays.
 
-    Vectorised path for the trial engine. Accumulation order differs from
-    mv_mul, so tiny rounding residues can appear where mv_mul produces exact
-    zeros; callers that rely on the bitwise guarantees must use mv_mul.
+    Runs the same pair-grouped expression as mv_mul on whole columns, so
+    every row is bitwise equal to mv_mul of that row's pair.
     """
     lam = _check_lam(lam)
-    n = xs.shape[0]
-    outer = (xs[:, :, None] * ys[:, None, :]).reshape(n, 64)
-    return outer @ _TENSOR_MAT[lam]
+    out = np.empty((xs.shape[0], 8))
+    _product(xs.T, ys.T, lam, out.T)
+    return out
 
 
 def mv_reverse(x: Multivector) -> Multivector:

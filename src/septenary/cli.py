@@ -46,6 +46,18 @@ def _resolve_seed(flag_seed: int) -> tuple:
             "%s must be an integer, got %r" % (_ENV_SEED, raw))
 
 
+def _json_text(obj) -> str:
+    """Indented strict JSON: NaN and infinities raise instead of printing."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _finite(values: list, what: str) -> list:
+    if not all(math.isfinite(v) for v in values):
+        raise SeptenaryError("%s must be finite, got %s"
+                             % (what, ",".join(str(v) for v in values)))
+    return values
+
+
 def _parse_setting(text: str, want: int) -> tuple:
     parts = text.split(",")
     if len(parts) != want:
@@ -103,8 +115,7 @@ def _cmd_run(args, mode: str) -> int:
     if args.summary:
         run.write_summary_json(args.summary)
     else:
-        json.dump(run.summary.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(run.summary.to_dict()))
     return 0
 
 
@@ -122,7 +133,7 @@ def _cmd_chsh(args) -> int:
                        trials_per_setting=args.trials_per_setting)
     result["seed"] = seed
     result["seed_source"] = source
-    text = json.dumps(result, indent=2) + "\n"
+    text = _json_text(result)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
@@ -133,13 +144,15 @@ def _cmd_chsh(args) -> int:
 
 def _parse_angle_list(text: str, what: str) -> list:
     try:
-        return [float(p) for p in text.split(",")]
+        values = [float(p) for p in text.split(",")]
     except ValueError:
         raise SeptenaryError("%s %r has a non-numeric entry" % (what, text))
+    return _finite(values, what)
 
 
 def _cmd_analytic(args) -> int:
     if args.which == "epr":
+        _finite([args.theta], "--theta")
         value = epr_expectation(math.radians(args.theta))
         row = {"mode": "epr", "theta_deg": args.theta, "expectation": value}
     else:
@@ -152,8 +165,7 @@ def _cmd_analytic(args) -> int:
         row = {"mode": "ghz", "theta_deg": thetas, "phi_deg": phis,
                "expectation": value}
     if args.format == "json":
-        json.dump(row, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(row))
     else:
         keys = list(row)
         flat = {k: (";".join(str(x) for x in v)
@@ -165,6 +177,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _finite([args.tol], "--tol")
     try:
         results = run_checks(names=args.suite, tol=args.tol,
                              samples=args.samples)
@@ -179,8 +192,7 @@ def _cmd_check(args) -> int:
         ],
         "all_pass": all(r.passed for r in results),
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(report))
     return 0 if report["all_pass"] else 1
 
 

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .algebra import Multivector, mul_batch, mv_mul
+from .algebra import Multivector, mul_batch, mv_mul, product_scalar
 from .errors import ConfigError, EmptyInput
 from .spin import Detector
 
@@ -130,6 +130,10 @@ class TrialConfig:
                 if len(tup) != want:
                     raise ConfigError(
                         "each fixed setting needs %d angles, got %r" % (want, tup)
+                    )
+                if not all(math.isfinite(float(v)) for v in tup):
+                    raise ConfigError(
+                        "fixed setting angles must be finite, got %r" % (tup,)
                     )
         if not (0.0 < float(self.bin_width_deg) <= 360.0):
             raise ConfigError("bin width must be in (0, 360] degrees")
@@ -228,9 +232,9 @@ class TrialRun:
                             *rec.outcomes, str(rec.corr)])
 
     def write_summary_json(self, path) -> None:
+        text = json.dumps(self.summary.to_dict(), indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.summary.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
@@ -291,7 +295,11 @@ def paired_product(detectors: Sequence[Detector], lam: int) -> Multivector:
 
 
 def _chain_scalar(coeffs: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
-    """Scalar of the coin-ordered chain, vectorised over trials."""
+    """Scalar of the coin-ordered chain, vectorised over trials.
+
+    Only the scalar row of the last product is evaluated; it is the same
+    expression as row 0 of the full product.
+    """
     n = lam.shape[0]
     out = np.empty(n)
     for sign in (1, -1):
@@ -300,9 +308,9 @@ def _chain_scalar(coeffs: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
             continue
         parts = [c[m] for c in (coeffs if sign == 1 else coeffs[::-1])]
         acc = parts[0]
-        for nxt in parts[1:]:
+        for nxt in parts[1:-1]:
             acc = mul_batch(acc, nxt, sign)
-        out[m] = acc[:, 0]
+        out[m] = product_scalar(acc.T, parts[-1].T)
     return out
 
 

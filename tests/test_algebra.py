@@ -260,6 +260,7 @@ def test_equality_and_scalar_multiplication():
 # batched product and exact cancellation
 
 def test_mul_batch_agrees_with_mv_mul():
+    # one kernel serves both forms, so every row is bitwise equal
     rng = np.random.default_rng(99)
     xs = rng.standard_normal((64, 8))
     ys = rng.standard_normal((64, 8))
@@ -267,7 +268,16 @@ def test_mul_batch_agrees_with_mv_mul():
         batched = mul_batch(xs, ys, lam)
         for i in range(64):
             one = mv_mul(Multivector(xs[i], lam), Multivector(ys[i], lam))
-            assert_allclose(batched[i], one.coeffs, rtol=0.0, atol=1e-12)
+            assert np.array_equal(batched[i], one.coeffs)
+
+
+def test_batched_squares_of_middle_slot_elements_cancel_the_rotation_slots():
+    rng = np.random.default_rng(5)
+    xs = np.zeros((200, 8))
+    xs[:, 1:7] = rng.standard_normal((200, 6))
+    for lam in (1, -1):
+        sq = mul_batch(xs, xs, lam)
+        assert np.all(sq[:, 1:7] == 0.0)
 
 
 def test_squares_of_middle_slot_elements_cancel_the_rotation_slots():

@@ -207,6 +207,24 @@ def test_malformed_fixed_angles(capsys, setting):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("epr", "--trials", "10", "--fixed-angles", "nan,0"),
+    ("ghz", "--trials", "10", "--fixed-angles", "0,inf,0,0"),
+    ("analytic", "epr", "--theta", "nan"),
+    ("analytic", "epr", "--theta=-inf"),
+    ("analytic", "ghz", "--thetas", "90,90,nan,90", "--phis", "0,0,0,0"),
+    ("analytic", "ghz", "--thetas", "90,90,90,90", "--phis", "0,inf,0,0"),
+    ("check", "--tol", "nan"),
+])
+def test_non_finite_values_are_value_errors(capsys, recwarn, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+    assert not recwarn.list
+
+
 def test_bad_bin_width_is_a_value_error(capsys):
     code, _ = run_cli(capsys, "epr", "--trials", "10", "--bin-deg", "0")
     assert code == 4

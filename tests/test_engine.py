@@ -319,6 +319,10 @@ def test_summary_json_round_trip(tmp_path):
     {"trials": 10, "seed": 0, "setting_source": "fixed-list"},
     {"trials": 10, "seed": 0, "setting_source": "fixed-list",
      "fixed_settings": ((1.0, 2.0, 3.0),)},
+    {"trials": 10, "seed": 0, "setting_source": "fixed-list",
+     "fixed_settings": ((0.0, 0.0), (float("nan"), 0.0))},
+    {"trials": 10, "seed": 0, "mode": "ghz", "setting_source": "fixed-list",
+     "fixed_settings": ((0.0, float("inf"), 0.0, 0.0),)},
     {"trials": 10, "seed": 0, "bin_width_deg": 0.0},
     {"trials": 10, "seed": 0, "bin_width_deg": 400.0},
     {"trials": 10, "seed": 0, "batch_size": 0},
