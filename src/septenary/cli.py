@@ -10,6 +10,11 @@ check     run the built-in consistency suites
 
 Exit codes: 0 success, 1 a check suite failed, 2 usage error, 3 could not
 read or write a file, 4 invalid values in otherwise well-formed flags.
+Output targets are checked before any work starts. A missing target or a
+plain file is written to a temp beside it, and the temps replace their
+targets only once every one of them is written, so a run that fails leaves
+no partial output behind there; symlinks, devices and other special targets
+are written in place.
 
 The environment variable SEPTENARY_SEED, when set, overrides any --seed
 flag; summaries record which source won under ``seed_source``. Identical
@@ -20,10 +25,15 @@ rendered from the summary and never feeds back into the numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
+import shutil
+import stat
 import sys
+import tempfile
 
 from . import __version__
 from .checks import DEFAULT_SAMPLES, DEFAULT_TOL, SUITE_NAMES, run_checks
@@ -49,6 +59,74 @@ def _resolve_seed(flag_seed: int) -> tuple:
 def _json_text(obj) -> str:
     """Indented strict JSON: NaN and infinities raise instead of printing."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+# Read once at import, before any thread exists: os.umask can only be read
+# by setting it, and the setting is shared by the whole process.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
+def _stageable(target: str) -> bool:
+    """True if ``target`` can be replaced by a renamed temp without change.
+
+    That holds for a missing path and for a plain file of ours with one
+    link. Anything else (a symlink, a device such as /dev/null, a FIFO, a
+    hard-linked or foreign file) is written in place, so the rename cannot
+    swap it for a plain file, drop a link or change its owner.
+    """
+    try:
+        st = os.lstat(target)
+    except FileNotFoundError:
+        return True
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == os.geteuid())
+
+
+@contextlib.contextmanager
+def _staged(targets):
+    """A path to write each target through (None for None).
+
+    Every target is checked before the body runs, so an unwritable one fails
+    before any work. A stageable target gets a temp beside it, which
+    replaces it only after the whole body succeeds; on any error the temps
+    are removed and those targets do not change. Other targets are yielded
+    as they are and written in place.
+    """
+    temps = []
+    try:
+        for target in targets:
+            if target is None:
+                temps.append(None)
+                continue
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory",
+                                        target)
+            if not _stageable(target):
+                if os.path.exists(target) and not os.access(target, os.W_OK):
+                    raise PermissionError(errno.EACCES, "Permission denied",
+                                          target)
+                temps.append(target)
+                continue
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(target)),
+                prefix=".%s." % os.path.basename(target), suffix=".tmp")
+            os.close(fd)
+            temps.append(tmp)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            else:
+                os.chmod(tmp, 0o666 & ~_UMASK)
+        yield temps
+        for tmp, target in zip(temps, targets):
+            if tmp is not None and tmp != target:
+                os.replace(tmp, target)
+    except BaseException:
+        for tmp, target in zip(temps, targets):
+            if tmp is not None and tmp != target:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+        raise
 
 
 def _finite(values: list, what: str) -> list:
@@ -106,15 +184,16 @@ def _cmd_run(args, mode: str) -> int:
         fixed_settings=fixed, bin_width_deg=args.bin_deg,
         threads=args.threads, seed_source=source,
     )
-    run = run_trials(cfg)
-    if args.out:
-        run.write_csv(args.out)
-    if args.plot:
-        ref = epr_reference if mode == "epr" else ghz_reference
-        write_run_svg(args.plot, run.summary, ref)
-    if args.summary:
-        run.write_summary_json(args.summary)
-    else:
+    with _staged((args.out, args.plot, args.summary)) as (out, plot, summary):
+        run = run_trials(cfg)
+        if out:
+            run.write_csv(out)
+        if plot:
+            ref = epr_reference if mode == "epr" else ghz_reference
+            write_run_svg(plot, run.summary, ref)
+        if summary:
+            run.write_summary_json(summary)
+    if not args.summary:
         sys.stdout.write(_json_text(run.summary.to_dict()))
     return 0
 
@@ -129,15 +208,17 @@ def _cmd_ghz(args) -> int:
 
 def _cmd_chsh(args) -> int:
     seed, source = _resolve_seed(args.seed)
-    result = chsh_scan(grid_deg=args.grid_deg, source=args.source, seed=seed,
-                       trials_per_setting=args.trials_per_setting)
-    result["seed"] = seed
-    result["seed_source"] = source
-    text = _json_text(result)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
-    else:
+    with _staged((args.json,)) as (path,):
+        result = chsh_scan(grid_deg=args.grid_deg, source=args.source,
+                           seed=seed,
+                           trials_per_setting=args.trials_per_setting)
+        result["seed"] = seed
+        result["seed_source"] = source
+        text = _json_text(result)
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+    if not args.json:
         sys.stdout.write(text)
     return 0
 

@@ -26,12 +26,11 @@ Phi = phi_a + phi_b - phi_c - phi_d under which the correlation is -cos Phi.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -135,23 +134,13 @@ class TrialConfig:
                     raise ConfigError(
                         "fixed setting angles must be finite, got %r" % (tup,)
                     )
-        if not (0.0 < float(self.bin_width_deg) <= 360.0):
-            raise ConfigError("bin width must be in (0, 360] degrees")
+        # the summary holds ceil(360 / width) bins; 0.01 caps it at 36000
+        if not (0.01 <= float(self.bin_width_deg) <= 360.0):
+            raise ConfigError("bin width must be in [0.01, 360] degrees")
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One row of a run."""
-
-    k: int
-    lam: int
-    phis_deg: tuple
-    outcomes: tuple
-    corr: float
 
 
 @dataclass(frozen=True)
@@ -208,28 +197,30 @@ class TrialRun:
     def angle_keys_deg(self) -> np.ndarray:
         return _angle_keys(self.config.mode, self.phis_deg)
 
-    def iter_records(self) -> Iterator[TrialRecord]:
-        for k in range(self.config.trials):
-            yield TrialRecord(
-                k=k,
-                lam=int(self.lam[k]),
-                phis_deg=tuple(float(v) for v in self.phis_deg[k]),
-                outcomes=tuple(int(v) for v in self.outcomes[k]),
-                corr=float(self.corr[k]),
-            )
-
     def write_csv(self, path) -> None:
+        """One comma-separated row per trial, CRLF-terminated.
+
+        Integers print with ``str`` and floats with ``repr`` (shortest
+        round-trip text). The rows go out in chunks of ``batch_size``: each
+        column slice is converted once and each chunk is one write, so the
+        writer holds at most one batch of text.
+        """
         names = self.parties
         header = (["k", "lambda"]
                   + ["phi_%s" % p.lower() for p in names]
                   + list(names) + ["corr"])
+        n, step = self.config.trials, self.config.batch_size
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for rec in self.iter_records():
-                w.writerow([rec.k, rec.lam,
-                            *[str(v) for v in rec.phis_deg],
-                            *rec.outcomes, str(rec.corr)])
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                rows = slice(start, stop)
+                cols = [map(str, range(start, stop)),
+                        map(str, self.lam[rows].tolist())]
+                cols += [map(repr, c.tolist()) for c in self.phis_deg[rows].T]
+                cols += [map(str, c.tolist()) for c in self.outcomes[rows].T]
+                cols.append(map(repr, self.corr[rows].tolist()))
+                fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
     def write_summary_json(self, path) -> None:
         text = json.dumps(self.summary.to_dict(), indent=2, allow_nan=False)
@@ -444,8 +435,9 @@ def chsh_scan(grid_deg: float = 5.0, source: str = "analytic",
     angles are absolute with that convention. Returns the extreme value,
     where it sits, and the grid.
     """
-    if not (0.0 < grid_deg <= 90.0):
-        raise ConfigError("grid step must be in (0, 90] degrees")
+    # each a' step builds (ng, ng) temporaries; 0.1 caps ng at 3600
+    if not (0.1 <= grid_deg <= 90.0):
+        raise ConfigError("grid step must be in [0.1, 90] degrees")
     if source not in ("analytic", "simulated"):
         raise ConfigError("source must be 'analytic' or 'simulated'")
     grid = np.arange(0.0, 360.0, float(grid_deg))

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 
 import pytest
 
+from septenary import cli
 from septenary.checks import SUITE_NAMES
 from septenary.cli import main
+from septenary.engine import TrialRun
 
 ROOT2 = math.sqrt(2.0)
 
@@ -226,14 +229,121 @@ def test_non_finite_values_are_value_errors(capsys, recwarn, argv):
 
 
 def test_bad_bin_width_is_a_value_error(capsys):
-    code, _ = run_cli(capsys, "epr", "--trials", "10", "--bin-deg", "0")
-    assert code == 4
+    for width in ("0", "0.001"):
+        code = main(["epr", "--trials", "10", "--bin-deg", width])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "bin width must be in [0.01, 360] degrees" in captured.err
+        assert captured.out == ""
 
 
 def test_unwritable_output_path(tmp_path, capsys):
     target = tmp_path / "missing" / "run.csv"
     code, _ = run_cli(capsys, "epr", "--trials", "10", "--out", str(target))
     assert code == 3
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed although an output cannot be written")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--out", "missing/run.csv"),
+    ("--summary", "missing/run.json"),
+    ("--out", "run.csv", "--plot", "run.svg", "--summary", "missing/run.json"),
+    ("--out", "missing/run.csv", "--summary", "run.json"),
+])
+def test_unwritable_output_fails_before_running(tmp_path, capsys,
+                                                monkeypatch, flags):
+    monkeypatch.setattr(cli, "run_trials", _must_not_run)
+    argv = [f if f.startswith("--") else str(tmp_path / f) for f in flags]
+    code = main(["epr", "--trials", "10", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_directory_target_fails_before_running(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(cli, "run_trials", _must_not_run)
+    csv_path = tmp_path / "run.csv"
+    csv_path.write_text("old csv")
+    (tmp_path / "somedir").mkdir()
+    code = main(["epr", "--trials", "10", "--out", str(csv_path),
+                 "--summary", str(tmp_path / "somedir")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Is a directory" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv",
+                                                         "somedir"]
+    assert csv_path.read_text() == "old csv"
+
+
+def test_failed_run_leaves_existing_outputs_alone(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(TrialRun, "write_summary_json", broken)
+    csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+    csv_path.write_text("old csv")
+    code = main(["epr", "--trials", "10", "--out", str(csv_path),
+                 "--summary", str(json_path)])
+    assert code == 3
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert csv_path.read_text() == "old csv"
+
+
+def test_outputs_are_moved_into_place_with_the_usual_mode(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+    code, out = run_cli(capsys, "epr", "--trials", "10", "--out",
+                        str(csv_path), "--summary", str(json_path))
+    assert code == 0
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv",
+                                                         "run.json"]
+    mask = os.umask(0)
+    os.umask(mask)
+    for path in (csv_path, json_path):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+def test_existing_output_keeps_its_mode(tmp_path, capsys):
+    csv_path = tmp_path / "run.csv"
+    csv_path.write_text("old csv")
+    csv_path.chmod(0o600)
+    code, _ = run_cli(capsys, "epr", "--trials", "10", "--out",
+                      str(csv_path))
+    assert code == 0
+    assert csv_path.read_text().startswith("k,")
+    assert csv_path.stat().st_mode & 0o777 == 0o600
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+def test_symlinked_output_is_written_through_the_link(tmp_path, capsys):
+    real = tmp_path / "real.csv"
+    real.write_text("old csv")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code, _ = run_cli(capsys, "epr", "--trials", "10", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_text().startswith("k,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                         "real.csv"]
+
+
+def test_device_output_is_written_in_place(tmp_path, capsys):
+    before = os.stat(os.devnull)
+    code, _ = run_cli(capsys, "epr", "--trials", "10", "--out", os.devnull,
+                      "--summary", str(tmp_path / "run.json"))
+    assert code == 0
+    after = os.stat(os.devnull)
+    assert (after.st_mode, after.st_rdev) == (before.st_mode, before.st_rdev)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_version_flag(capsys):
@@ -268,8 +378,21 @@ def test_chsh_env_seed_is_echoed(capsys, monkeypatch):
 
 
 def test_chsh_bad_grid(capsys):
-    code, _ = run_cli(capsys, "chsh", "--grid-deg", "0")
-    assert code == 4
+    for step in ("0", "1e-300"):
+        code = main(["chsh", "--grid-deg", step])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "grid step must be in [0.1, 90] degrees" in captured.err
+        assert captured.out == ""
+
+
+def test_chsh_unwritable_json_fails_before_scanning(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "chsh_scan", _must_not_run)
+    code = main(["chsh", "--json", str(tmp_path / "missing" / "scan.json")])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

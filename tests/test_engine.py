@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -286,13 +287,43 @@ def test_csv_round_trip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
-    for row, rec in zip(rows, run.iter_records()):
-        assert int(row["k"]) == rec.k
-        assert int(row["lambda"]) == rec.lam
-        assert float(row["phi_a"]) == rec.phis_deg[0]
-        assert float(row["phi_b"]) == rec.phis_deg[1]
-        assert (int(row["A"]), int(row["B"])) == rec.outcomes
-        assert float(row["corr"]) == rec.corr
+    for k, row in enumerate(rows):
+        assert int(row["k"]) == k
+        assert int(row["lambda"]) == run.lam[k]
+        assert float(row["phi_a"]) == run.phis_deg[k, 0]
+        assert float(row["phi_b"]) == run.phis_deg[k, 1]
+        assert (int(row["A"]), int(row["B"])) == tuple(run.outcomes[k])
+        assert float(row["corr"]) == run.corr[k]
+
+
+def _csv_writer_reference(run) -> bytes:
+    """The bytes of a row-at-a-time csv.writer over per-value str()."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    names = run.parties
+    w.writerow(["k", "lambda"] + ["phi_%s" % p.lower() for p in names]
+               + list(names) + ["corr"])
+    for k in range(run.config.trials):
+        w.writerow([k, int(run.lam[k]),
+                    *[str(float(v)) for v in run.phis_deg[k]],
+                    *[int(v) for v in run.outcomes[k]],
+                    str(float(run.corr[k]))])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "epr"},
+    {"mode": "ghz"},
+    {"mode": "ghz", "setting_source": "fixed-list",
+     "fixed_settings": ((10.0, 20.0, 30.0, 40.0), (0.0, 90.0, 45.0, 135.0))},
+])
+def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
+    # 1000 trials in batches of 64: sixteen chunks, the last one partial
+    run = run_trials(TrialConfig(trials=1000, seed=47, batch_size=64,
+                                 **kwargs))
+    path = tmp_path / "run.csv"
+    run.write_csv(path)
+    assert path.read_bytes() == _csv_writer_reference(run)
 
 
 def test_summary_json_round_trip(tmp_path):
@@ -324,6 +355,8 @@ def test_summary_json_round_trip(tmp_path):
     {"trials": 10, "seed": 0, "mode": "ghz", "setting_source": "fixed-list",
      "fixed_settings": ((0.0, float("inf"), 0.0, 0.0),)},
     {"trials": 10, "seed": 0, "bin_width_deg": 0.0},
+    {"trials": 10, "seed": 0, "bin_width_deg": 0.005},
+    {"trials": 10, "seed": 0, "bin_width_deg": float("nan")},
     {"trials": 10, "seed": 0, "bin_width_deg": 400.0},
     {"trials": 10, "seed": 0, "batch_size": 0},
     {"trials": 10, "seed": 0, "threads": 0},
@@ -331,6 +364,12 @@ def test_summary_json_round_trip(tmp_path):
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
         TrialConfig(**kwargs)
+
+
+def test_finest_bin_width_is_accepted():
+    run = run_epr(TrialConfig(trials=100, seed=0, mode="epr",
+                              bin_width_deg=0.01))
+    assert sum(b.count for b in run.summary.bins) == 100
 
 
 def test_mode_guards_on_the_wrappers():
@@ -362,6 +401,8 @@ def test_simulated_scan_agrees_with_the_analytic_one():
 def test_scan_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         chsh_scan(0.0)
+    with pytest.raises(ConfigError):
+        chsh_scan(0.09)
     with pytest.raises(ConfigError):
         chsh_scan(120.0)
     with pytest.raises(ConfigError):

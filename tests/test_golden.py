@@ -1,4 +1,4 @@
-"""Output goldens: SHA-256 of the files a few fixed CLI invocations write.
+"""Output goldens: SHA-256 of what a few fixed CLI invocations write.
 
 Any change that moves an output bit fails here. A change that moves bits on
 purpose re-pins the affected digests and says why in CHANGES.md.
@@ -54,6 +54,8 @@ RUNS = {
 
 CHSH_5DEG = "ba30788f1a3d4e236ed0ac6d6ea8d726d915e9a70c9b593704a95d5f37171183"
 
+CHECK_20 = "8c8ab9c9f694b1ab2282d9121163a494b05b88bb7c77e631b26197a41d402ad9"
+
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_outputs_match_their_digests(tmp_path, capsys, name):
@@ -67,3 +69,10 @@ def test_chsh_scan_output_matches_its_digest(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha(path) == CHSH_5DEG
+
+
+def test_check_report_matches_its_digest(capsys):
+    code = main(["check", "--samples", "20"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_20
