@@ -386,6 +386,15 @@ def test_chsh_bad_grid(capsys):
         assert captured.out == ""
 
 
+def test_chsh_grid_must_divide_360(capsys):
+    for step in ("50", "7", "0.7"):
+        code = main(["chsh", "--grid-deg", step])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "grid step must divide 360 degrees" in captured.err
+        assert captured.out == ""
+
+
 def test_chsh_unwritable_json_fails_before_scanning(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setattr(cli, "chsh_scan", _must_not_run)

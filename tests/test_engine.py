@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from septenary import engine
 from septenary.algebra import Multivector, mv_mul, scalar_part
 from septenary.engine import (
     TrialConfig,
@@ -407,3 +409,86 @@ def test_scan_rejects_bad_arguments():
         chsh_scan(120.0)
     with pytest.raises(ConfigError):
         chsh_scan(5.0, source="guesswork")
+
+
+@pytest.mark.parametrize("step", [50.0, 7.0, 0.7])
+def test_scan_rejects_steps_that_do_not_divide_360(step):
+    # the (j - i) mod ng lookup is an angle difference only on a closed
+    # circle; these steps used to report 3.136, 2.877 and 2.835 > 2 sqrt 2
+    with pytest.raises(ConfigError, match="grid step must divide 360"):
+        chsh_scan(step)
+
+
+def test_finest_scan_stays_under_the_ceiling():
+    scan = chsh_scan(0.1)
+    assert scan["max_abs_S"] <= 2.0 * ROOT2 + 1e-12
+    assert scan["max_abs_S"] == pytest.approx(2.0 * ROOT2, abs=1e-12)
+
+
+def _loop_scan(grid_deg, source="analytic", seed=0, trials_per_setting=64):
+    """The full O(ng^3) scan: every (ng, ng) table of S, argmax row-major."""
+    grid = np.arange(0.0, 360.0, float(grid_deg))
+    if source == "analytic":
+        e_of_delta = -np.cos(np.radians(grid))
+    else:
+        e_of_delta = engine._pair_expectation_simulated(
+            grid, seed, trials_per_setting)
+    ng = len(grid)
+
+    def e_lookup(i, j):
+        return e_of_delta[np.mod(j - i, ng)]
+
+    idx = np.arange(ng)
+    best_abs, best = -1.0, (0, 0, 0, 0)
+    zero = np.zeros(1, dtype=np.int64)
+    for iap in range(ng):
+        s = (e_lookup(zero, idx)[:, None]
+             + e_lookup(zero, idx)[None, :]
+             + e_lookup(np.array([iap]), idx)[:, None]
+             - e_lookup(np.array([iap]), idx)[None, :])
+        k = int(np.abs(s).argmax())
+        ib, ibp = divmod(k, ng)
+        if abs(s[ib, ibp]) > best_abs:
+            best_abs = float(abs(s[ib, ibp]))
+            best = (0.0, float(grid[iap]), float(grid[ib]), float(grid[ibp]))
+            best_val = float(s[ib, ibp])
+    return {
+        "grid_deg": float(grid_deg),
+        "source": source,
+        "max_abs_S": best_abs,
+        "S_at_max": best_val,
+        "argmax_deg": {"a": best[0], "a_prime": best[1],
+                       "b": best[2], "b_prime": best[3]},
+    }
+
+
+@pytest.mark.parametrize("step", [float(d) for d in range(1, 91)
+                                  if 360 % d == 0] + [0.5])
+def test_scan_matches_the_full_loop(step):
+    assert chsh_scan(step) == _loop_scan(step)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("step", [15.0, 30.0])
+def test_simulated_scan_matches_the_full_loop(step, seed):
+    assert (chsh_scan(step, "simulated", seed, 16)
+            == _loop_scan(step, "simulated", seed, 16))
+
+
+_TIE_STEPS = (20.0, 24.0, 30.0, 36.0, 40.0, 45.0, 60.0, 72.0, 90.0)
+_tied_tables = st.sampled_from(_TIE_STEPS).flatmap(
+    lambda step: st.tuples(st.just(step), st.lists(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        min_size=round(360 / step), max_size=round(360 / step))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_tables)
+def test_scan_breaks_exact_ties_like_the_full_loop(table):
+    # values on a coarse lattice make many (a', b, b') reach the same |S|
+    step, values = table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_pair_expectation_simulated",
+                   lambda grid, seed, trials: np.array(values))
+        assert (chsh_scan(step, "simulated")
+                == _loop_scan(step, "simulated"))

@@ -52,7 +52,14 @@ RUNS = {
     ),
 }
 
-CHSH_5DEG = "ba30788f1a3d4e236ed0ac6d6ea8d726d915e9a70c9b593704a95d5f37171183"
+CHSH = {
+    ("--grid-deg", "5"):
+        "ba30788f1a3d4e236ed0ac6d6ea8d726d915e9a70c9b593704a95d5f37171183",
+    ("--grid-deg", "0.5"):
+        "25998fd2e2c4345eb8133812095c444546ab88842310ca1b98405eafa502364c",
+    ("--source", "simulated", "--grid-deg", "30", "--seed", "3"):
+        "91433a9c5b5746b92042067217eec53c9d7549c581d1303324a9e629d2de1374",
+}
 
 CHECK_20 = "8c8ab9c9f694b1ab2282d9121163a494b05b88bb7c77e631b26197a41d402ad9"
 
@@ -65,10 +72,13 @@ def test_run_outputs_match_their_digests(tmp_path, capsys, name):
 
 def test_chsh_scan_output_matches_its_digest(tmp_path, capsys):
     path = tmp_path / "chsh.json"
-    code = main(["chsh", "--grid-deg", "5", "--json", str(path)])
-    capsys.readouterr()
-    assert code == 0
-    assert _sha(path) == CHSH_5DEG
+    got = {}
+    for argv in CHSH:
+        code = main(["chsh", *argv, "--json", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        got[argv] = _sha(path)
+    assert got == CHSH
 
 
 def test_check_report_matches_its_digest(capsys):

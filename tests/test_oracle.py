@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from septenary.algebra import Multivector, commutator, mv_mul, scalar_part
 from septenary.errors import ArityUnsupported, EmptyInput
 from septenary.oracle import (
+    _cross,
     chsh_bound,
     chsh_value,
     epr_expectation,
@@ -291,3 +292,15 @@ def test_perturbation_sensitivity_grows_with_chain_length():
     # O(delta) response in every case
     assert s2 < 10 * delta and s4 < 10 * delta
     assert s2 < s3 < s4
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-310, 1e160, 1e300])
+def test_cross_is_bitwise_numpy_cross(scale):
+    # tiny scales round to subnormals and zero, huge ones overflow to inf
+    # and nan; the bits must still agree
+    rng = np.random.default_rng(17)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for _ in range(2000):
+            a, b = rng.standard_normal((2, 3)) * scale
+            assert np.array_equal(_cross(a, b), np.cross(a, b),
+                                  equal_nan=True)
