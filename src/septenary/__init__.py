@@ -41,8 +41,6 @@ from .engine import (
     TrialRun,
     chsh_scan,
     paired_product,
-    run_epr,
-    run_ghz,
     run_trials,
 )
 from .errors import (
@@ -123,8 +121,6 @@ __all__ = [
     "quadric_defect",
     "recover_source_axis",
     "reflect_source_axis",
-    "run_epr",
-    "run_ghz",
     "run_trials",
     "scalar_part",
     "spin_state",

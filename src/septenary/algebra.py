@@ -40,6 +40,12 @@ BLADE_NAMES = ("1", "e12", "e31", "e23", "e14", "e24", "e34", "e1234")
 
 SCALAR, B_XY, B_ZX, B_YZ, E_X, E_Y, E_Z, E_VOL = range(8)
 
+# Slots of a direction pair (n_r, n_d): the x, y, z components of the plane
+# leg n_r go to the planes dual to those axes, the x, y, z components of the
+# fourth-direction leg n_d to the legs along them.
+R_SLOTS = (B_YZ, B_ZX, B_XY)
+D_SLOTS = (E_X, E_Y, E_Z)
+
 # antisymmetric structure triples, value +1 in the order written
 _F_TRIPLES = ((1, 2, 3), (2, 4, 6), (3, 6, 5), (4, 1, 5))
 # fully symmetric structure triples, value -1
@@ -124,7 +130,7 @@ class Multivector:
 
     def __init__(self, coeffs, lam: int = +1):
         arr = np.array(coeffs, dtype=np.float64).reshape(8)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("multivector coefficients must be finite")
         self.coeffs = arr
         self.lam = _check_lam(lam)
@@ -135,12 +141,6 @@ class Multivector:
     def basis(cls, index: int, lam: int = +1) -> "Multivector":
         c = np.zeros(8)
         c[index] = 1.0
-        return cls(c, lam)
-
-    @classmethod
-    def scalar(cls, value: float, lam: int = +1) -> "Multivector":
-        c = np.zeros(8)
-        c[0] = value
         return cls(c, lam)
 
     # -- arithmetic -----------------------------------------------------------
@@ -245,6 +245,24 @@ def to_dual_quaternion(x: Multivector) -> DualQuaternion:
 def from_dual_quaternion(dq: DualQuaternion, lam: int = +1) -> Multivector:
     r, d = dq.q_r, dq.q_d
     return Multivector([r[0], r[1], r[2], r[3], d[3], d[2], d[1], -d[0]], lam)
+
+
+def place_legs(out, n_r, n_d=(0.0, 0.0, 0.0)):
+    """Write the legs of a direction pair into their slots of out; return out.
+
+    out is indexed by slot: an (8,) array, or the (8, n) view ``c.T`` of an
+    (n, 8) array, in which case the components may be arrays of n values.
+    The scalar and volume slots are left as they are.
+    """
+    (rx, ry, rz), (dx, dy, dz) = R_SLOTS, D_SLOTS
+    out[rx], out[ry], out[rz] = n_r
+    out[dx], out[dy], out[dz] = n_d
+    return out
+
+
+def plane_leg(coeffs: np.ndarray) -> np.ndarray:
+    """The x, y, z components of n_r held in an (8,) coefficient array."""
+    return coeffs[list(R_SLOTS)]
 
 
 def basis_product(mu: int, nu: int, lam: int = +1) -> Multivector:

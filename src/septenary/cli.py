@@ -40,7 +40,7 @@ from .checks import DEFAULT_SAMPLES, DEFAULT_TOL, SUITE_NAMES, run_checks
 from .engine import TrialConfig, chsh_scan, run_trials
 from .errors import SeptenaryError
 from .oracle import epr_expectation, ghz_expectation
-from .svgplot import epr_reference, ghz_reference, write_run_svg
+from .svgplot import minus_cos_deg, write_run_svg
 
 _ENV_SEED = "SEPTENARY_SEED"
 
@@ -171,7 +171,8 @@ def _add_run_options(sub: argparse.ArgumentParser, parties: int) -> None:
                      help="worker threads; results do not depend on this")
 
 
-def _cmd_run(args, mode: str) -> int:
+def _cmd_run(args) -> int:
+    mode = args.command
     if args.trials < 1:
         args.parser.error("--trials must be a positive integer")
     seed, source = _resolve_seed(args.seed)
@@ -189,21 +190,12 @@ def _cmd_run(args, mode: str) -> int:
         if out:
             run.write_csv(out)
         if plot:
-            ref = epr_reference if mode == "epr" else ghz_reference
-            write_run_svg(plot, run.summary, ref)
+            write_run_svg(plot, run.summary, minus_cos_deg)
         if summary:
             run.write_summary_json(summary)
     if not args.summary:
         sys.stdout.write(_json_text(run.summary.to_dict()))
     return 0
-
-
-def _cmd_epr(args) -> int:
-    return _cmd_run(args, "epr")
-
-
-def _cmd_ghz(args) -> int:
-    return _cmd_run(args, "ghz")
 
 
 def _cmd_chsh(args) -> int:
@@ -288,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_epr = subs.add_parser("epr", help="two-party run")
     _add_run_options(p_epr, 2)
-    p_epr.set_defaults(func=_cmd_epr, parser=p_epr)
+    p_epr.set_defaults(func=_cmd_run, parser=p_epr)
 
     p_ghz = subs.add_parser("ghz", help="four-party run")
     _add_run_options(p_ghz, 4)
-    p_ghz.set_defaults(func=_cmd_ghz, parser=p_ghz)
+    p_ghz.set_defaults(func=_cmd_run, parser=p_ghz)
 
     p_chsh = subs.add_parser("chsh", help="four-term scan")
     p_chsh.add_argument("--grid-deg", type=float, default=5.0, metavar="G",

@@ -9,8 +9,8 @@ sphere centred at (0,0,0,1), passing through the origin.
 quaternion_from_bivectors multiplies two vectors embedded as planes: the
 plane of u times the plane of v gives scalar -(u.v) plus the plane of
 v x u (the plane product reverses the cross order, as the identity
-(Iu)(Iv) = -u.v - I(u x v) requires). This agrees with the slot 0..3 block
-of the full algebra product.
+(Iu)(Iv) = -u.v - I(u x v) requires). This agrees with the scalar and
+plane block of the full algebra product.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import SCALAR, Multivector, place_legs, plane_leg
 from .errors import DegenerateInput
 
 
@@ -87,13 +87,16 @@ def quaternion_from_bivectors(u, v) -> Quaternion:
 
 
 def quaternion_to_multivector(q: Quaternion, lam: int = +1) -> Multivector:
-    """Embed into slots 0..3: plane coefficient order there is (xy, zx, yz)."""
-    yz, zx, xy = q.bivector
-    return Multivector([q.scalar, xy, zx, yz, 0.0, 0.0, 0.0, 0.0], lam)
+    """Embed into the scalar slot and the planes; the legs stay zero.
+
+    The plane coefficients go where a pair's n_r leg goes (place_legs).
+    """
+    c = place_legs(np.zeros(8), q.bivector)
+    c[SCALAR] = q.scalar
+    return Multivector(c, lam)
 
 
 def multivector_to_quaternion(x: Multivector) -> Quaternion:
-    """Project slots 0..3 back out; slots 4..7 are ignored."""
-    c = x.coeffs
-    return Quaternion(scalar=float(c[0]),
-                      bivector=(float(c[3]), float(c[2]), float(c[1])))
+    """Project the scalar and the planes back out; the rest is ignored."""
+    return Quaternion(scalar=float(x.coeffs[SCALAR]),
+                      bivector=tuple(plane_leg(x.coeffs).tolist()))

@@ -35,9 +35,11 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .algebra import Multivector, mul_batch, mv_mul, product_scalar
+from .algebra import (
+    Multivector, mul_batch, mv_mul, place_legs, product_scalar,
+)
 from .errors import ConfigError, EmptyInput
-from .spin import Detector
+from .spin import Detector, planar_legs
 
 BATCH_SIZE = 8192
 
@@ -62,23 +64,9 @@ def gauss_pairs(gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
 
 
-def flip_lambda(gen: Generator) -> int:
-    """One fair-coin orientation draw."""
-    return 1 if gen.random() > 0.5 else -1
-
-
 def _flip_batch(gen: Generator, n: int) -> np.ndarray:
+    """n fair-coin orientation draws."""
     return np.where(gen.random(n) > 0.5, 1, -1).astype(np.int64)
-
-
-def random_planar_direction(gen: Generator) -> np.ndarray:
-    """Unit vector in the xy plane from a pair of Gaussians."""
-    while True:
-        zx, zy = gauss_pairs(gen, 1)
-        x, y = float(zx[0]), float(zy[0])
-        r = math.hypot(x, y)
-        if r >= 1e-9:
-            return np.array([x / r, y / r, 0.0])
 
 
 def _planar_batch(gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,40 +298,23 @@ def _wrap_deg(a: np.ndarray) -> np.ndarray:
     return 180.0 - np.mod(180.0 - a, 360.0)
 
 
-def _pair_coeff_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Embedded planar pairs for unit direction components (x, y).
-
-    Same scale-then-rotate construction as make_pair_planar, vectorised:
-    n_r = (x, y, 0)/sqrt(2), n_d = (-y, x, 0)/sqrt(2).
-    """
-    n = x.shape[0]
-    s = math.sqrt(0.5)
-    rx, ry = x * s, y * s
-    c = np.zeros((n, 8))
-    c[:, 2] = ry       # n_r y
-    c[:, 3] = rx       # n_r x
-    c[:, 4] = -ry      # n_d x
-    c[:, 5] = rx       # n_d y
+def _embed_planar(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, 8) coefficients of the planar pairs for unit directions (x, y)."""
+    c = np.zeros((x.shape[0], 8))
+    place_legs(c.T, *planar_legs(x, y))
     return c
 
 
-# internal azimuth placement for four-party fixed settings: the extraction
-# below reports phi_a = -alpha_a and phi_d = 180 - alpha_d, so requested
-# angles are inverted through the same map (its own inverse).
-def _ghz_internal_from_reported(phis: np.ndarray) -> np.ndarray:
-    a = phis.copy()
-    a[:, 0] = -phis[:, 0]
-    a[:, 3] = 180.0 - phis[:, 3]
-    return a
+def _ghz_reflect(phis: np.ndarray) -> np.ndarray:
+    """The four-party azimuth map phi_a -> -phi_a, phi_d -> 180 - phi_d.
 
-
-def _reported_from_internal(mode: str, alphas: np.ndarray) -> np.ndarray:
-    if mode == "epr":
-        return _wrap_deg(alphas)
-    rep = alphas.copy()
-    rep[:, 0] = -alphas[:, 0]
-    rep[:, 3] = 180.0 - alphas[:, 3]
-    return _wrap_deg(rep)
+    It takes internal azimuths to the reported ones of the extraction
+    convention and, being its own inverse, requested angles to internal.
+    """
+    out = phis.copy()
+    out[:, 0] = -phis[:, 0]
+    out[:, 3] = 180.0 - phis[:, 3]
+    return out
 
 
 def _run_batch(cfg: TrialConfig, batch_index: int) -> dict:
@@ -352,34 +323,36 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> dict:
     gen = batch_stream(cfg.seed, batch_index)
     lam = _flip_batch(gen, n)
     parties = len(_PARTIES[cfg.mode])
+    ghz = cfg.mode == "ghz"
 
     if cfg.setting_source == "random-planar":
         comps = [_planar_batch(gen, n) for _ in range(parties)]
         alphas = np.column_stack(
             [np.degrees(np.arctan2(y, x)) for x, y in comps]
         )
-        coeffs = [_pair_coeff_batch(x, y) for x, y in comps]
     else:
         tuples = np.array(cfg.fixed_settings, dtype=np.float64)
-        reported = tuples[(start + np.arange(n)) % len(tuples)]
-        alphas = (_ghz_internal_from_reported(reported)
-                  if cfg.mode == "ghz" else reported.copy())
+        requested = tuples[(start + np.arange(n)) % len(tuples)]
+        alphas = _ghz_reflect(requested) if ghz else requested
         rad = np.radians(alphas)
-        coeffs = [
-            _pair_coeff_batch(np.cos(rad[:, j]), np.sin(rad[:, j]))
-            for j in range(parties)
-        ]
+        comps = ((np.cos(rad[:, j]), np.sin(rad[:, j]))
+                 for j in range(parties))
+    coeffs = [_embed_planar(x, y) for x, y in comps]
 
     corr = _chain_scalar(coeffs, lam)
     signs = _OUTCOME_SIGNS[cfg.mode]
     outcomes = np.column_stack([s * lam for s in signs]).astype(np.int8)
-    reported = _reported_from_internal(cfg.mode, alphas)
-    return {"index": batch_index, "lam": lam, "phis": reported,
-            "outcomes": outcomes, "corr": corr}
+    reported = _ghz_reflect(alphas) if ghz else alphas
+    return {"lam": lam, "phis": _wrap_deg(reported), "outcomes": outcomes,
+            "corr": corr}
 
 
 def run_trials(cfg: TrialConfig) -> TrialRun:
-    """Execute a full run: batched, deterministic, reduced in batch order."""
+    """Execute a full run: batched, deterministic, reduced in batch order.
+
+    This is the one entry point for both modes; the serial loop and the
+    thread pool's map both return the batches in order.
+    """
     nbatches = (cfg.trials + cfg.batch_size - 1) // cfg.batch_size
     if cfg.threads > 1 and nbatches > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -387,7 +360,6 @@ def run_trials(cfg: TrialConfig) -> TrialRun:
                                     range(nbatches)))
     else:
         results = [_run_batch(cfg, i) for i in range(nbatches)]
-    results.sort(key=lambda r: r["index"])
     return TrialRun(
         config=cfg,
         lam=np.concatenate([r["lam"] for r in results]),
@@ -395,18 +367,6 @@ def run_trials(cfg: TrialConfig) -> TrialRun:
         outcomes=np.vstack([r["outcomes"] for r in results]),
         corr=np.concatenate([r["corr"] for r in results]),
     )
-
-
-def run_epr(cfg: TrialConfig) -> TrialRun:
-    if cfg.mode != "epr":
-        raise ConfigError("run_epr needs an epr-mode config")
-    return run_trials(cfg)
-
-
-def run_ghz(cfg: TrialConfig) -> TrialRun:
-    if cfg.mode != "ghz":
-        raise ConfigError("run_ghz needs a ghz-mode config")
-    return run_trials(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Multivector, mv_mul, scalar_part
+from .algebra import Multivector, mv_mul, place_legs, scalar_part
 from .errors import ArityUnsupported, EmptyInput
 from .spin import DirectionPair, pair_coefficients
 
@@ -152,8 +152,7 @@ def torsion(p1: DirectionPair, p2: DirectionPair, lam: int = +1) -> Multivector:
     if lam not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     _, u, v, _ = _pair_product_parts(p1, p2)
-    coeffs = np.array([0.0, u[2], u[1], u[0], v[0], v[1], v[2], 0.0])
-    return Multivector(-lam * coeffs, lam)
+    return Multivector(-lam * place_legs(np.zeros(8), u, v), lam)
 
 
 def chsh_bound(x, xp, y, yp) -> float:

@@ -1,12 +1,9 @@
 """Detector and source elements built from paired direction vectors.
 
 A measurement setting is a pair of 3-vectors (n_r, n_d). The pair embeds
-into the algebra with a fixed slot convention:
-
-    slot 1 <- n_r z     slot 2 <- n_r y     slot 3 <- n_r x
-    slot 4 <- n_d x     slot 5 <- n_d y     slot 6 <- n_d z
-
-(slots 0 and 7 stay zero). Three constructors are provided:
+into the algebra through the slot map of ``algebra.place_legs``: n_r onto
+the planes dual to its axes, n_d onto the legs along them, the scalar and
+volume slots zero. Three constructors are provided:
 
 * make_pair_planar: for a unit vector a in the xy plane, n_r = a / sqrt(2)
   and n_d is a rotated a quarter turn counter-clockwise, same scaling. The
@@ -33,7 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Multivector, mv_mul, mv_norm, scalar_part
+from .algebra import (
+    R_SLOTS, Multivector, mv_mul, mv_norm, place_legs, plane_leg,
+    scalar_part,
+)
 from .errors import DegenerateInput
 
 SQRT_HALF = math.sqrt(0.5)
@@ -100,20 +100,25 @@ def _check_unit(a: np.ndarray, what: str) -> None:
         raise DegenerateInput("%s must be unit length, got norm %.3g" % (what, n))
 
 
-def make_pair_planar(a) -> DirectionPair:
-    """Pair for a unit direction in the xy plane.
+def planar_legs(x, y) -> tuple[tuple, tuple]:
+    """Legs (n_r, n_d) of the planar pair for the unit direction (x, y, 0).
 
-    The dual leg is the quarter-turn of the scaled primary leg, reusing its
-    components so the orthogonality holds bitwise: a = (1,0,0) gives
-    n_d = (0,1,0)/sqrt(2), a = (0,1,0) gives n_d = (-1,0,0)/sqrt(2).
+    n_r = (x, y, 0) / sqrt(2), and n_d is its quarter-turn, built from the
+    scaled components themselves so the orthogonality holds bitwise:
+    (1, 0) gives n_d = (0, 1, 0) / sqrt(2), (0, 1) gives (-1, 0, 0) / sqrt(2).
+    x and y may be floats or equally shaped arrays.
     """
+    rx, ry = x * SQRT_HALF, y * SQRT_HALF
+    return (rx, ry, 0.0), (-ry, rx, 0.0)
+
+
+def make_pair_planar(a) -> DirectionPair:
+    """Pair for a unit direction in the xy plane (see planar_legs)."""
     a = np.asarray(a, dtype=np.float64).reshape(3)
     if a[2] != 0.0:
         raise DegenerateInput("planar pair needs a z-free direction")
     _check_unit(a, "planar direction")
-    rx = a[0] * SQRT_HALF
-    ry = a[1] * SQRT_HALF
-    return DirectionPair((rx, ry, 0.0), (-ry, rx, 0.0), "planar")
+    return DirectionPair(*planar_legs(a[0], a[1]), "planar")
 
 
 def make_pair_ghz(a, role: str) -> DirectionPair:
@@ -157,10 +162,8 @@ def make_pair_general(a) -> DirectionPair:
 
 
 def pair_coefficients(pair: DirectionPair) -> np.ndarray:
-    """The eight-slot embedding of a pair (slots 0 and 7 zero)."""
-    rx, ry, rz = pair.n_r
-    dx, dy, dz = pair.n_d
-    return np.array([0.0, rz, ry, rx, dx, dy, dz, 0.0])
+    """The eight-slot embedding of a pair (scalar and volume slots zero)."""
+    return place_legs(np.zeros(8), pair.n_r, pair.n_d)
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ def measure(det: Detector, lam: int, side: str) -> int:
 def _axis_element(u, what: str) -> Multivector:
     u = np.asarray(u, dtype=np.float64).reshape(3)
     _check_unit(u, what)
-    return Multivector([0.0, u[2], u[1], u[0], 0.0, 0.0, 0.0, 0.0], +1)
+    return Multivector(place_legs(np.zeros(8), u), +1)
 
 
 def reflect_source_axis(b, s) -> np.ndarray:
@@ -242,7 +245,7 @@ def reflect_source_axis(b, s) -> np.ndarray:
     xb = _axis_element(b, "detector axis")
     xs = _axis_element(s, "source axis")
     y = mv_mul(-xb, mv_mul(xs, xb))
-    return np.array([y.coeffs[3], y.coeffs[2], y.coeffs[1]])
+    return plane_leg(y.coeffs)
 
 
 def recover_source_axis(b, s) -> np.ndarray:
@@ -257,7 +260,7 @@ def recover_source_axis(b, s) -> np.ndarray:
     xs = _axis_element(s, "source axis")
     y = mv_mul(-xb, mv_mul(xs, xb))
     z = mv_mul(xb, mv_mul(y, -xb))
-    leak = float(np.abs(z.coeffs[[0, 4, 5, 6, 7]]).max())
+    leak = float(np.abs(np.delete(z.coeffs, R_SLOTS)).max())
     if leak > 1e-9:
         raise DegenerateInput("similarity transport leaked outside the planes")
-    return np.array([z.coeffs[3], z.coeffs[2], z.coeffs[1]])
+    return plane_leg(z.coeffs)

@@ -89,9 +89,6 @@ def write_run_svg(path, summary, reference_deg: Callable[[float], float]) -> Non
         fh.write(svg)
 
 
-def epr_reference(angle_deg: float) -> float:
-    return -math.cos(math.radians(angle_deg))
-
-
-def ghz_reference(angle_deg: float) -> float:
+def minus_cos_deg(angle_deg: float) -> float:
+    """The closed form both runs are binned against, -cos of the angle."""
     return -math.cos(math.radians(angle_deg))

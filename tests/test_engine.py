@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import septenary
 from septenary import engine
 from septenary.algebra import Multivector, mv_mul, scalar_part
 from septenary.engine import (
     TrialConfig,
     batch_stream,
     chsh_scan,
-    flip_lambda,
     gauss_pairs,
     paired_product,
-    random_planar_direction,
-    run_epr,
-    run_ghz,
     run_trials,
 )
 from septenary.errors import ConfigError, EmptyInput
@@ -47,8 +44,7 @@ def test_uniform_stream_golden():
 
 
 def test_coin_golden_and_scalar_draw():
-    gen = batch_stream(0, 0)
-    flips = np.array([flip_lambda(gen) for _ in range(8)])
+    flips = engine._flip_batch(batch_stream(0, 0), 8)
     assert np.array_equal(flips, np.array(FLIPS_SEED0))
     assert set(np.unique(flips)) <= {-1, 1}
 
@@ -69,16 +65,13 @@ def test_batch_streams_are_distinct_and_stable():
 
 
 def test_planar_direction_is_unit():
-    gen = batch_stream(5, 0)
-    for _ in range(200):
-        v = random_planar_direction(gen)
-        assert v.shape == (3,)
-        assert v[2] == 0.0
-        assert np.hypot(v[0], v[1]) == pytest.approx(1.0, abs=1e-12)
+    x, y = engine._planar_batch(batch_stream(5, 0), 200)
+    assert x.shape == y.shape == (200,)
+    assert_allclose(np.hypot(x, y), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_setting_azimuths_are_uniform():
-    run = run_epr(TrialConfig(trials=100000, seed=123, mode="epr"))
+    run = run_trials(TrialConfig(trials=100000, seed=123, mode="epr"))
     counts, _ = np.histogram(run.phis_deg[:, 0], bins=36, range=(-180.0, 180.0))
     expected = run.config.trials / 36.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -87,7 +80,7 @@ def test_setting_azimuths_are_uniform():
 
 
 def test_coin_is_fair_over_a_long_run():
-    run = run_epr(TrialConfig(trials=1000000, seed=2026, mode="epr"))
+    run = run_trials(TrialConfig(trials=1000000, seed=2026, mode="epr"))
     mean = float(run.lam.mean())
     assert mean == LAMBDA_MEAN_SEED2026
     assert abs(mean) < 0.005
@@ -117,7 +110,7 @@ def test_thread_count_does_not_change_results():
 
 @pytest.mark.parametrize("trials", [5, 8193])
 def test_partial_batches_are_handled(trials):
-    run = run_epr(TrialConfig(trials=trials, seed=3, mode="epr"))
+    run = run_trials(TrialConfig(trials=trials, seed=3, mode="epr"))
     assert run.lam.shape == (trials,)
     assert run.phis_deg.shape == (trials, 2)
     assert run.corr.shape == (trials,)
@@ -125,8 +118,8 @@ def test_partial_batches_are_handled(trials):
 
 
 def test_seed_changes_the_run():
-    a = run_epr(TrialConfig(trials=1000, seed=1, mode="epr"))
-    b = run_epr(TrialConfig(trials=1000, seed=2, mode="epr"))
+    a = run_trials(TrialConfig(trials=1000, seed=1, mode="epr"))
+    b = run_trials(TrialConfig(trials=1000, seed=2, mode="epr"))
     assert not np.array_equal(a.phis_deg, b.phis_deg)
 
 
@@ -134,25 +127,25 @@ def test_seed_changes_the_run():
 # per-event correlations
 
 def test_epr_per_event_matches_the_cosine():
-    run = run_epr(TrialConfig(trials=2000, seed=17, mode="epr"))
+    run = run_trials(TrialConfig(trials=2000, seed=17, mode="epr"))
     want = -np.cos(np.radians(run.angle_keys_deg()))
     assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
 
 
 def test_ghz_per_event_matches_the_cosine():
-    run = run_ghz(TrialConfig(trials=2000, seed=19, mode="ghz"))
+    run = run_trials(TrialConfig(trials=2000, seed=19, mode="ghz"))
     want = -np.cos(np.radians(run.angle_keys_deg()))
     assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
 
 
 def test_outcome_columns_follow_the_coin():
-    run = run_epr(TrialConfig(trials=500, seed=23, mode="epr"))
+    run = run_trials(TrialConfig(trials=500, seed=23, mode="epr"))
     assert np.array_equal(run.outcomes[:, 0], run.lam)
     assert np.array_equal(run.outcomes[:, 1], -run.lam)
     prod = run.outcomes.prod(axis=1)
     assert np.all(prod == -1)
 
-    run = run_ghz(TrialConfig(trials=500, seed=23, mode="ghz"))
+    run = run_trials(TrialConfig(trials=500, seed=23, mode="ghz"))
     signs = np.array([1, -1, 1, -1])
     assert np.array_equal(run.outcomes, np.outer(run.lam, signs))
     assert np.all(run.outcomes.prod(axis=1) == 1)
@@ -210,7 +203,7 @@ def test_ghz_disproof_points_hold_every_event(angles, want):
 
 
 def test_random_run_correlations_take_both_signs():
-    run = run_ghz(TrialConfig(trials=4000, seed=29, mode="ghz"))
+    run = run_trials(TrialConfig(trials=4000, seed=29, mode="ghz"))
     assert (run.corr > 0.0).any()
     assert (run.corr < 0.0).any()
 
@@ -246,6 +239,30 @@ def test_paired_product_argument_errors():
         paired_product([d, d], 0)
 
 
+@pytest.mark.parametrize("mode,tuples", [
+    ("epr", ((0.0, 45.0), (30.0, 190.0), (-75.5, 12.25), (359.9, 0.1),
+             (123.456, -98.7))),
+    ("ghz", ((10.0, 20.0, 30.0, 40.0), (0.0, 90.0, 45.0, 135.0),
+             (-33.3, 181.0, 7.5, 270.0), (359.9, -0.1, 100.2, 12.34))),
+])
+def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
+    cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256,
+                      setting_source="fixed-list", fixed_settings=tuples)
+    run = run_trials(cfg)
+    alphas = np.array(tuples)[np.arange(cfg.trials) % len(tuples)]
+    if mode == "ghz":
+        alphas = engine._ghz_reflect(alphas)
+    # the same array calls the engine makes, column by column
+    rad = np.radians(alphas)
+    xs = np.column_stack([np.cos(rad[:, j]) for j in range(len(tuples[0]))])
+    ys = np.column_stack([np.sin(rad[:, j]) for j in range(len(tuples[0]))])
+    for k in range(cfg.trials):
+        dets = [detector(make_pair_planar((x, y, 0.0)))
+                for x, y in zip(xs[k], ys[k])]
+        want = paired_product(dets, int(run.lam[k])).coeffs[0]
+        assert run.corr[k] == want, k
+
+
 def test_coin_average_leaves_a_pure_scalar():
     a, b = _planar_detector(20.0), _planar_detector(65.0)
     plus = paired_product([a, b], 1)
@@ -259,7 +276,7 @@ def test_coin_average_leaves_a_pure_scalar():
 # summaries and serialization
 
 def test_summary_bins_match_a_manual_count():
-    run = run_epr(TrialConfig(trials=20000, seed=31, mode="epr"))
+    run = run_trials(TrialConfig(trials=20000, seed=31, mode="epr"))
     width = run.config.bin_width_deg
     nbins = int(math.ceil(360.0 / width))
     idx = np.minimum((run.angle_keys_deg() / width).astype(np.int64), nbins - 1)
@@ -275,7 +292,7 @@ def test_summary_bins_match_a_manual_count():
 
 
 def test_summary_outcome_averages():
-    run = run_epr(TrialConfig(trials=20000, seed=37, mode="epr"))
+    run = run_trials(TrialConfig(trials=20000, seed=37, mode="epr"))
     aves = run.summary.ave_outcomes
     assert set(aves) == {"A", "B"}
     assert aves["A"] == float(run.outcomes[:, 0].mean())
@@ -283,7 +300,7 @@ def test_summary_outcome_averages():
 
 
 def test_csv_round_trip(tmp_path):
-    run = run_epr(TrialConfig(trials=200, seed=41, mode="epr"))
+    run = run_trials(TrialConfig(trials=200, seed=41, mode="epr"))
     path = tmp_path / "run.csv"
     run.write_csv(path)
     with open(path, newline="") as fh:
@@ -329,7 +346,7 @@ def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
 
 
 def test_summary_json_round_trip(tmp_path):
-    run = run_ghz(TrialConfig(trials=300, seed=43, mode="ghz"))
+    run = run_trials(TrialConfig(trials=300, seed=43, mode="ghz"))
     path = tmp_path / "summary.json"
     run.write_summary_json(path)
     with open(path) as fh:
@@ -369,16 +386,14 @@ def test_config_rejections(kwargs):
 
 
 def test_finest_bin_width_is_accepted():
-    run = run_epr(TrialConfig(trials=100, seed=0, mode="epr",
-                              bin_width_deg=0.01))
+    run = run_trials(TrialConfig(trials=100, seed=0, mode="epr",
+                                 bin_width_deg=0.01))
     assert sum(b.count for b in run.summary.bins) == 100
 
 
-def test_mode_guards_on_the_wrappers():
-    with pytest.raises(ConfigError):
-        run_epr(TrialConfig(trials=10, seed=0, mode="ghz"))
-    with pytest.raises(ConfigError):
-        run_ghz(TrialConfig(trials=10, seed=0, mode="epr"))
+def test_every_exported_name_resolves():
+    for name in septenary.__all__:
+        assert hasattr(septenary, name), name
 
 
 # ---------------------------------------------------------------------------
