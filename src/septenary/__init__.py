@@ -21,19 +21,15 @@ The package splits into focused layers:
 
 from .algebra import (
     BLADE_NAMES,
-    DualQuaternion,
     Multivector,
     basis_product,
     commutator,
-    from_dual_quaternion,
     is_on_s7,
     mul_batch,
     mv_mul,
     mv_norm,
-    mv_reverse,
     quadric_defect,
     scalar_part,
-    to_dual_quaternion,
 )
 from .conformal import Quaternion, R4Point, stereo_phi, stereo_psi
 from .engine import (
@@ -85,7 +81,6 @@ __all__ = [
     "DegenerateInput",
     "Detector",
     "DirectionPair",
-    "DualQuaternion",
     "EmptyInput",
     "Multivector",
     "OrientationMismatch",
@@ -102,7 +97,6 @@ __all__ = [
     "commutator",
     "detector",
     "epr_expectation",
-    "from_dual_quaternion",
     "ghz_direction_expectation",
     "ghz_expectation",
     "ghz_role_scalar_part",
@@ -114,7 +108,6 @@ __all__ = [
     "mul_batch",
     "mv_mul",
     "mv_norm",
-    "mv_reverse",
     "nfold_scalar_part",
     "paired_product",
     "pair_coefficients",
@@ -126,6 +119,5 @@ __all__ = [
     "spin_state",
     "stereo_phi",
     "stereo_psi",
-    "to_dual_quaternion",
     "torsion",
 ]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +49,6 @@ D_SLOTS = (E_X, E_Y, E_Z)
 _F_TRIPLES = ((1, 2, 3), (2, 4, 6), (3, 6, 5), (4, 1, 5))
 # fully symmetric structure triples, value -1
 _L_TRIPLES = ((1, 7, 6), (2, 5, 7), (3, 4, 7))
-
-# metric of the scalar part: <XY>_0 = sum_k G[k] X[k] Y[k]
-SCALAR_SIGNS = np.array([1, -1, -1, -1, -1, -1, -1, 1], dtype=np.int8)
 
 
 def _build_structure():
@@ -113,14 +109,12 @@ def _build_pair_rows(lam: int):
 
 _PAIR_ROWS = {+1: _build_pair_rows(+1), -1: _build_pair_rows(-1)}
 
-_REVERSE_SIGNS = np.array([1, -1, -1, -1, -1, -1, -1, 1], dtype=np.float64)
-
 
 def _check_lam(lam) -> int:
-    lam = int(lam)
+    """The orientation tag as an int; anything but +1 or -1 is refused."""
     if lam not in (1, -1):
         raise ValueError("orientation tag must be +1 or -1, got %r" % (lam,))
-    return lam
+    return int(lam)
 
 
 class Multivector:
@@ -209,43 +203,6 @@ class Multivector:
         c[1:] = -c[1:]
         return Multivector(c, lam)
 
-    def allclose(self, other: "Multivector", atol: float = 1e-12) -> bool:
-        return self.lam == other.lam and bool(
-            np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=atol)
-        )
-
-    def to_dict(self) -> dict:
-        return {"coeffs": [float(c) for c in self.coeffs], "orientation": self.lam}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Multivector":
-        return cls(data["coeffs"], data["orientation"])
-
-
-@dataclass(frozen=True)
-class DualQuaternion:
-    """Quaternion pair view of an element: q_r the rotor half, q_d the other.
-
-    Components are ordered (w, x, y, z). The packing swaps the vector order
-    of the second half and negates its w so that round trips are exact.
-    """
-
-    q_r: tuple
-    q_d: tuple
-
-
-def to_dual_quaternion(x: Multivector) -> DualQuaternion:
-    c = x.coeffs
-    return DualQuaternion(
-        q_r=(float(c[0]), float(c[1]), float(c[2]), float(c[3])),
-        q_d=(float(-c[7]), float(c[6]), float(c[5]), float(c[4])),
-    )
-
-
-def from_dual_quaternion(dq: DualQuaternion, lam: int = +1) -> Multivector:
-    r, d = dq.q_r, dq.q_d
-    return Multivector([r[0], r[1], r[2], r[3], d[3], d[2], d[1], -d[0]], lam)
-
 
 def place_legs(out, n_r, n_d=(0.0, 0.0, 0.0)):
     """Write the legs of a direction pair into their slots of out; return out.
@@ -328,11 +285,6 @@ def mul_batch(xs: np.ndarray, ys: np.ndarray, lam: int) -> np.ndarray:
     out = np.empty((xs.shape[0], 8))
     _product(xs.T, ys.T, lam, out.T)
     return out
-
-
-def mv_reverse(x: Multivector) -> Multivector:
-    """Reversal anti-automorphism: flips blades 1..6, fixes 0 and 7."""
-    return Multivector(x.coeffs * _REVERSE_SIGNS, x.lam)
 
 
 def mv_norm(x: Multivector) -> float:

@@ -333,10 +333,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SeptenaryError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except (SeptenaryError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
     except OSError as exc:

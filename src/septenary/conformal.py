@@ -25,7 +25,7 @@ from .errors import DegenerateInput
 
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64).reshape(3)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     return v
 

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .algebra import (
-    Multivector, mul_batch, mv_mul, place_legs, product_scalar,
+    Multivector, _check_lam, mul_batch, mv_mul, place_legs, product_scalar,
 )
 from .errors import ConfigError, EmptyInput
 from .spin import Detector, planar_legs
@@ -262,8 +262,7 @@ def paired_product(detectors: Sequence[Detector], lam: int) -> Multivector:
     """
     if len(detectors) < 2:
         raise EmptyInput("paired_product needs at least two detectors")
-    if lam not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    lam = _check_lam(lam)
     elems = [d.element_at(lam) for d in detectors]
     if lam == -1:
         elems.reverse()

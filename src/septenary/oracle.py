@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Multivector, mv_mul, place_legs, scalar_part
+from .algebra import Multivector, _check_lam, mv_mul, place_legs, scalar_part
 from .errors import ArityUnsupported, EmptyInput
 from .spin import DirectionPair, pair_coefficients
 
@@ -149,8 +149,7 @@ def torsion(p1: DirectionPair, p2: DirectionPair, lam: int = +1) -> Multivector:
     cancel between the two orders, leaving -lam times the embedding of the
     cross-product legs.
     """
-    if lam not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    lam = _check_lam(lam)
     _, u, v, _ = _pair_product_parts(p1, p2)
     return Multivector(-lam * place_legs(np.zeros(8), u, v), lam)
 

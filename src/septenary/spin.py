@@ -14,8 +14,9 @@ volume slots zero. Three constructors are provided:
   the four-party closed-form identities; their embedded elements are not
   unit norm and are not meant for outcome extraction.
 * make_pair_general: any unit 3-vector, with n_d built by deterministic
-  Gram-Schmidt against a fixed reference axis. Provided for exploration;
-  the simulation paths use the two constructors above.
+  Gram-Schmidt against a fixed reference axis. The trial engine uses the
+  planar constructor; the ``check`` chain-forms suite draws its settings
+  through this one.
 
 A detector is the embedded pair. A source (spin state) is the detector
 scaled by the trial's orientation sign; with the tag carried alongside, the
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (
-    R_SLOTS, Multivector, mv_mul, mv_norm, place_legs, plane_leg,
+    R_SLOTS, Multivector, _check_lam, mv_mul, mv_norm, place_legs, plane_leg,
     scalar_part,
 )
 from .errors import DegenerateInput
@@ -77,19 +78,6 @@ class DirectionPair:
                 raise DegenerateInput("pair legs must each have norm 2**-0.5")
         if abs(rd) > 1e-12:
             raise DegenerateInput("pair legs must be orthogonal")
-
-    def to_dict(self) -> dict:
-        d = {"n_r": [float(c) for c in self.n_r],
-             "n_d": [float(c) for c in self.n_d],
-             "mode": self.mode}
-        if self.role is not None:
-            d["role"] = self.role
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DirectionPair":
-        return cls(tuple(data["n_r"]), tuple(data["n_d"]),
-                   data.get("mode", "planar"), data.get("role"))
 
 
 def _check_unit(a: np.ndarray, what: str) -> None:
@@ -197,8 +185,7 @@ class SpinState:
 
 
 def spin_state(det: Detector, lam: int) -> SpinState:
-    if lam not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    lam = _check_lam(lam)
     elem = Multivector(lam * det.element.coeffs, lam)
     return SpinState(detector=det, lam=lam, element=elem)
 
@@ -212,8 +199,7 @@ def measure(det: Detector, lam: int, side: str) -> int:
     """
     if side not in ("first", "second"):
         raise ValueError("side must be 'first' or 'second'")
-    if lam not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    lam = _check_lam(lam)
     d = det.element_at(lam)
     if abs(mv_norm(d) - 1.0) > 1e-9:
         raise DegenerateInput(
@@ -240,11 +226,16 @@ def _axis_element(u, what: str) -> Multivector:
     return Multivector(place_legs(np.zeros(8), u), +1)
 
 
-def reflect_source_axis(b, s) -> np.ndarray:
-    """Axis of -plane(b) * plane(s) * plane(b), which is 2 (b.s) b - s."""
+def _reflect(b, s) -> tuple[Multivector, Multivector]:
+    """The detector plane xb and the reflected element -xb * xs * xb."""
     xb = _axis_element(b, "detector axis")
     xs = _axis_element(s, "source axis")
-    y = mv_mul(-xb, mv_mul(xs, xb))
+    return xb, mv_mul(-xb, mv_mul(xs, xb))
+
+
+def reflect_source_axis(b, s) -> np.ndarray:
+    """Axis of -plane(b) * plane(s) * plane(b), which is 2 (b.s) b - s."""
+    _, y = _reflect(b, s)
     return plane_leg(y.coeffs)
 
 
@@ -256,9 +247,7 @@ def recover_source_axis(b, s) -> np.ndarray:
     products run through the real algebra; nothing is symbolically
     cancelled.
     """
-    xb = _axis_element(b, "detector axis")
-    xs = _axis_element(s, "source axis")
-    y = mv_mul(-xb, mv_mul(xs, xb))
+    xb, y = _reflect(b, s)
     z = mv_mul(xb, mv_mul(y, -xb))
     leak = float(np.abs(np.delete(z.coeffs, R_SLOTS)).max())
     if leak > 1e-9:

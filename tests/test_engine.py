@@ -235,8 +235,9 @@ def test_paired_product_argument_errors():
     d = _planar_detector(0.0)
     with pytest.raises(EmptyInput):
         paired_product([d], 1)
-    with pytest.raises(ValueError):
-        paired_product([d, d], 0)
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError):
+            paired_product([d, d], bad)
 
 
 @pytest.mark.parametrize("mode,tuples", [

@@ -128,6 +128,13 @@ def test_torsion_matches_the_commutator(lam):
         assert_allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12)
 
 
+def test_torsion_rejects_a_bad_tag():
+    p = make_pair_planar((1.0, 0.0, 0.0))
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError):
+            torsion(p, p, bad)
+
+
 def test_torsion_of_a_pair_with_itself_vanishes():
     p = make_pair_general((0.0, 0.6, 0.8))
     t = torsion(p, p, 1)

@@ -116,14 +116,6 @@ def test_direction_pair_validation():
         DirectionPair(good.n_r, good.n_d, mode="ghz-role", role="Z")
 
 
-def test_direction_pair_dict_round_trip():
-    p = make_pair_ghz((0.0, 0.6, 0.8), "D")
-    q = DirectionPair.from_dict(p.to_dict())
-    assert q == p
-    r = make_pair_planar((0.6, 0.8, 0.0))
-    assert DirectionPair.from_dict(r.to_dict()) == r
-
-
 # ---------------------------------------------------------------------------
 
 def test_detector_element_layout_and_sphere_membership():
@@ -156,8 +148,9 @@ def test_spin_state_scales_by_the_coin():
         sq = mv_mul(st.element, st.element)
         assert np.all(sq.coeffs[1:] == 0.0)
         assert sq.coeffs[0] == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        spin_state(det, 0)
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError):
+            spin_state(det, bad)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
@@ -172,8 +165,9 @@ def test_measure_validates_inputs():
     det = detector(make_pair_planar((1.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         measure(det, 1, "left")
-    with pytest.raises(ValueError):
-        measure(det, 2, "first")
+    for bad in (2, -1.9):
+        with pytest.raises(ValueError):
+            measure(det, bad, "first")
     role_det = detector(make_pair_ghz((0.0, 0.0, 1.0), "A"))
     # role elements are scaled for the four-party identities, not unit norm
     assert mv_norm(role_det.element) != pytest.approx(1.0, abs=1e-6)
