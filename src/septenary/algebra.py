@@ -28,8 +28,10 @@ leg through slot 7. Both enter the product scaled by ``lam``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +110,62 @@ def _build_pair_rows(lam: int):
     return rows
 
 _PAIR_ROWS = {+1: _build_pair_rows(+1), -1: _build_pair_rows(-1)}
+
+
+class TermPlan(NamedTuple):
+    """The terms of a product that survive a pattern of structural zeros.
+
+    A dense plan (no zero slot, every row) runs the written expression:
+    the straight-line scalar row, then for rho = 1..7 the pair list of
+    ``rows``. A pruned plan lists for each wanted row rho its surviving
+    groups (sign, i, j, inner, k, l) in the written term order. A group is
+    a[i] * b[j], plus or minus a[k] * b[l] as inner is +1 or -1 (0: no
+    second term), added to the row or subtracted from it as sign is +1 or
+    -1. A row with no surviving group comes back as None.
+    """
+
+    dense: bool
+    rows: tuple
+
+
+@functools.cache
+def term_plan(lam: int, zeros_a=(), zeros_b=(),
+              scalar_only: bool = False) -> TermPlan:
+    """Plan of the product under tag lam when the slots in zeros_a of the
+    left factor and those in zeros_b of the right one are structurally zero.
+
+    With scalar_only the plan lists the scalar row alone. Plans are cached,
+    so a caller fetches one per pattern and passes it to every product.
+    """
+    lam = _check_lam(lam)
+    if not (zeros_a or zeros_b or scalar_only):
+        return TermPlan(True, tuple(
+            (rho, tuple(_PAIR_ROWS[lam][rho])) for rho in range(1, 8)))
+    t = PRODUCT_TENSOR[lam]
+    # the written groups of each row as ((s, mu, nu), ...) terms
+    written = [[((int(t[0, k, k]), k, k),) for k in range(8)]]
+    for rho in range(1, 8):
+        written.append([((1, 0, rho), (1, rho, 0))] + [
+            ((s_fwd, mu, nu), (s_rev, nu, mu))
+            for mu, nu, s_fwd, s_rev in _PAIR_ROWS[lam][rho]])
+    rows = []
+    for rho in (SCALAR,) if scalar_only else range(8):
+        groups = []
+        for grp in written[rho]:
+            terms = [(s, i, j) for s, i, j in grp
+                     if i not in zeros_a and j not in zeros_b]
+            if not terms:
+                continue
+            (s, i, j), *rest = terms
+            (s2, k, l), = rest or ((0, 0, 0),)
+            groups.append((s, i, j, s * s2, k, l))
+        rows.append((rho, tuple(groups)))
+    return TermPlan(False, tuple(rows))
+
+
+def zero_slots(x) -> tuple:
+    """The slots of a per-slot sequence that hold None."""
+    return tuple(i for i, v in enumerate(x) if v is None)
 
 
 def _check_lam(lam) -> int:
@@ -207,9 +265,10 @@ class Multivector:
 def place_legs(out, n_r, n_d=(0.0, 0.0, 0.0)):
     """Write the legs of a direction pair into their slots of out; return out.
 
-    out is indexed by slot: an (8,) array, or the (8, n) view ``c.T`` of an
-    (n, 8) array, in which case the components may be arrays of n values.
-    The scalar and volume slots are left as they are.
+    out is indexed by slot: an (8,) array, or a list of eight entries, in
+    which case the components may be arrays of n values, or None for a
+    structurally zero slot. The scalar and volume slots are left as they
+    are.
     """
     (rx, ry, rz), (dx, dy, dz) = R_SLOTS, D_SLOTS
     out[rx], out[ry], out[rz] = n_r
@@ -230,31 +289,41 @@ def basis_product(mu: int, nu: int, lam: int = +1) -> Multivector:
     return Multivector(PRODUCT_TENSOR[lam][:, mu, nu].astype(np.float64), lam)
 
 
-def product_scalar(a, b):
-    """Scalar part of the product of two eight-component sequences.
-
-    The components may be floats or equally shaped arrays, one per slot.
-    The scalar row carries no orientation sign, so no tag is needed. This is
-    row 0 of every product, so a chain that needs only the scalar of its
-    last factor gets the same bits as the full product would.
-    """
-    return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-            - a[4] * b[4] - a[5] * b[5] - a[6] * b[6] + a[7] * b[7])
-
-
-def _product(a, b, lam: int, out) -> None:
-    """Write the product of a and b under tag lam into out[0..7].
+def _product(a, b, plan: TermPlan, out) -> None:
+    """Write the rows that plan lists of the product of a and b into out.
 
     a, b and out are indexed by slot; each entry is a float or an array, so
-    the single and the batched product run this same expression. The cross
-    terms of every blade pair {mu, nu} are summed together before being
-    folded into the accumulator.
+    the single and the batched product run this same kernel. Under a dense
+    plan the cross terms of every blade pair {mu, nu} are summed together
+    before being folded into the accumulator. Under a pruned plan a slot
+    the plan counts as structurally zero may hold None; only the surviving
+    terms are evaluated, so a result can differ from the dense one in the
+    sign of a zero and nowhere else.
     """
-    out[0] = product_scalar(a, b)
-    for rho in range(1, 8):
-        acc = a[0] * b[rho] + a[rho] * b[0]
-        for mu, nu, s_fwd, s_rev in _PAIR_ROWS[lam][rho]:
-            acc += s_fwd * a[mu] * b[nu] + s_rev * a[nu] * b[mu]
+    if plan.dense:
+        # the scalar row carries no orientation sign
+        out[0] = (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+                  - a[4] * b[4] - a[5] * b[5] - a[6] * b[6] + a[7] * b[7])
+        for rho, pairs in plan.rows:
+            acc = a[0] * b[rho] + a[rho] * b[0]
+            for mu, nu, s_fwd, s_rev in pairs:
+                acc += s_fwd * a[mu] * b[nu] + s_rev * a[nu] * b[mu]
+            out[rho] = acc
+        return
+    for rho, groups in plan.rows:
+        acc = None
+        for sign, i, j, inner, k, l in groups:
+            g = a[i] * b[j]
+            if inner > 0:
+                g += a[k] * b[l]
+            elif inner < 0:
+                g -= a[k] * b[l]
+            if acc is None:
+                acc = g if sign > 0 else -g
+            elif sign > 0:
+                acc += g
+            else:
+                acc -= g
         out[rho] = acc
 
 
@@ -270,8 +339,8 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
             "product needs matching orientation tags, got %+d and %+d"
             % (x.lam, y.lam)
         )
-    out = np.empty(8)
-    _product(x.coeffs.tolist(), y.coeffs.tolist(), x.lam, out)
+    out = [0.0] * 8
+    _product(x.coeffs.tolist(), y.coeffs.tolist(), term_plan(x.lam), out)
     return Multivector(out, x.lam)
 
 
@@ -283,7 +352,7 @@ def mul_batch(xs: np.ndarray, ys: np.ndarray, lam: int) -> np.ndarray:
     """
     lam = _check_lam(lam)
     out = np.empty((xs.shape[0], 8))
-    _product(xs.T, ys.T, lam, out.T)
+    _product(xs.T, ys.T, term_plan(lam), out.T)
     return out
 
 

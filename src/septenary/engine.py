@@ -22,6 +22,15 @@ second-style wings). The four-party run reports its azimuths with the
 extraction convention that flips the sign of the first angle and reflects
 the fourth (phi_d = 180 - alpha_d), matching the sum convention
 Phi = phi_a + phi_b - phi_c - phi_d under which the correlation is -cos Phi.
+
+Each batch is split by coin before embedding: every party's planar (x, y)
+components are gathered for the trials of one coin and placed into
+per-slot lists, with None in the four slots a planar detector leaves zero.
+The chain then runs ``algebra._product`` under term plans that skip every
+term with a None factor, so each product touches only the slots that can
+be nonzero. A skipped term can turn an exact-zero correlation into -0.0
+where the written expression gives 0.0, so ``corr`` is normalised by
+adding 0.0, which makes every exact zero +0.0.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .algebra import (
-    Multivector, _check_lam, mul_batch, mv_mul, place_legs, product_scalar,
+    SCALAR, Multivector, _check_lam, _product, mv_mul, place_legs, term_plan,
+    zero_slots,
 )
 from .errors import ConfigError, EmptyInput
 from .spin import Detector, planar_legs
@@ -272,24 +282,20 @@ def paired_product(detectors: Sequence[Detector], lam: int) -> Multivector:
     return acc
 
 
-def _chain_scalar(coeffs: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
-    """Scalar of the coin-ordered chain, vectorised over trials.
+def _chain_scalar(factors: list[list], lam: int) -> np.ndarray:
+    """Scalar of the ordered product of per-slot factors under tag lam.
 
-    Only the scalar row of the last product is evaluated; it is the same
-    expression as row 0 of the full product.
+    Each product runs the plan of its operands' structurally zero slots,
+    and the last one evaluates only the scalar row.
     """
-    n = lam.shape[0]
-    out = np.empty(n)
-    for sign in (1, -1):
-        m = lam == sign
-        if not m.any():
-            continue
-        parts = [c[m] for c in (coeffs if sign == 1 else coeffs[::-1])]
-        acc = parts[0]
-        for nxt in parts[1:-1]:
-            acc = mul_batch(acc, nxt, sign)
-        out[m] = product_scalar(acc.T, parts[-1].T)
-    return out
+    acc = factors[0]
+    for k, nxt in enumerate(factors[1:], 2):
+        plan = term_plan(lam, zero_slots(acc), zero_slots(nxt),
+                         scalar_only=k == len(factors))
+        out = [None] * len(acc)
+        _product(acc, nxt, plan, out)
+        acc = out
+    return acc[SCALAR]
 
 
 def _wrap_deg(a: np.ndarray) -> np.ndarray:
@@ -297,11 +303,11 @@ def _wrap_deg(a: np.ndarray) -> np.ndarray:
     return 180.0 - np.mod(180.0 - a, 360.0)
 
 
-def _embed_planar(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, 8) coefficients of the planar pairs for unit directions (x, y)."""
-    c = np.zeros((x.shape[0], 8))
-    place_legs(c.T, *planar_legs(x, y))
-    return c
+def _planar_slots(x: np.ndarray, y: np.ndarray) -> list:
+    """Per-slot legs of the planar pairs for unit directions (x, y), with
+    None in the structurally zero slots."""
+    (rx, ry, _), (dx, dy, _) = planar_legs(x, y)
+    return place_legs([None] * 8, (rx, ry, None), (dx, dy, None))
 
 
 def _ghz_reflect(phis: np.ndarray) -> np.ndarray:
@@ -334,11 +340,18 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> dict:
         requested = tuples[(start + np.arange(n)) % len(tuples)]
         alphas = _ghz_reflect(requested) if ghz else requested
         rad = np.radians(alphas)
-        comps = ((np.cos(rad[:, j]), np.sin(rad[:, j]))
-                 for j in range(parties))
-    coeffs = [_embed_planar(x, y) for x, y in comps]
+        comps = [(np.cos(rad[:, j]), np.sin(rad[:, j]))
+                 for j in range(parties)]
 
-    corr = _chain_scalar(coeffs, lam)
+    corr = np.empty(n)
+    for sign in (1, -1):
+        idx = np.flatnonzero(lam == sign)
+        if idx.size:
+            factors = [_planar_slots(x[idx], y[idx]) for x, y in comps]
+            # a -1 coin multiplies last to first
+            corr[idx] = _chain_scalar(factors[::sign], sign)
+    # a pruned term can leave -0.0 where the written expression gives 0.0
+    corr += 0.0
     signs = _OUTCOME_SIGNS[cfg.mode]
     outcomes = np.column_stack([s * lam for s in signs]).astype(np.int8)
     reported = _ghz_reflect(alphas) if ghz else alphas

@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from septenary.algebra import (
+    B_XY,
     BLADE_NAMES,
+    E_VOL,
+    E_Z,
+    SCALAR,
     Multivector,
+    _product,
     basis_product,
     commutator,
     is_on_s7,
@@ -16,6 +21,7 @@ from septenary.algebra import (
     mv_norm,
     quadric_defect,
     scalar_part,
+    term_plan,
 )
 from septenary.errors import OrientationMismatch
 
@@ -248,6 +254,44 @@ def test_mul_batch_agrees_with_mv_mul():
         for i in range(64):
             one = mv_mul(Multivector(xs[i], lam), Multivector(ys[i], lam))
             assert np.array_equal(batched[i], one.coeffs)
+
+
+def test_pruned_products_equal_the_dense_product_with_zero_slots():
+    # small integers make rows cancel to exact zeros of either sign
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        lam = int(rng.choice([1, -1]))
+        za, zb = (tuple(np.flatnonzero(rng.random(8) < rng.random()).tolist())
+                  for _ in range(2))
+        xs, ys = rng.integers(-2, 3, size=(2, 8, 16)).astype(np.float64)
+        xs[list(za)] = 0.0
+        ys[list(zb)] = 0.0
+        dense = np.empty((8, 16))
+        _product(xs, ys, term_plan(lam), dense)
+        a = [None if i in za else xs[i] for i in range(8)]
+        b = [None if i in zb else ys[i] for i in range(8)]
+        for scalar_only in (False, True):
+            out = ["unwritten"] * 8
+            _product(a, b, term_plan(lam, za, zb, scalar_only), out)
+            for rho in range(8):
+                if scalar_only and rho != SCALAR:
+                    assert out[rho] == "unwritten"
+                elif out[rho] is None:
+                    assert np.all(dense[rho] == 0.0)
+                else:
+                    assert np.array_equal(out[rho], dense[rho])
+
+
+def test_planar_factors_alternate_between_two_slot_sets():
+    planar_zeros = (SCALAR, B_XY, E_Z, E_VOL)
+    rng = np.random.default_rng(3)
+    a, b = ([None if i in planar_zeros else v for i, v in enumerate(r)]
+            for r in rng.standard_normal((2, 8)))
+    for lam in (1, -1):
+        out = [0.0] * 8
+        _product(a, b, term_plan(lam, planar_zeros, planar_zeros), out)
+        survivors = tuple(i for i, v in enumerate(out) if v is not None)
+        assert survivors == planar_zeros
 
 
 def test_batched_squares_of_middle_slot_elements_cancel_the_rotation_slots():

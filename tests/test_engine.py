@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import itertools
 import json
 import math
 
@@ -262,6 +264,21 @@ def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
                 for x, y in zip(xs[k], ys[k])]
         want = paired_product(dets, int(run.lam[k])).coeffs[0]
         assert run.corr[k] == want, k
+
+
+@pytest.mark.parametrize("mode,parties,digest", [
+    ("epr", 2, "03b3a3c917a6b4f21fc838ce194e91ccc14194687b355ecf4374a321fdcec749"),
+    ("ghz", 4, "cf87d745650b9dbece1ce43c81a1688ab73c608fef1976845bee4b9999b87273"),
+])
+def test_grid_correlation_bits_are_pinned(mode, parties, digest):
+    # the 45 degree grid hits exact zeros, which the written expression
+    # leaves at +0.0; == cannot see the sign of a zero, the bytes can
+    grid = [45.0 * i for i in range(8)]
+    tuples = tuple(itertools.product(grid, repeat=parties))
+    cfg = TrialConfig(trials=8 * len(tuples), seed=7, mode=mode,
+                      setting_source="fixed-list", fixed_settings=tuples)
+    corr = run_trials(cfg).corr
+    assert hashlib.sha256(corr.tobytes()).hexdigest() == digest
 
 
 def test_coin_average_leaves_a_pure_scalar():
