@@ -14,7 +14,8 @@ The package splits into focused layers:
 ``oracle``
     Closed-form expectations the simulations are judged against.
 ``engine``
-    Batched, seeded event-by-event runs plus the four-term scan.
+    Batched, seeded event-by-event runs, streamed or collected, plus the
+    four-term scan.
 ``checks``
     The self-test suites behind ``septenary check``.
 """
@@ -38,6 +39,7 @@ from .engine import (
     chsh_scan,
     paired_product,
     run_trials,
+    stream_trials,
 )
 from .errors import (
     ArityUnsupported,
@@ -119,5 +121,6 @@ __all__ = [
     "spin_state",
     "stereo_phi",
     "stereo_psi",
+    "stream_trials",
     "torsion",
 ]

@@ -37,7 +37,7 @@ import tempfile
 
 from . import __version__
 from .checks import DEFAULT_SAMPLES, DEFAULT_TOL, SUITE_NAMES, run_checks
-from .engine import TrialConfig, chsh_scan, run_trials
+from .engine import TrialConfig, chsh_scan, stream_trials
 from .errors import SeptenaryError
 from .oracle import epr_expectation, ghz_expectation
 from .svgplot import minus_cos_deg, write_run_svg
@@ -59,6 +59,11 @@ def _resolve_seed(flag_seed: int) -> tuple:
 def _json_text(obj) -> str:
     """Indented strict JSON: NaN and infinities raise instead of printing."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 # Read once at import, before any thread exists: os.umask can only be read
@@ -185,16 +190,18 @@ def _cmd_run(args) -> int:
         fixed_settings=fixed, bin_width_deg=args.bin_deg,
         threads=args.threads, seed_source=source,
     )
-    with _staged((args.out, args.plot, args.summary)) as (out, plot, summary):
-        run = run_trials(cfg)
-        if out:
-            run.write_csv(out)
+    with _staged((args.out, args.plot, args.summary)) as (out, plot, path):
+        # the CSV rows go out batch by batch as the run streams
+        with (open(out, "w", newline="") if out
+              else contextlib.nullcontext()) as csv_file:
+            summary = stream_trials(cfg, csv_file)
         if plot:
-            write_run_svg(plot, run.summary, minus_cos_deg)
-        if summary:
-            run.write_summary_json(summary)
+            write_run_svg(plot, summary, minus_cos_deg)
+        text = _json_text(summary.to_dict())
+        if path:
+            _write_text(path, text)
     if not args.summary:
-        sys.stdout.write(_json_text(run.summary.to_dict()))
+        sys.stdout.write(text)
     return 0
 
 
@@ -208,8 +215,7 @@ def _cmd_chsh(args) -> int:
         result["seed_source"] = source
         text = _json_text(result)
         if path:
-            with open(path, "w") as fh:
-                fh.write(text)
+            _write_text(path, text)
     if not args.json:
         sys.stdout.write(text)
     return 0

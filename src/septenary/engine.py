@@ -31,15 +31,31 @@ term with a None factor, so each product touches only the slots that can
 be nonzero. A skipped term can turn an exact-zero correlation into -0.0
 where the written expression gives 0.0, so ``corr`` is normalised by
 adding 0.0, which makes every exact zero +0.0.
+
+Runs
+----
+``_batches`` is the one batch generator: it yields a run's batches in
+order. With ``threads > 1`` a pool computes them, but at most
+``2 * threads`` batches are in flight (submitted and not yet taken), so
+memory stays bounded however many trials the run has. Two consumers share
+it. ``stream_trials`` feeds each batch to the summary tally (``_Tally``)
+and, given a file, appends the batch's CSV rows as the batch arrives; it
+keeps no trial column. ``run_trials`` collects every batch into
+preallocated columns for the API and the tests, and summarises them with
+the same tally. The tally adds each correlation into its bin with
+``np.add.at`` in trial order, which gives the same bits as one ``bincount``
+over the whole run, and takes the outcome means from the exact integer sum
+of the coins.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -195,36 +211,6 @@ class TrialRun:
     def angle_keys_deg(self) -> np.ndarray:
         return _angle_keys(self.config.mode, self.phis_deg)
 
-    def write_csv(self, path) -> None:
-        """One comma-separated row per trial, CRLF-terminated.
-
-        Integers print with ``str`` and floats with ``repr`` (shortest
-        round-trip text). The rows go out in chunks of ``batch_size``: each
-        column slice is converted once and each chunk is one write, so the
-        writer holds at most one batch of text.
-        """
-        names = self.parties
-        header = (["k", "lambda"]
-                  + ["phi_%s" % p.lower() for p in names]
-                  + list(names) + ["corr"])
-        n, step = self.config.trials, self.config.batch_size
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                rows = slice(start, stop)
-                cols = [map(str, range(start, stop)),
-                        map(str, self.lam[rows].tolist())]
-                cols += [map(repr, c.tolist()) for c in self.phis_deg[rows].T]
-                cols += [map(str, c.tolist()) for c in self.outcomes[rows].T]
-                cols.append(map(repr, self.corr[rows].tolist()))
-                fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
-
-    def write_summary_json(self, path) -> None:
-        text = json.dumps(self.summary.to_dict(), indent=2, allow_nan=False)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
 
 def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
     """The angle each trial is binned under, in [0, 360).
@@ -238,27 +224,55 @@ def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
     return np.mod(s, 360.0)
 
 
+class _Tally:
+    """The summary of a run, fed its trials batch by batch in order.
+
+    It keeps the binned correlation sums and counts and the coin sum.
+    ``np.add.at`` adds each correlation into its bin in trial order, as one
+    ``bincount`` over the whole run does, so the bits do not depend on how
+    the run was batched. Each party's outcome is its sign times the coin,
+    so the coin sum gives every outcome mean exactly.
+    """
+
+    def __init__(self, cfg: TrialConfig):
+        self.cfg = cfg
+        self.width = float(cfg.bin_width_deg)
+        nbins = int(math.ceil(360.0 / self.width))
+        self.counts = np.zeros(nbins, dtype=np.int64)
+        self.sums = np.zeros(nbins)
+        self.lam_sum = 0
+
+    def add(self, lam: np.ndarray, phis: np.ndarray,
+            corr: np.ndarray) -> None:
+        nbins = len(self.counts)
+        keys = _angle_keys(self.cfg.mode, phis)
+        idx = np.minimum((keys / self.width).astype(np.int64), nbins - 1)
+        self.counts += np.bincount(idx, minlength=nbins)
+        np.add.at(self.sums, idx, corr)
+        self.lam_sum += int(lam.sum())
+
+    def summary(self) -> CorrelationSummary:
+        cfg, counts, sums = self.cfg, self.counts, self.sums
+        bins = tuple(
+            BinStat(angle_deg=(i + 0.5) * self.width,
+                    mean_corr=float(sums[i] / counts[i]),
+                    count=int(counts[i]))
+            for i in np.flatnonzero(counts).tolist()
+        )
+        aves = {name: s * self.lam_sum / cfg.trials
+                for name, s in zip(_PARTIES[cfg.mode],
+                                   _OUTCOME_SIGNS[cfg.mode])}
+        return CorrelationSummary(
+            trials=cfg.trials, seed=cfg.seed, bin_width_deg=self.width,
+            bins=bins, ave_outcomes=aves, mode=cfg.mode,
+            seed_source=cfg.seed_source,
+        )
+
+
 def _summarize(run: TrialRun) -> CorrelationSummary:
-    cfg = run.config
-    width = float(cfg.bin_width_deg)
-    nbins = int(math.ceil(360.0 / width))
-    idx = np.minimum((run.angle_keys_deg() / width).astype(np.int64), nbins - 1)
-    counts = np.bincount(idx, minlength=nbins)
-    sums = np.bincount(idx, weights=run.corr, minlength=nbins)
-    bins = tuple(
-        BinStat(angle_deg=(i + 0.5) * width,
-                mean_corr=float(sums[i] / counts[i]),
-                count=int(counts[i]))
-        for i in range(nbins) if counts[i] > 0
-    )
-    aves = {
-        name: float(run.outcomes[:, j].mean())
-        for j, name in enumerate(run.parties)
-    }
-    return CorrelationSummary(
-        trials=cfg.trials, seed=cfg.seed, bin_width_deg=width, bins=bins,
-        ave_outcomes=aves, mode=cfg.mode, seed_source=cfg.seed_source,
-    )
+    tally = _Tally(run.config)
+    tally.add(run.lam, run.phis_deg, run.corr)
+    return tally.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +336,14 @@ def _ghz_reflect(phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_batch(cfg: TrialConfig, batch_index: int) -> dict:
+class _Batch(NamedTuple):
+    start: int              # index of the batch's first trial in the run
+    lam: np.ndarray         # (n,) coins
+    phis: np.ndarray        # (n, parties) reported azimuths in degrees
+    corr: np.ndarray        # (n,) trial correlations
+
+
+def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
     start = batch_index * cfg.batch_size
     n = min(cfg.batch_size, cfg.trials - start)
     gen = batch_stream(cfg.seed, batch_index)
@@ -352,33 +373,100 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> dict:
             corr[idx] = _chain_scalar(factors[::sign], sign)
     # a pruned term can leave -0.0 where the written expression gives 0.0
     corr += 0.0
-    signs = _OUTCOME_SIGNS[cfg.mode]
-    outcomes = np.column_stack([s * lam for s in signs]).astype(np.int8)
     reported = _ghz_reflect(alphas) if ghz else alphas
-    return {"lam": lam, "phis": _wrap_deg(reported), "outcomes": outcomes,
-            "corr": corr}
+    return _Batch(start, lam, _wrap_deg(reported), corr)
+
+
+def _batches(cfg: TrialConfig) -> Iterator[_Batch]:
+    """Every batch of the run, in order.
+
+    With threads > 1 a pool computes them, with at most 2 * threads batches
+    submitted and not yet taken, so memory does not grow with the run.
+    Batches still queued when the consumer stops are cancelled.
+    """
+    nbatches = (cfg.trials + cfg.batch_size - 1) // cfg.batch_size
+    if cfg.threads == 1 or nbatches == 1:
+        for i in range(nbatches):
+            yield _run_batch(cfg, i)
+        return
+    pool = ThreadPoolExecutor(max_workers=cfg.threads)
+    window = deque()
+    try:
+        for i in range(nbatches):
+            window.append(pool.submit(_run_batch, cfg, i))
+            if len(window) == 2 * cfg.threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _csv_header(mode: str) -> str:
+    names = _PARTIES[mode]
+    return ",".join(["k", "lambda"] + ["phi_%s" % p.lower() for p in names]
+                    + list(names) + ["corr"]) + "\r\n"
+
+
+def _csv_rows(mode: str, batch: _Batch) -> str:
+    """One CRLF-terminated CSV row per trial of the batch.
+
+    Integers print with ``str`` and floats with ``repr`` (shortest
+    round-trip text). Each column is converted once; an outcome is the
+    party's sign times the coin, so every outcome column is the coin column
+    or its negation.
+    """
+    stop = batch.start + len(batch.corr)
+    plus = list(map(str, batch.lam.tolist()))
+    minus = list(map(str, (-batch.lam).tolist()))
+    cols = [map(str, range(batch.start, stop)), plus]
+    cols += [map(repr, c.tolist()) for c in batch.phis.T]
+    cols += [plus if s > 0 else minus for s in _OUTCOME_SIGNS[mode]]
+    cols.append(map(repr, batch.corr.tolist()))
+    return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
+
+
+def stream_trials(cfg: TrialConfig,
+                  csv_file: IO[str] | None = None) -> CorrelationSummary:
+    """Run ``cfg`` batch by batch and return its summary.
+
+    When ``csv_file`` is an open text file (opened with ``newline=""``),
+    the header and then each batch's rows are written to it as the batch
+    arrives. No trial column is kept, so memory does not grow with the
+    trial count. The summary and the CSV bytes are those of ``run_trials``.
+    """
+    tally = _Tally(cfg)
+    if csv_file is not None:
+        csv_file.write(_csv_header(cfg.mode))
+    # closed at once if a write fails, so queued batches are cancelled
+    with contextlib.closing(_batches(cfg)) as batches:
+        for batch in batches:
+            tally.add(batch.lam, batch.phis, batch.corr)
+            if csv_file is not None:
+                csv_file.write(_csv_rows(cfg.mode, batch))
+    return tally.summary()
 
 
 def run_trials(cfg: TrialConfig) -> TrialRun:
-    """Execute a full run: batched, deterministic, reduced in batch order.
+    """Execute a full run and keep every trial in columns.
 
-    This is the one entry point for both modes; the serial loop and the
-    thread pool's map both return the batches in order.
+    The batches are written into preallocated columns in order; the
+    summary is the tally of ``stream_trials`` fed with those columns.
     """
-    nbatches = (cfg.trials + cfg.batch_size - 1) // cfg.batch_size
-    if cfg.threads > 1 and nbatches > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda i: _run_batch(cfg, i),
-                                    range(nbatches)))
-    else:
-        results = [_run_batch(cfg, i) for i in range(nbatches)]
-    return TrialRun(
-        config=cfg,
-        lam=np.concatenate([r["lam"] for r in results]),
-        phis_deg=np.vstack([r["phis"] for r in results]),
-        outcomes=np.vstack([r["outcomes"] for r in results]),
-        corr=np.concatenate([r["corr"] for r in results]),
-    )
+    n, parties = cfg.trials, len(_PARTIES[cfg.mode])
+    lam = np.empty(n, dtype=np.int64)
+    phis = np.empty((n, parties))
+    outcomes = np.empty((n, parties), dtype=np.int8)
+    corr = np.empty(n)
+    signs = np.array(_OUTCOME_SIGNS[cfg.mode])
+    for batch in _batches(cfg):
+        rows = slice(batch.start, batch.start + len(batch.corr))
+        lam[rows] = batch.lam
+        phis[rows] = batch.phis
+        outcomes[rows] = batch.lam[:, None] * signs
+        corr[rows] = batch.corr
+    return TrialRun(config=cfg, lam=lam, phis_deg=phis, outcomes=outcomes,
+                    corr=corr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from septenary import cli
+import septenary
+from septenary import cli, engine
 from septenary.checks import SUITE_NAMES
 from septenary.cli import main
-from septenary.engine import TrialRun
 
 ROOT2 = math.sqrt(2.0)
 
@@ -255,7 +261,7 @@ def _must_not_run(*args, **kwargs):
 ])
 def test_unwritable_output_fails_before_running(tmp_path, capsys,
                                                 monkeypatch, flags):
-    monkeypatch.setattr(cli, "run_trials", _must_not_run)
+    monkeypatch.setattr(cli, "stream_trials", _must_not_run)
     argv = [f if f.startswith("--") else str(tmp_path / f) for f in flags]
     code = main(["epr", "--trials", "10", *argv])
     captured = capsys.readouterr()
@@ -266,7 +272,7 @@ def test_unwritable_output_fails_before_running(tmp_path, capsys,
 
 def test_directory_target_fails_before_running(tmp_path, capsys,
                                                monkeypatch):
-    monkeypatch.setattr(cli, "run_trials", _must_not_run)
+    monkeypatch.setattr(cli, "stream_trials", _must_not_run)
     csv_path = tmp_path / "run.csv"
     csv_path.write_text("old csv")
     (tmp_path / "somedir").mkdir()
@@ -283,10 +289,11 @@ def test_directory_target_fails_before_running(tmp_path, capsys,
 
 def test_failed_run_leaves_existing_outputs_alone(tmp_path, capsys,
                                                   monkeypatch):
-    def broken(self, path):
+    def broken(path, text):
         raise OSError("disk full")
 
-    monkeypatch.setattr(TrialRun, "write_summary_json", broken)
+    # the summary is the last output written
+    monkeypatch.setattr(cli, "_write_text", broken)
     csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
     csv_path.write_text("old csv")
     code = main(["epr", "--trials", "10", "--out", str(csv_path),
@@ -295,6 +302,171 @@ def test_failed_run_leaves_existing_outputs_alone(tmp_path, capsys,
     assert "disk full" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
     assert csv_path.read_text() == "old csv"
+
+
+@pytest.mark.parametrize("target,threads", [
+    ("_csv_rows", "1"),     # writing the third batch's rows fails
+    ("_csv_rows", "2"),
+    ("_run_batch", "1"),    # computing the third batch fails
+])
+def test_mid_stream_failure_leaves_no_partial_output(tmp_path, capsys,
+                                                     monkeypatch, target,
+                                                     threads):
+    real = getattr(engine, target)
+    calls, written = [], []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            written.extend(p.stat().st_size
+                           for p in tmp_path.glob(".run.csv.*.tmp"))
+            raise OSError("disk full")
+        return real(*args)
+
+    monkeypatch.setattr(engine, target, failing)
+    csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+    csv_path.write_text("old csv")
+    alive = threading.active_count()
+    code = main(["epr", "--trials", "30000", "--threads", threads,
+                 "--out", str(csv_path), "--summary", str(json_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    # no worker thread outlives the failed run
+    assert threading.active_count() == alive
+    assert "disk full" in captured.err
+    assert captured.out == ""
+    # two batches of rows had reached the temp when the failure came
+    assert len(written) == 1 and written[0] > 2 * 8192 * 40
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert csv_path.read_text() == "old csv"
+
+
+# On Linux exec keeps the larger of the new process's peak RSS and that of
+# the process it was spawned from, so a run spawned straight from the test
+# process would report the test process's peak. A small intermediate
+# spawns the run and reports the run's own wait4 figure.
+_PEAK_RSS = """
+import os, sys
+argv = [sys.executable, "-m", "septenary", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_large_run_memory_does_not_grow_with_trials(tmp_path, threads):
+    # collected, the columns of 2e6 four-party trials alone take 104 MB
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
+    env.pop("SEPTENARY_SEED", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "ghz", "--trials", "2000000",
+         "--threads", threads, "--summary", str(tmp_path / "run.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, maxrss_kib = map(int, out.stdout.split())
+    assert code == 0
+    assert json.loads((tmp_path / "run.json").read_text())["trials"] == 2000000
+    assert maxrss_kib < 96 * 1024
+
+
+def _reject_constant(name):
+    raise ValueError("JSON holds the non-finite constant %s" % name)
+
+
+def _strict_json(text: str):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _tree(root: Path) -> dict:
+    return {p.name: p.read_bytes() if p.is_file() else None
+            for p in root.iterdir()}
+
+
+_EXT = {"--out": "csv", "--summary": "json", "--plot": "svg"}
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mode=st.sampled_from(["epr", "ghz"]),
+    trials=st.integers(-1, 2000),
+    width=st.one_of(st.floats(0.01, 360.0), st.floats()),
+    targets=st.fixed_dictionaries({
+        flag: st.sampled_from([None, None, "new", "new", "existing",
+                               "missing", "dir"])
+        for flag in _EXT}),
+    data=st.data(),
+)
+def test_run_arguments_exit_as_documented(capsys, mode, trials, width,
+                                          targets, data):
+    parties = 2 if mode == "epr" else 4
+    # setting tuples mostly of the right length; st.floats() also draws
+    # NaN and the infinities
+    size = st.sampled_from([parties, parties, parties, 3])
+    angles = st.one_of(_FINITE, _FINITE, st.floats())
+    fixed = data.draw(st.none() | st.lists(
+        size.flatmap(lambda k: st.lists(angles, min_size=k, max_size=k)),
+        min_size=1, max_size=2), label="fixed")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "sub").mkdir()
+        argv = [mode, "--trials", str(trials), "--bin-deg=%r" % width]
+        for angles in fixed or ():
+            argv.append("--fixed-angles=%s" % ",".join(map(repr, angles)))
+        written = {}
+        for flag, kind in targets.items():
+            if kind is None:
+                continue
+            name = "%s.%s" % (kind, _EXT[flag])
+            if kind == "existing":
+                (root / name).write_text("old")
+            path = {"missing": root / "missing" / name,
+                    "dir": root / "sub"}.get(kind, root / name)
+            argv.append("%s=%s" % (flag, path))
+            written[flag] = path
+        before = _tree(root)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+
+        if trials < 1:
+            want = 2
+        elif not (0.01 <= width <= 360.0) or not all(
+                len(a) == parties and all(map(math.isfinite, a))
+                for a in fixed or ()):
+            want = 4
+        elif {"missing", "dir"} & set(targets.values()):
+            want = 3
+        else:
+            want = 0
+        assert code == want, captured.err
+        event("exit %d" % code)
+        if code:
+            assert captured.out == ""
+            assert _tree(root) == before
+            return
+        assert not [p for p in root.iterdir() if p.name.endswith(".tmp")]
+        assert set(_tree(root)) == set(before) | {p.name
+                                                  for p in written.values()}
+        if "--summary" in written:
+            assert captured.out == ""
+            summary = _strict_json(written["--summary"].read_text())
+        else:
+            summary = _strict_json(captured.out)
+        assert summary["trials"] == trials
+        assert sum(b["count"] for b in summary["bins"]) == trials
+        if "--out" in written:
+            lines = written["--out"].read_bytes().split(b"\r\n")
+            assert len(lines) == trials + 2 and lines[-1] == b""
+        if "--plot" in written:
+            assert written["--plot"].read_text().startswith("<svg")
 
 
 def test_outputs_are_moved_into_place_with_the_usual_mode(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import septenary
-from septenary import engine
+from septenary import cli, engine
 from septenary.algebra import Multivector, mv_mul, scalar_part
 from septenary.engine import (
     TrialConfig,
@@ -20,6 +21,7 @@ from septenary.engine import (
     gauss_pairs,
     paired_product,
     run_trials,
+    stream_trials,
 )
 from septenary.errors import ConfigError, EmptyInput
 from septenary.spin import detector, make_pair_planar
@@ -317,10 +319,17 @@ def test_summary_outcome_averages():
     assert aves["B"] == -aves["A"]
 
 
+def _stream_csv(cfg, path):
+    """Write cfg's CSV through the streaming writer; return its summary."""
+    with open(path, "w", newline="") as fh:
+        return stream_trials(cfg, fh)
+
+
 def test_csv_round_trip(tmp_path):
-    run = run_trials(TrialConfig(trials=200, seed=41, mode="epr"))
+    cfg = TrialConfig(trials=200, seed=41, mode="epr")
+    run = run_trials(cfg)
     path = tmp_path / "run.csv"
-    run.write_csv(path)
+    _stream_csv(cfg, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
@@ -356,22 +365,100 @@ def _csv_writer_reference(run) -> bytes:
 ])
 def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
     # 1000 trials in batches of 64: sixteen chunks, the last one partial
-    run = run_trials(TrialConfig(trials=1000, seed=47, batch_size=64,
-                                 **kwargs))
+    cfg = TrialConfig(trials=1000, seed=47, batch_size=64, **kwargs)
+    run = run_trials(cfg)
     path = tmp_path / "run.csv"
-    run.write_csv(path)
+    _stream_csv(cfg, path)
     assert path.read_bytes() == _csv_writer_reference(run)
 
 
 def test_summary_json_round_trip(tmp_path):
-    run = run_trials(TrialConfig(trials=300, seed=43, mode="ghz"))
+    cfg = TrialConfig(trials=300, seed=43, mode="ghz")
+    run = run_trials(cfg)
     path = tmp_path / "summary.json"
-    run.write_summary_json(path)
+    path.write_text(cli._json_text(stream_trials(cfg).to_dict()))
     with open(path) as fh:
         data = json.load(fh)
     assert data == run.summary.to_dict()
     assert data["mode"] == "ghz"
     assert data["seed_source"] == "flag"
+
+
+@pytest.mark.parametrize("batch_size", [64, 8192])
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("argv", [
+    ("epr",),
+    ("ghz",),
+    ("ghz", "--fixed-angles", "10,20,30,40", "--fixed-angles", "0,90,45,135"),
+])
+def test_streamed_outputs_equal_the_collected_run(tmp_path, capsys,
+                                                  monkeypatch, batch_size,
+                                                  threads, argv):
+    # 10000 trials: the last batch is partial at both batch sizes
+    monkeypatch.delenv("SEPTENARY_SEED", raising=False)
+    monkeypatch.setattr(cli, "TrialConfig",
+                        functools.partial(TrialConfig, batch_size=batch_size))
+    csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+    code = cli.main([*argv, "--trials", "10000", "--seed", "53",
+                     "--threads", threads, "--out", str(csv_path),
+                     "--summary", str(json_path)])
+    capsys.readouterr()
+    assert code == 0
+    fixed = tuple(tuple(map(float, a.split(","))) for a in argv[2::2])
+    run = run_trials(TrialConfig(
+        trials=10000, seed=53, mode=argv[0], batch_size=batch_size,
+        threads=int(threads),
+        setting_source="fixed-list" if fixed else "random-planar",
+        fixed_settings=fixed))
+    assert csv_path.read_bytes() == _csv_writer_reference(run)
+    assert json_path.read_text() == cli._json_text(run.summary.to_dict())
+
+
+def _setting_lists(parties):
+    """Fixed-setting lists, mostly of the right length; st.floats() also
+    draws NaN and the infinities."""
+    size = st.sampled_from([parties, parties, parties, 3])
+    tup = size.flatmap(lambda k: st.lists(st.floats(), min_size=k,
+                                          max_size=k).map(tuple))
+    return st.lists(tup, min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["epr", "ghz"]),
+    trials=st.integers(-2, 600),
+    width=st.one_of(st.floats(0.0, 400.0),
+                    st.sampled_from([0.01, 360.0, math.nan, math.inf])),
+    batch_size=st.integers(1, 256),
+    threads=st.integers(1, 3),
+    data=st.data(),
+)
+def test_configs_are_refused_or_stream_like_they_collect(
+        mode, trials, width, batch_size, threads, data):
+    parties = 2 if mode == "epr" else 4
+    fixed = data.draw(st.none() | _setting_lists(parties), label="fixed")
+    kwargs = dict(trials=trials, seed=61, mode=mode, bin_width_deg=width,
+                  batch_size=batch_size, threads=threads)
+    if fixed is not None:
+        kwargs.update(setting_source="fixed-list", fixed_settings=fixed)
+    valid = (trials >= 1 and 0.01 <= width <= 360.0
+             and all(len(t) == parties and all(map(math.isfinite, t))
+                     for t in fixed or ()))
+    if not valid:
+        with pytest.raises(ConfigError):
+            TrialConfig(**kwargs)
+        return
+    cfg = TrialConfig(**kwargs)
+    run = run_trials(cfg)
+    buf = io.StringIO(newline="")
+    summary = stream_trials(cfg, buf)
+    text = cli._json_text(summary.to_dict())    # strict: NaN would raise
+    assert text == cli._json_text(run.summary.to_dict())
+    assert sum(b.count for b in summary.bins) == trials
+    assert buf.getvalue().encode() == _csv_writer_reference(run)
+    assert bool((np.abs(run.phis_deg) <= 180.0).all())
+    keys = run.angle_keys_deg()
+    assert bool(((keys >= 0.0) & (keys < 360.0)).all())
 
 
 # ---------------------------------------------------------------------------
