@@ -26,7 +26,6 @@ from .algebra import (
     basis_product,
     commutator,
     is_on_s7,
-    mul_batch,
     mv_mul,
     mv_norm,
     quadric_defect,
@@ -107,7 +106,6 @@ __all__ = [
     "make_pair_ghz",
     "make_pair_planar",
     "measure",
-    "mul_batch",
     "mv_mul",
     "mv_norm",
     "nfold_scalar_part",

@@ -293,12 +293,12 @@ def _product(a, b, plan: TermPlan, out) -> None:
     """Write the rows that plan lists of the product of a and b into out.
 
     a, b and out are indexed by slot; each entry is a float or an array, so
-    the single and the batched product run this same kernel. Under a dense
-    plan the cross terms of every blade pair {mu, nu} are summed together
-    before being folded into the accumulator. Under a pruned plan a slot
-    the plan counts as structurally zero may hold None; only the surviving
-    terms are evaluated, so a result can differ from the dense one in the
-    sign of a zero and nowhere else.
+    ``mv_mul`` and the engine's batched chains run this same kernel. Under a
+    dense plan the cross terms of every blade pair {mu, nu} are summed
+    together before being folded into the accumulator. Under a pruned plan
+    a slot the plan counts as structurally zero may hold None; only the
+    surviving terms are evaluated, so a result can differ from the dense
+    one in the sign of a zero and nowhere else.
     """
     if plan.dense:
         # the scalar row carries no orientation sign
@@ -342,18 +342,6 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     out = [0.0] * 8
     _product(x.coeffs.tolist(), y.coeffs.tolist(), term_plan(x.lam), out)
     return Multivector(out, x.lam)
-
-
-def mul_batch(xs: np.ndarray, ys: np.ndarray, lam: int) -> np.ndarray:
-    """Row-wise geometric product of two (n, 8) coefficient arrays.
-
-    Runs the same pair-grouped expression as mv_mul on whole columns, so
-    every row is bitwise equal to mv_mul of that row's pair.
-    """
-    lam = _check_lam(lam)
-    out = np.empty((xs.shape[0], 8))
-    _product(xs.T, ys.T, term_plan(lam), out.T)
-    return out
 
 
 def mv_norm(x: Multivector) -> float:

@@ -164,7 +164,11 @@ def _add_run_options(sub: argparse.ArgumentParser, parties: int) -> None:
                      help="draw settings uniformly in the xy plane (default)")
     src.add_argument("--fixed-angles", action="append", metavar="ANGLES",
                      help="setting tuple of %d comma-separated degrees; "
-                          "repeat the flag to cycle through a list" % parties)
+                          "repeat the flag to cycle through a list; join a "
+                          "tuple that starts with a negative angle with '=', "
+                          "as in --fixed-angles=%s"
+                          % (parties, "-30,45" if parties == 2
+                             else "-30,45,0,90"))
     sub.add_argument("--out", metavar="CSV",
                      help="write every trial to this CSV file")
     sub.add_argument("--summary", metavar="JSON",
@@ -186,7 +190,6 @@ def _cmd_run(args) -> int:
         if args.fixed_angles else ()
     cfg = TrialConfig(
         trials=args.trials, seed=seed, mode=mode,
-        setting_source="fixed-list" if fixed else "random-planar",
         fixed_settings=fixed, bin_width_deg=args.bin_deg,
         threads=args.threads, seed_source=source,
     )

@@ -6,13 +6,16 @@ All draws come from numpy's PCG64 bit generator. Trials are processed in
 fixed-size batches; batch ``i`` of a run seeded with ``s`` uses the stream
 ``PCG64(SeedSequence(s, spawn_key=(i,)))``, so results depend only on the
 seed, the batch size and the trial count, never on how many workers chewed
-through the batches. Gaussians use the Box-Muller transform on uniforms
-from ``Generator.random`` (u1 is mapped through ``1 - u`` to keep the log
-finite); the fair coin is ``+1 if u > 0.5 else -1``.
+through the batches. Every draw is a uniform from ``Generator.random``: the
+fair coin is ``+1 if u > 0.5 else -1``, and a random setting is the
+requested azimuth ``360 u`` degrees, one uniform per party and trial.
 
 Within one batch of n trials the draw order is: n uniforms for the coin,
-then per setting in party order one Box-Muller block of 2n uniforms (random
-mode only). Fixed-setting runs draw just the coin.
+then ``gen.random((parties, n))``, whose row j holds party j's uniforms.
+A run with ``fixed_settings`` cycles through them instead and draws just
+the coin. Either way the requested azimuths then take the same path: the
+four-party map ``_ghz_reflect``, ``radians -> cos/sin -> planar_legs``, and
+the reported angle ``_wrap_deg`` of the reflected azimuth.
 
 Per trial the engine evaluates the ordered product of the embedded
 detector settings, first to last for a +1 coin and last to first for a -1
@@ -82,31 +85,9 @@ def batch_stream(seed: int, batch_index: int) -> Generator:
     return Generator(PCG64(SeedSequence(seed, spawn_key=(batch_index,))))
 
 
-def gauss_pairs(gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n independent standard normal pairs via Box-Muller."""
-    u1 = 1.0 - gen.random(n)
-    u2 = gen.random(n)
-    r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
-
-
 def _flip_batch(gen: Generator, n: int) -> np.ndarray:
     """n fair-coin orientation draws."""
     return np.where(gen.random(n) > 0.5, 1, -1).astype(np.int64)
-
-
-def _planar_batch(gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) components of n random unit planar directions."""
-    zx, zy = gauss_pairs(gen, n)
-    r = np.hypot(zx, zy)
-    bad = r < 1e-9
-    while bad.any():
-        k = int(bad.sum())
-        rx, ry = gauss_pairs(gen, k)
-        zx[bad], zy[bad] = rx, ry
-        r = np.hypot(zx, zy)
-        bad = r < 1e-9
-    return zx / r, zy / r
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +95,15 @@ def _planar_batch(gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Validated description of one run."""
+    """Validated description of one run.
+
+    A run with ``fixed_settings`` cycles through those setting tuples; a
+    run without them draws every setting.
+    """
 
     trials: int
     seed: int
     mode: str = "epr"
-    setting_source: str = "random-planar"
     fixed_settings: tuple = ()
     bin_width_deg: float = 5.0
     batch_size: int = BATCH_SIZE
@@ -133,21 +117,16 @@ class TrialConfig:
             raise ConfigError("trials must be a positive integer")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ConfigError("seed must fit in 64 bits")
-        if self.setting_source not in ("random-planar", "fixed-list"):
-            raise ConfigError("setting_source must be random-planar or fixed-list")
-        if self.setting_source == "fixed-list":
-            want = len(_PARTIES[self.mode])
-            if not self.fixed_settings:
-                raise ConfigError("fixed-list runs need at least one setting tuple")
-            for tup in self.fixed_settings:
-                if len(tup) != want:
-                    raise ConfigError(
-                        "each fixed setting needs %d angles, got %r" % (want, tup)
-                    )
-                if not all(math.isfinite(float(v)) for v in tup):
-                    raise ConfigError(
-                        "fixed setting angles must be finite, got %r" % (tup,)
-                    )
+        want = len(_PARTIES[self.mode])
+        for tup in self.fixed_settings:
+            if len(tup) != want:
+                raise ConfigError(
+                    "each fixed setting needs %d angles, got %r" % (want, tup)
+                )
+            if not all(math.isfinite(float(v)) for v in tup):
+                raise ConfigError(
+                    "fixed setting angles must be finite, got %r" % (tup,)
+                )
         # the summary holds ceil(360 / width) bins; 0.01 caps it at 36000
         if not (0.01 <= float(self.bin_width_deg) <= 360.0):
             raise ConfigError("bin width must be in [0.01, 360] degrees")
@@ -351,18 +330,14 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
     parties = len(_PARTIES[cfg.mode])
     ghz = cfg.mode == "ghz"
 
-    if cfg.setting_source == "random-planar":
-        comps = [_planar_batch(gen, n) for _ in range(parties)]
-        alphas = np.column_stack(
-            [np.degrees(np.arctan2(y, x)) for x, y in comps]
-        )
-    else:
+    if cfg.fixed_settings:
         tuples = np.array(cfg.fixed_settings, dtype=np.float64)
         requested = tuples[(start + np.arange(n)) % len(tuples)]
-        alphas = _ghz_reflect(requested) if ghz else requested
-        rad = np.radians(alphas)
-        comps = [(np.cos(rad[:, j]), np.sin(rad[:, j]))
-                 for j in range(parties)]
+    else:
+        requested = 360.0 * gen.random((parties, n)).T
+    alphas = _ghz_reflect(requested) if ghz else requested
+    rad = np.radians(alphas)
+    comps = [(np.cos(rad[:, j]), np.sin(rad[:, j])) for j in range(parties)]
 
     corr = np.empty(n)
     for sign in (1, -1):
@@ -479,7 +454,7 @@ def _pair_expectation_simulated(deltas_deg: np.ndarray, seed: int,
     for i, d in enumerate(deltas_deg):
         cfg = TrialConfig(
             trials=trials_per_setting, seed=seed, mode="epr",
-            setting_source="fixed-list", fixed_settings=((0.0, float(d)),),
+            fixed_settings=((0.0, float(d)),),
             bin_width_deg=360.0,
         )
         out[i] = float(run_trials(cfg).corr.mean())

@@ -4,8 +4,8 @@ The product table was worked out twice by hand from the two structure
 tensors (the antisymmetric rotation triples and the symmetric coupling
 triples) before the library existed; the tests compare the code against
 these literals, not the other way around. The RNG values pin the exact
-draw pipeline (PCG64 child stream per batch, Box-Muller on uniforms,
-coin = u > 0.5) so that a silent change in any of those shows up as a
+draw pipeline (PCG64 child stream per batch, coin = u > 0.5, a drawn
+azimuth = 360 u) so that a silent change in any of those shows up as a
 golden mismatch.
 """
 
@@ -52,20 +52,14 @@ UNIFORMS_SEED0 = [
 # coins from the same eight uniforms under u > 0.5 -> +1
 FLIPS_SEED0 = [1, -1, 1, -1, -1, 1, -1, 1]
 
-# gauss_pairs(batch_stream(0, 0), 4)
-BOX_MULLER_Z1_SEED0 = [
-    -2.1183354254602627, -0.5212732568292642,
-    1.5004148295611708, 0.21740702189844574,
-]
-BOX_MULLER_Z2_SEED0 = [
-    1.1134959003077283, -0.6991816524804677,
-    0.5581127630287002, -0.47029344917632326,
-]
-
 # uniformity of the reported first angle: epr run, seed 123, 1e5 trials,
 # 36 bins over [-180, 180); critical value chi2(35 dof, p=0.01) = 57.342
-CHI2_PHI_A_SEED123 = 40.40144
+CHI2_PHI_A_SEED123 = 32.7248
 CHI2_CRITICAL_35DOF = 57.342
+
+# chi2(70 dof, p=0.01): the 72 five-degree bins of |phi_b - phi_a| with the
+# last one pooled into its neighbour, so every expected count is >= 5
+CHI2_CRITICAL_70DOF = 100.425
 
 # mean coin over 1e6 trials at seed 2026 (and the 5/sqrt(m) envelope)
 LAMBDA_MEAN_SEED2026 = -0.001886

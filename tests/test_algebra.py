@@ -16,7 +16,6 @@ from septenary.algebra import (
     basis_product,
     commutator,
     is_on_s7,
-    mul_batch,
     mv_mul,
     mv_norm,
     quadric_defect,
@@ -216,14 +215,11 @@ def test_orientation_tag_validation():
     with pytest.raises(ValueError):
         Multivector.basis(3, lam=5)
     # a tag is checked before it is converted, so nothing is truncated to +-1
-    ones = np.ones((2, 8))
     for bad in (1.5, -1.9, "1"):
         with pytest.raises(ValueError):
             Multivector(np.zeros(8), bad)
         with pytest.raises(ValueError):
             basis_product(1, 2, bad)
-        with pytest.raises(ValueError):
-            mul_batch(ones, ones, bad)
 
 
 def test_rejects_non_finite_coefficients():
@@ -242,19 +238,7 @@ def test_equality_and_scalar_multiplication():
 
 
 # ---------------------------------------------------------------------------
-# batched product and exact cancellation
-
-def test_mul_batch_agrees_with_mv_mul():
-    # one kernel serves both forms, so every row is bitwise equal
-    rng = np.random.default_rng(99)
-    xs = rng.standard_normal((64, 8))
-    ys = rng.standard_normal((64, 8))
-    for lam in (1, -1):
-        batched = mul_batch(xs, ys, lam)
-        for i in range(64):
-            one = mv_mul(Multivector(xs[i], lam), Multivector(ys[i], lam))
-            assert np.array_equal(batched[i], one.coeffs)
-
+# pruned products and exact cancellation
 
 def test_pruned_products_equal_the_dense_product_with_zero_slots():
     # small integers make rows cancel to exact zeros of either sign
@@ -292,15 +276,6 @@ def test_planar_factors_alternate_between_two_slot_sets():
         _product(a, b, term_plan(lam, planar_zeros, planar_zeros), out)
         survivors = tuple(i for i, v in enumerate(out) if v is not None)
         assert survivors == planar_zeros
-
-
-def test_batched_squares_of_middle_slot_elements_cancel_the_rotation_slots():
-    rng = np.random.default_rng(5)
-    xs = np.zeros((200, 8))
-    xs[:, 1:7] = rng.standard_normal((200, 6))
-    for lam in (1, -1):
-        sq = mul_batch(xs, xs, lam)
-        assert np.all(sq[:, 1:7] == 0.0)
 
 
 def test_squares_of_middle_slot_elements_cancel_the_rotation_slots():

@@ -15,6 +15,8 @@ from septenary import cli, engine
 from septenary.checks import SUITE_NAMES
 from septenary.cli import main
 
+from frozen import CHI2_CRITICAL_70DOF
+
 ROOT2 = math.sqrt(2.0)
 
 
@@ -153,12 +155,37 @@ def test_fixed_angle_list_cycles(capsys):
     assert got == {47.5: 5, 92.5: 5}
 
 
+def test_negative_first_angle_runs_in_the_joined_form(tmp_path, capsys):
+    # argparse reads a separate "-30,45" as an option, so the tuple is
+    # joined to the flag with "="
+    csv_path = tmp_path / "neg.csv"
+    code, out = run_cli(capsys, "epr", "--trials", "3",
+                        "--fixed-angles=-30,45", "--out", str(csv_path))
+    assert code == 0
+    assert [b["angle_deg"] for b in json.loads(out)["bins"]] == [77.5]
+    rows = csv_path.read_text().splitlines()[1:]
+    assert [r.split(",")[2:4] for r in rows] == [["-30.0", "45.0"]] * 3
+
+
 def test_random_run_covers_the_angle_range(capsys):
     code, out = run_cli(capsys, "epr", "--trials", "20000", "--seed", "1")
     assert code == 0
     summary = json.loads(out)
     assert sum(b["count"] for b in summary["bins"]) == 20000
-    assert len(summary["bins"]) == 72
+    # |phi_b - phi_a| of two uniform azimuths has the triangular density
+    # 2 (360 - k) / 360^2, so a 5 degree bin [k, k + 5) holds the share
+    # ((360 - k)^2 - (355 - k)^2) / 360^2; the last bin expects 3.9 trials
+    # and is pooled into its neighbour
+    counts = [0] * 72
+    for b in summary["bins"]:
+        counts[int(b["angle_deg"] // 5.0)] += b["count"]
+    expected = [20000 * ((360.0 - k) ** 2 - (355.0 - k) ** 2) / 360.0 ** 2
+                for k in range(0, 360, 5)]
+    counts[-2] += counts.pop()
+    expected[-2] += expected.pop()
+    assert min(expected) >= 5.0
+    chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+    assert chi2 < CHI2_CRITICAL_70DOF
     assert abs(summary["ave_outcomes"]["A"]) <= 5.0 / math.sqrt(20000)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -18,7 +19,6 @@ from septenary.engine import (
     TrialConfig,
     batch_stream,
     chsh_scan,
-    gauss_pairs,
     paired_product,
     run_trials,
     stream_trials,
@@ -27,8 +27,6 @@ from septenary.errors import ConfigError, EmptyInput
 from septenary.spin import detector, make_pair_planar
 
 from frozen import (
-    BOX_MULLER_Z1_SEED0,
-    BOX_MULLER_Z2_SEED0,
     CHI2_CRITICAL_35DOF,
     CHI2_PHI_A_SEED123,
     FLIPS_SEED0,
@@ -53,25 +51,11 @@ def test_coin_golden_and_scalar_draw():
     assert set(np.unique(flips)) <= {-1, 1}
 
 
-def test_box_muller_goldens():
-    # same stream read twice: the first 8 uniforms feed the first 4 pairs
-    gen = batch_stream(0, 0)
-    z1, z2 = gauss_pairs(gen, 4)
-    assert np.array_equal(z1, np.array(BOX_MULLER_Z1_SEED0))
-    assert np.array_equal(z2, np.array(BOX_MULLER_Z2_SEED0))
-
-
 def test_batch_streams_are_distinct_and_stable():
     a = batch_stream(9, 0).random(4)
     b = batch_stream(9, 1).random(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, batch_stream(9, 0).random(4))
-
-
-def test_planar_direction_is_unit():
-    x, y = engine._planar_batch(batch_stream(5, 0), 200)
-    assert x.shape == y.shape == (200,)
-    assert_allclose(np.hypot(x, y), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_setting_azimuths_are_uniform():
@@ -157,7 +141,6 @@ def test_outcome_columns_follow_the_coin():
 
 def test_fixed_epr_settings_are_echoed():
     cfg = TrialConfig(trials=64, seed=0, mode="epr",
-                      setting_source="fixed-list",
                       fixed_settings=((30.0, 75.0),))
     run = run_trials(cfg)
     assert np.all(run.phis_deg[:, 0] == 30.0)
@@ -167,7 +150,6 @@ def test_fixed_epr_settings_are_echoed():
 
 def test_fixed_lists_cycle_across_batches():
     cfg = TrialConfig(trials=10, seed=0, mode="epr", batch_size=4,
-                      setting_source="fixed-list",
                       fixed_settings=((0.0, 45.0), (0.0, 90.0)))
     run = run_trials(cfg)
     assert np.array_equal(run.phis_deg[:, 1],
@@ -176,7 +158,6 @@ def test_fixed_lists_cycle_across_batches():
 
 def test_out_of_range_epr_settings_are_wrapped():
     cfg = TrialConfig(trials=8, seed=0, mode="epr",
-                      setting_source="fixed-list",
                       fixed_settings=((0.0, 190.0),))
     run = run_trials(cfg)
     assert np.all(run.phis_deg[:, 1] == -170.0)
@@ -185,7 +166,6 @@ def test_out_of_range_epr_settings_are_wrapped():
 
 def test_fixed_ghz_settings_are_echoed():
     cfg = TrialConfig(trials=32, seed=0, mode="ghz",
-                      setting_source="fixed-list",
                       fixed_settings=((10.0, 20.0, 30.0, 40.0),))
     run = run_trials(cfg)
     assert np.array_equal(run.phis_deg,
@@ -201,7 +181,7 @@ def test_fixed_ghz_settings_are_echoed():
 ])
 def test_ghz_disproof_points_hold_every_event(angles, want):
     cfg = TrialConfig(trials=256, seed=11, mode="ghz",
-                      setting_source="fixed-list", fixed_settings=(angles,))
+                      fixed_settings=(angles,))
     run = run_trials(cfg)
     assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
 
@@ -252,7 +232,7 @@ def test_paired_product_argument_errors():
 ])
 def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
     cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256,
-                      setting_source="fixed-list", fixed_settings=tuples)
+                      fixed_settings=tuples)
     run = run_trials(cfg)
     alphas = np.array(tuples)[np.arange(cfg.trials) % len(tuples)]
     if mode == "ghz":
@@ -268,6 +248,25 @@ def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
         assert run.corr[k] == want, k
 
 
+@pytest.mark.parametrize("mode,parties", [("epr", 2), ("ghz", 4)])
+def test_random_run_is_the_fixed_list_run_of_its_own_draws(mode, parties):
+    # a drawn setting is the requested azimuth 360 u, so a run over the
+    # same azimuths as a fixed list gives the same bits
+    cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256)
+    drawn = []
+    for i in range(0, cfg.trials, cfg.batch_size):
+        n = min(cfg.batch_size, cfg.trials - i)
+        gen = batch_stream(cfg.seed, i // cfg.batch_size)
+        gen.random(n)                       # the coin
+        drawn.extend((360.0 * gen.random((parties, n)).T).tolist())
+    run = run_trials(cfg)
+    fixed = run_trials(dataclasses.replace(
+        cfg, fixed_settings=tuple(map(tuple, drawn))))
+    assert run.corr.tobytes() == fixed.corr.tobytes()
+    assert np.array_equal(run.phis_deg, fixed.phis_deg)
+    assert np.array_equal(run.lam, fixed.lam)
+
+
 @pytest.mark.parametrize("mode,parties,digest", [
     ("epr", 2, "03b3a3c917a6b4f21fc838ce194e91ccc14194687b355ecf4374a321fdcec749"),
     ("ghz", 4, "cf87d745650b9dbece1ce43c81a1688ab73c608fef1976845bee4b9999b87273"),
@@ -278,7 +277,7 @@ def test_grid_correlation_bits_are_pinned(mode, parties, digest):
     grid = [45.0 * i for i in range(8)]
     tuples = tuple(itertools.product(grid, repeat=parties))
     cfg = TrialConfig(trials=8 * len(tuples), seed=7, mode=mode,
-                      setting_source="fixed-list", fixed_settings=tuples)
+                      fixed_settings=tuples)
     corr = run_trials(cfg).corr
     assert hashlib.sha256(corr.tobytes()).hexdigest() == digest
 
@@ -360,7 +359,7 @@ def _csv_writer_reference(run) -> bytes:
 @pytest.mark.parametrize("kwargs", [
     {"mode": "epr"},
     {"mode": "ghz"},
-    {"mode": "ghz", "setting_source": "fixed-list",
+    {"mode": "ghz",
      "fixed_settings": ((10.0, 20.0, 30.0, 40.0), (0.0, 90.0, 45.0, 135.0))},
 ])
 def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
@@ -408,7 +407,6 @@ def test_streamed_outputs_equal_the_collected_run(tmp_path, capsys,
     run = run_trials(TrialConfig(
         trials=10000, seed=53, mode=argv[0], batch_size=batch_size,
         threads=int(threads),
-        setting_source="fixed-list" if fixed else "random-planar",
         fixed_settings=fixed))
     assert csv_path.read_bytes() == _csv_writer_reference(run)
     assert json_path.read_text() == cli._json_text(run.summary.to_dict())
@@ -440,7 +438,7 @@ def test_configs_are_refused_or_stream_like_they_collect(
     kwargs = dict(trials=trials, seed=61, mode=mode, bin_width_deg=width,
                   batch_size=batch_size, threads=threads)
     if fixed is not None:
-        kwargs.update(setting_source="fixed-list", fixed_settings=fixed)
+        kwargs.update(fixed_settings=fixed)
     valid = (trials >= 1 and 0.01 <= width <= 360.0
              and all(len(t) == parties and all(map(math.isfinite, t))
                      for t in fixed or ()))
@@ -470,14 +468,14 @@ def test_configs_are_refused_or_stream_like_they_collect(
     {"trials": 10, "seed": -1},
     {"trials": 10, "seed": 2 ** 64},
     {"trials": 10, "seed": 0, "mode": "what"},
-    {"trials": 10, "seed": 0, "setting_source": "psychic"},
-    {"trials": 10, "seed": 0, "setting_source": "fixed-list"},
-    {"trials": 10, "seed": 0, "setting_source": "fixed-list",
-     "fixed_settings": ((1.0, 2.0, 3.0),)},
-    {"trials": 10, "seed": 0, "setting_source": "fixed-list",
+    {"trials": 10, "seed": 0, "fixed_settings": ((1.0, 2.0, 3.0),)},
+    {"trials": 10, "seed": 0,
      "fixed_settings": ((0.0, 0.0), (float("nan"), 0.0))},
-    {"trials": 10, "seed": 0, "mode": "ghz", "setting_source": "fixed-list",
+    {"trials": 10, "seed": 0, "mode": "ghz",
      "fixed_settings": ((0.0, float("inf"), 0.0, 0.0),)},
+    {"trials": 10, "seed": 0, "mode": "ghz", "fixed_settings": ((0.0, 45.0),)},
+    {"trials": 10, "seed": 0,
+     "fixed_settings": ((0.0, 45.0), (0.0, 45.0, 90.0))},
     {"trials": 10, "seed": 0, "bin_width_deg": 0.0},
     {"trials": 10, "seed": 0, "bin_width_deg": 0.005},
     {"trials": 10, "seed": 0, "bin_width_deg": float("nan")},
@@ -488,6 +486,17 @@ def test_configs_are_refused_or_stream_like_they_collect(
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
         TrialConfig(**kwargs)
+
+
+def test_fixed_settings_alone_select_the_fixed_list():
+    # no other field is needed: the settings themselves pick the source
+    run = run_trials(TrialConfig(trials=4, seed=0, mode="epr",
+                                 fixed_settings=((0.0, 45.0),)))
+    assert np.array_equal(run.phis_deg, np.tile([0.0, 45.0], (4, 1)))
+    assert_allclose(run.corr, -math.cos(math.radians(45.0)), atol=1e-12)
+    for bad in (((float("nan"), 45.0),), ((0.0, 45.0, 90.0),)):
+        with pytest.raises(ConfigError):
+            TrialConfig(trials=4, seed=0, mode="epr", fixed_settings=bad)
 
 
 def test_finest_bin_width_is_accepted():

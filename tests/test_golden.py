@@ -4,8 +4,8 @@ Any change that moves an output bit fails here. A change that moves bits on
 purpose re-pins the affected digests and says why in CHANGES.md.
 
 The digests hold for the platform the suite is maintained on (x86-64,
-numpy 2.4); a different numpy or libm may round the trigonometry or the
-Gaussian draws differently and then needs its own re-pin.
+numpy 2.4); a different numpy or libm may round the trigonometry
+differently and then needs its own re-pin.
 """
 
 import hashlib
@@ -36,13 +36,13 @@ def _clean_env(monkeypatch):
 RUNS = {
     "epr-random": (
         ("epr", "--trials", "3000", "--seed", "11"),
-        {"csv": "be43c73af6d643fbad2181fa69f2814767032b2ab79fec62ac0acf06cd7b449f",
-         "summary": "a26d7a04d4a013c5bdd3cfd699e11e9c6c83d7b21b63e920db3cbd3cae321acd"},
+        {"csv": "93c1b9d0ac985a13ba9a7c7661ec5e214bf5494af37de4d3fe8cef4498441b38",
+         "summary": "e27271dc7a946a9097ee37457bb8e6eaa07468b163dca0f61bfd54e6ee8f43c4"},
     ),
     "ghz-random": (
         ("ghz", "--trials", "3000", "--seed", "12"),
-        {"csv": "643c1662e237f68968f60b9786257b16c1a9c9ea81bc2bdf1cea1e378f7c9313",
-         "summary": "ece2a169770111e51d373b44e7b18499a750770120070de9ba88d0d8cf3e91b1"},
+        {"csv": "7ec9163a5049bfd5e2ecf23fcece75db94e51894290e5949998545fd5fc543b0",
+         "summary": "c73b18ce9c55e94c55744bc1dfa39aa1a6fe26868aa096fdded750d161087125"},
     ),
     "ghz-fixed": (
         ("ghz", "--trials", "200", "--seed", "13",
