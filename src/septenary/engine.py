@@ -12,10 +12,15 @@ requested azimuth ``360 u`` degrees, one uniform per party and trial.
 
 Within one batch of n trials the draw order is: n uniforms for the coin,
 then ``gen.random((parties, n))``, whose row j holds party j's uniforms.
-A run with ``fixed_settings`` cycles through them instead and draws just
-the coin. Either way the requested azimuths then take the same path: the
-four-party map ``_ghz_reflect``, ``radians -> cos/sin -> planar_legs``, and
-the reported angle ``_wrap_deg`` of the reflected azimuth.
+A run with ``fixed_settings`` cycles through them instead, indexed into the
+same party-major ``(parties, n)`` rows, and draws just the coin. Either
+way the requested azimuths then take the same path: the four-party map
+``_ghz_reflect`` applied in place, ``radians -> cos/sin -> planar_legs`` on
+one contiguous row per party, ``_ghz_reflect`` in place once more to turn
+the internal azimuths into the reported ones, and the wrap ``_wrap_deg``.
+The wrap and the four-party bin key reduce modulo 360 through ``_mod360``,
+which gives the bits of ``np.mod`` without its divmod wherever the angle
+lies within 720 degrees of zero.
 
 Per trial the engine evaluates the ordered product of the embedded
 detector settings, first to last for a +1 coin and last to first for a -1
@@ -200,7 +205,7 @@ def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
     if mode == "epr":
         return np.abs(phis_deg[:, 1] - phis_deg[:, 0])
     s = phis_deg[:, 0] + phis_deg[:, 1] - phis_deg[:, 2] - phis_deg[:, 3]
-    return np.mod(s, 360.0)
+    return _mod360(s)
 
 
 class _Tally:
@@ -230,10 +235,19 @@ class _Tally:
         np.add.at(self.sums, idx, corr)
         self.lam_sum += int(lam.sum())
 
+    def centre(self, i: int) -> float:
+        """The angle bin i is reported at: the middle of its key range,
+        which for the last bin stops at 360 when the width does not
+        divide 360."""
+        last = len(self.counts) - 1
+        if i == last and 360.0 / self.width != last + 1:
+            return 0.5 * (i * self.width + 360.0)
+        return (i + 0.5) * self.width
+
     def summary(self) -> CorrelationSummary:
         cfg, counts, sums = self.cfg, self.counts, self.sums
         bins = tuple(
-            BinStat(angle_deg=(i + 0.5) * self.width,
+            BinStat(angle_deg=self.centre(i),
                     mean_corr=float(sums[i] / counts[i]),
                     count=int(counts[i]))
             for i in np.flatnonzero(counts).tolist()
@@ -291,9 +305,27 @@ def _chain_scalar(factors: list[list], lam: int) -> np.ndarray:
     return acc[SCALAR]
 
 
+def _mod360(x: np.ndarray) -> np.ndarray:
+    """``np.mod(x, 360.0)`` bit for bit, without its divmod where |x| < 720.
+
+    There ``x / 360`` is correctly rounded and cannot cross an integer, so
+    its floor q is exact, and ``x - 360 q`` is the single rounding of the
+    sum that ``np.mod`` forms from the exact ``fmod``. A negative x so small
+    that ``x / 360`` underflows to -0.0 is left negative; it and every
+    other input go to ``np.mod``.
+    """
+    if x.size and -720.0 < x.min() and x.max() < 720.0:
+        r = np.floor(x / 360.0)
+        r *= -360.0
+        r += x
+        if r.min() >= 0.0:
+            return r
+    return np.mod(x, 360.0)
+
+
 def _wrap_deg(a: np.ndarray) -> np.ndarray:
     """Wrap into (-180, 180]."""
-    return 180.0 - np.mod(180.0 - a, 360.0)
+    return 180.0 - _mod360(180.0 - a)
 
 
 def _planar_slots(x: np.ndarray, y: np.ndarray) -> list:
@@ -303,16 +335,15 @@ def _planar_slots(x: np.ndarray, y: np.ndarray) -> list:
     return place_legs([None] * 8, (rx, ry, None), (dx, dy, None))
 
 
-def _ghz_reflect(phis: np.ndarray) -> np.ndarray:
-    """The four-party azimuth map phi_a -> -phi_a, phi_d -> 180 - phi_d.
+def _ghz_reflect(rows: np.ndarray) -> None:
+    """The four-party azimuth map phi_a -> -phi_a, phi_d -> 180 - phi_d,
+    applied in place to the party rows of a (4, n) array.
 
     It takes internal azimuths to the reported ones of the extraction
     convention and, being its own inverse, requested angles to internal.
     """
-    out = phis.copy()
-    out[:, 0] = -phis[:, 0]
-    out[:, 3] = 180.0 - phis[:, 3]
-    return out
+    np.negative(rows[0], out=rows[0])
+    np.subtract(180.0, rows[3], out=rows[3])
 
 
 class _Batch(NamedTuple):
@@ -330,14 +361,17 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
     parties = len(_PARTIES[cfg.mode])
     ghz = cfg.mode == "ghz"
 
+    # requested azimuths, one contiguous row per party
     if cfg.fixed_settings:
-        tuples = np.array(cfg.fixed_settings, dtype=np.float64)
-        requested = tuples[(start + np.arange(n)) % len(tuples)]
+        tuples = np.array(cfg.fixed_settings, dtype=np.float64).T
+        angles = tuples[:, (start + np.arange(n)) % tuples.shape[1]]
     else:
-        requested = 360.0 * gen.random((parties, n)).T
-    alphas = _ghz_reflect(requested) if ghz else requested
-    rad = np.radians(alphas)
-    comps = [(np.cos(rad[:, j]), np.sin(rad[:, j])) for j in range(parties)]
+        angles = gen.random((parties, n))
+        angles *= 360.0
+    if ghz:
+        _ghz_reflect(angles)                # requested -> internal
+    # one radian row alive at a time
+    comps = [(np.cos(r), np.sin(r)) for r in map(np.radians, angles)]
 
     corr = np.empty(n)
     for sign in (1, -1):
@@ -348,8 +382,9 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
             corr[idx] = _chain_scalar(factors[::sign], sign)
     # a pruned term can leave -0.0 where the written expression gives 0.0
     corr += 0.0
-    reported = _ghz_reflect(alphas) if ghz else alphas
-    return _Batch(start, lam, _wrap_deg(reported), corr)
+    if ghz:
+        _ghz_reflect(angles)                # internal -> reported
+    return _Batch(start, lam, _wrap_deg(angles).T, corr)
 
 
 def _batches(cfg: TrialConfig) -> Iterator[_Batch]:

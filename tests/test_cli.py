@@ -167,6 +167,16 @@ def test_negative_first_angle_runs_in_the_joined_form(tmp_path, capsys):
     assert [r.split(",")[2:4] for r in rows] == [["-30.0", "45.0"]] * 3
 
 
+def test_partial_last_bin_is_reported_inside_its_keys(capsys):
+    # 81 does not divide 360: the last bin holds keys in [324, 360), so it
+    # is reported at their middle, not at 364.5
+    code, out = run_cli(capsys, "epr", "--trials", "4", "--bin-deg", "81",
+                        "--fixed-angles=-170,170")
+    assert code == 0
+    assert [(b["angle_deg"], b["count"]) for b in json.loads(out)["bins"]] \
+        == [(342.0, 4)]
+
+
 def test_random_run_covers_the_angle_range(capsys):
     code, out = run_cli(capsys, "epr", "--trials", "20000", "--seed", "1")
     assert code == 0

@@ -234,16 +234,17 @@ def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
     cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256,
                       fixed_settings=tuples)
     run = run_trials(cfg)
-    alphas = np.array(tuples)[np.arange(cfg.trials) % len(tuples)]
+    # requested azimuths as party rows, then the written four-party map
+    rows = np.array(tuples).T[:, np.arange(cfg.trials) % len(tuples)]
     if mode == "ghz":
-        alphas = engine._ghz_reflect(alphas)
-    # the same array calls the engine makes, column by column
-    rad = np.radians(alphas)
-    xs = np.column_stack([np.cos(rad[:, j]) for j in range(len(tuples[0]))])
-    ys = np.column_stack([np.sin(rad[:, j]) for j in range(len(tuples[0]))])
+        rows[0] = -rows[0]
+        rows[3] = 180.0 - rows[3]
+    # the same array calls the engine makes, row by row
+    xs = np.array([np.cos(np.radians(row)) for row in rows])
+    ys = np.array([np.sin(np.radians(row)) for row in rows])
     for k in range(cfg.trials):
         dets = [detector(make_pair_planar((x, y, 0.0)))
-                for x, y in zip(xs[k], ys[k])]
+                for x, y in zip(xs[:, k], ys[:, k])]
         want = paired_product(dets, int(run.lam[k])).coeffs[0]
         assert run.corr[k] == want, k
 
@@ -289,6 +290,61 @@ def test_coin_average_leaves_a_pure_scalar():
     ave = 0.5 * (plus.coeffs + minus.coeffs)
     assert np.all(ave[1:] == 0.0)
     assert ave[0] == pytest.approx(-math.cos(math.radians(45.0)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# angle wraps
+
+_WRAP_EDGES = [0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, -540.0,
+               720.0, -720.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-300,
+               -1e-300, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1e6, -1e9]
+
+
+def _assert_wraps_match_np_mod(x):
+    # both branches of the helper: the whole array, and only |x| < 720
+    for arr in (x, x[np.abs(x) < 720.0]):
+        assert engine._mod360(arr).tobytes() == np.mod(arr, 360.0).tobytes()
+        want = 180.0 - np.mod(180.0 - arr, 360.0)
+        assert engine._wrap_deg(arr).tobytes() == want.tobytes()
+
+
+def test_wraps_match_np_mod_on_the_edges():
+    edges = list(_WRAP_EDGES)
+    for v in _WRAP_EDGES:
+        for towards in (-math.inf, math.inf):
+            for _ in range(3):
+                v = math.nextafter(v, towards)
+                edges.append(v)
+    x = np.array(edges)
+    _assert_wraps_match_np_mod(x)
+    for v in x:
+        _assert_wraps_match_np_mod(np.array([v]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-720.0, 720.0)
+                | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+def test_wraps_match_np_mod(values):
+    _assert_wraps_match_np_mod(np.array(values))
+
+
+def test_far_fixed_angles_report_the_written_wrap():
+    # reported angles this far out take the np.mod branch of the wrap
+    tuples = ((1e6, -1e9, 719.9999999999999, -3000.0),
+              (719.9999999999999, 1e-320, 1e6, -1e9),
+              (-1e9, 10.0, -719.9999999999999, 719.9999999999999))
+    cfg = TrialConfig(trials=9, seed=3, mode="ghz", fixed_settings=tuples)
+    run = run_trials(cfg)
+    # requested -> internal -> reported, as written, then wrapped
+    rep = np.array(tuples)[np.arange(cfg.trials) % len(tuples)]
+    rep[:, 0] = -(-rep[:, 0])
+    rep[:, 3] = 180.0 - (180.0 - rep[:, 3])
+    want = 180.0 - np.mod(180.0 - rep, 360.0)
+    assert run.phis_deg.tobytes() == want.tobytes()
+    s = want[:, 0] + want[:, 1] - want[:, 2] - want[:, 3]
+    assert run.angle_keys_deg().tobytes() == np.mod(s, 360.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +513,12 @@ def test_configs_are_refused_or_stream_like_they_collect(
     assert bool((np.abs(run.phis_deg) <= 180.0).all())
     keys = run.angle_keys_deg()
     assert bool(((keys >= 0.0) & (keys < 360.0)).all())
+    # every bin is reported inside its key range, the last one cut at 360
+    w = float(width)
+    last = int(math.ceil(360.0 / w)) - 1
+    idx = np.minimum((keys / w).astype(np.int64), last)
+    for i, b in zip(np.unique(idx).tolist(), summary.bins):
+        assert i * w <= b.angle_deg < min((i + 1) * w, 360.0)
 
 
 # ---------------------------------------------------------------------------
