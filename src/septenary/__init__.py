@@ -6,8 +6,7 @@ The package splits into focused layers:
     The eight-component product, orientation tags, norms and the closure
     quadric.
 ``conformal``
-    Stereographic lifts of 3-space onto the unit sphere in four dimensions
-    and the quaternion bridge.
+    Stereographic lifts of 3-space onto the unit sphere in four dimensions.
 ``spin``
     Detector settings as embedded direction pairs, measurement outcomes,
     source-axis transport.
@@ -24,14 +23,12 @@ from .algebra import (
     BLADE_NAMES,
     Multivector,
     basis_product,
-    commutator,
-    is_on_s7,
     mv_mul,
     mv_norm,
     quadric_defect,
     scalar_part,
 )
-from .conformal import Quaternion, R4Point, stereo_phi, stereo_psi
+from .conformal import R4Point, stereo_phi, stereo_psi
 from .engine import (
     TrialConfig,
     TrialRun,
@@ -50,13 +47,11 @@ from .errors import (
 )
 from .oracle import (
     chsh_bound,
-    chsh_value,
     epr_expectation,
     ghz_direction_expectation,
     ghz_expectation,
     ghz_role_scalar_part,
     nfold_scalar_part,
-    torsion,
 )
 from .spin import (
     Detector,
@@ -69,7 +64,6 @@ from .spin import (
     measure,
     pair_coefficients,
     recover_source_axis,
-    reflect_source_axis,
     spin_state,
 )
 
@@ -85,7 +79,6 @@ __all__ = [
     "EmptyInput",
     "Multivector",
     "OrientationMismatch",
-    "Quaternion",
     "R4Point",
     "SeptenaryError",
     "SpinState",
@@ -94,14 +87,11 @@ __all__ = [
     "basis_product",
     "chsh_bound",
     "chsh_scan",
-    "chsh_value",
-    "commutator",
     "detector",
     "epr_expectation",
     "ghz_direction_expectation",
     "ghz_expectation",
     "ghz_role_scalar_part",
-    "is_on_s7",
     "make_pair_general",
     "make_pair_ghz",
     "make_pair_planar",
@@ -113,12 +103,10 @@ __all__ = [
     "pair_coefficients",
     "quadric_defect",
     "recover_source_axis",
-    "reflect_source_axis",
     "run_trials",
     "scalar_part",
     "spin_state",
     "stereo_phi",
     "stereo_psi",
     "stream_trials",
-    "torsion",
 ]

@@ -14,8 +14,7 @@ The algebra lives on eight basis blades, indexed 0..7:
 Every element carries an orientation sign ``lam`` (+1 or -1). The sign fixes
 the handedness of the non-scalar basis blades: flipping it negates blades
 1..7 while leaving the products' scalar parts alone. Elements may only be
-multiplied or added when their tags agree; ``Multivector.reoriented`` maps an
-element to the coordinates the same geometric object has under the other tag.
+multiplied when their tags agree.
 
 Structurally this is a split dual quaternion algebra: slots 0..3 multiply as
 one quaternion, slots 4..7 as a second, and the two halves couple through a
@@ -187,48 +186,10 @@ class Multivector:
         self.coeffs = arr
         self.lam = _check_lam(lam)
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def basis(cls, index: int, lam: int = +1) -> "Multivector":
-        c = np.zeros(8)
-        c[index] = 1.0
-        return cls(c, lam)
-
     # -- arithmetic -----------------------------------------------------------
-
-    def _same_frame(self, other: "Multivector") -> None:
-        if self.lam != other.lam:
-            raise OrientationMismatch(
-                "cannot combine elements tagged %+d and %+d" % (self.lam, other.lam)
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._same_frame(other)
-        return Multivector(self.coeffs + other.coeffs, self.lam)
-
-    def __sub__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._same_frame(other)
-        return Multivector(self.coeffs - other.coeffs, self.lam)
 
     def __neg__(self):
         return Multivector(-self.coeffs, self.lam)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return mv_mul(self, other)
-        if isinstance(other, (int, float)):
-            return Multivector(self.coeffs * float(other), self.lam)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.coeffs * float(other), self.lam)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -245,21 +206,6 @@ class Multivector:
                 terms.append("%+g %s" % (c, BLADE_NAMES[i]))
         body = " ".join(terms) if terms else "0"
         return "Multivector(%s | lam=%+d)" % (body, self.lam)
-
-    # -- views ----------------------------------------------------------------
-
-    def reoriented(self, lam: int) -> "Multivector":
-        """The same geometric object expressed under the other orientation tag.
-
-        Blades 1..7 pick up the sign lam_old * lam_new; the scalar slot does
-        not move. Re-tagging with the current tag returns a copy.
-        """
-        lam = _check_lam(lam)
-        if lam == self.lam:
-            return Multivector(self.coeffs, self.lam)
-        c = self.coeffs.copy()
-        c[1:] = -c[1:]
-        return Multivector(c, lam)
 
 
 def place_legs(out, n_r, n_d=(0.0, 0.0, 0.0)):
@@ -352,12 +298,6 @@ def scalar_part(x: Multivector) -> float:
     return float(x.coeffs[0])
 
 
-def commutator(x: Multivector, y: Multivector) -> Multivector:
-    """Half the product difference, (xy - yx) / 2."""
-    d = mv_mul(x, y) - mv_mul(y, x)
-    return Multivector(d.coeffs * 0.5, d.lam)
-
-
 def quadric_defect(x: Multivector) -> float:
     """The pairing X0*(-X7) + X1*X6 + X2*X5 + X3*X4.
 
@@ -368,7 +308,3 @@ def quadric_defect(x: Multivector) -> float:
     c = x.coeffs
     return float(-c[0] * c[7] + c[1] * c[6] + c[2] * c[5] + c[3] * c[4])
 
-
-def is_on_s7(x: Multivector, tol: float = 1e-12) -> bool:
-    """Unit norm and vanishing pairing, both within tol."""
-    return abs(mv_norm(x) - 1.0) <= tol and abs(quadric_defect(x)) <= tol

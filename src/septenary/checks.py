@@ -178,7 +178,7 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
         lam = 1 if gen.random() > 0.5 else -1
         pairs = [make_pair_general(_unit3(gen)) for _ in range(4)]
         for n in (2, 3, 4):
-            closed = nfold_scalar_part(pairs[:n], lam)
+            closed = nfold_scalar_part(pairs[:n])
             elems = [Multivector(lam * pair_coefficients(p), lam)
                      for p in pairs[:n]]
             acc = elems[0]
@@ -234,6 +234,9 @@ def run_checks(names=None, tol: float = DEFAULT_TOL,
         raise ValueError("unknown suite(s): %s" % ", ".join(unknown))
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    # written so that nan is refused too
+    if not tol >= 0.0:
+        raise ValueError("tolerance must be non-negative, got %r" % (tol,))
     results = []
     for index, (name, fn) in enumerate(SUITES):
         if name not in wanted:

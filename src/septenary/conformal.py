@@ -1,16 +1,10 @@
-"""Maps between flat 3-space, the unit 3-sphere in R^4, and quaternions.
+"""Maps between flat 3-space and the unit 3-sphere in R^4.
 
 Two inverse-stereographic charts are provided. stereo_psi sends a point of
 R^3 onto the unit sphere centred at the origin (the south pole (0,0,0,-1) is
 the image of 0, the north pole the limit at infinity). stereo_phi is the
 same chart shifted one unit along the fourth axis, so its image is the unit
 sphere centred at (0,0,0,1), passing through the origin.
-
-quaternion_from_bivectors multiplies two vectors embedded as planes: the
-plane of u times the plane of v gives scalar -(u.v) plus the plane of
-v x u (the plane product reverses the cross order, as the identity
-(Iu)(Iv) = -u.v - I(u x v) requires). This agrees with the scalar and
-plane block of the full algebra product.
 """
 
 from __future__ import annotations
@@ -18,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .algebra import SCALAR, Multivector, place_legs, plane_leg
-from .errors import DegenerateInput
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -39,17 +30,6 @@ class R4Point:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.v[0], self.v[1], self.v[2], self.w])
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Scalar plus plane coefficients, ordered (yz, zx, xy)."""
-
-    scalar: float
-    bivector: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.scalar, *self.bivector])
 
 
 def stereo_phi(x) -> R4Point:
@@ -74,29 +54,3 @@ def stereo_psi(x) -> R4Point:
     p = stereo_phi(x)
     return R4Point(v=p.v, w=p.w - 1.0)
 
-
-def quaternion_from_bivectors(u, v) -> Quaternion:
-    """Product of the planes dual to u and v: scalar -(u.v), plane v x u."""
-    u = _as_vec3(u)
-    v = _as_vec3(v)
-    if float(np.linalg.norm(u)) < 1e-12 or float(np.linalg.norm(v)) < 1e-12:
-        raise DegenerateInput("bivector factors must be nonzero")
-    w = np.cross(v, u)
-    return Quaternion(scalar=float(-(u @ v)),
-                      bivector=(float(w[0]), float(w[1]), float(w[2])))
-
-
-def quaternion_to_multivector(q: Quaternion, lam: int = +1) -> Multivector:
-    """Embed into the scalar slot and the planes; the legs stay zero.
-
-    The plane coefficients go where a pair's n_r leg goes (place_legs).
-    """
-    c = place_legs(np.zeros(8), q.bivector)
-    c[SCALAR] = q.scalar
-    return Multivector(c, lam)
-
-
-def multivector_to_quaternion(x: Multivector) -> Quaternion:
-    """Project the scalar and the planes back out; the rest is ignored."""
-    return Quaternion(scalar=float(x.coeffs[SCALAR]),
-                      bivector=tuple(plane_leg(x.coeffs).tolist()))

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -118,9 +119,17 @@ class TrialConfig:
     def __post_init__(self):
         if self.mode not in _PARTIES:
             raise ConfigError("mode must be 'epr' or 'ghz'")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        for name in ("trials", "seed", "batch_size", "threads"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ConfigError(
+                    "%s must be an integer, got %r" % (name, value))
+            # numpy integers are stored as int, so summaries stay JSON
+            object.__setattr__(self, name, int(value))
+        if self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed must fit in 64 bits")
         want = len(_PARTIES[self.mode])
         for tup in self.fixed_settings:
@@ -181,16 +190,11 @@ class TrialRun:
     config: TrialConfig
     lam: np.ndarray
     phis_deg: np.ndarray      # (n, parties)
-    outcomes: np.ndarray      # (n, parties) of +-1
     corr: np.ndarray
     summary: CorrelationSummary = field(init=False)
 
     def __post_init__(self):
         self.summary = _summarize(self)
-
-    @property
-    def parties(self) -> tuple:
-        return _PARTIES[self.config.mode]
 
     def angle_keys_deg(self) -> np.ndarray:
         return _angle_keys(self.config.mode, self.phis_deg)
@@ -466,17 +470,13 @@ def run_trials(cfg: TrialConfig) -> TrialRun:
     n, parties = cfg.trials, len(_PARTIES[cfg.mode])
     lam = np.empty(n, dtype=np.int64)
     phis = np.empty((n, parties))
-    outcomes = np.empty((n, parties), dtype=np.int8)
     corr = np.empty(n)
-    signs = np.array(_OUTCOME_SIGNS[cfg.mode])
     for batch in _batches(cfg):
         rows = slice(batch.start, batch.start + len(batch.corr))
         lam[rows] = batch.lam
         phis[rows] = batch.phis
-        outcomes[rows] = batch.lam[:, None] * signs
         corr[rows] = batch.corr
-    return TrialRun(config=cfg, lam=lam, phis_deg=phis, outcomes=outcomes,
-                    corr=corr)
+    return TrialRun(config=cfg, lam=lam, phis_deg=phis, corr=corr)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ class SeptenaryError(Exception):
 
 
 class OrientationMismatch(SeptenaryError):
-    """Two elements tagged with different orientation signs were combined.
+    """Two elements tagged with different orientation signs were multiplied.
 
-    Products and sums are only defined between elements living in the same
-    oriented basis. Re-express one side with Multivector.reoriented first if
-    mixing was intended.
+    Products are only defined between elements living in the same oriented
+    basis.
     """
 
 

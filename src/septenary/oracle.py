@@ -1,10 +1,10 @@
 """Closed-form predictions the trial engine is tested against.
 
 Everything here is an independent evaluation path: plain vector algebra
-(dots and crosses of the pair legs), no products in the eight-slot algebra
-except where a fallback explicitly says so. The engine and these forms are
-compared in the test suite; the quantum-mechanical predictions for the two
-experiments are the same expressions, so no separate reference is needed.
+(dots and crosses of the pair legs), no products in the eight-slot algebra.
+The engine and these forms are compared in the test suite; the
+quantum-mechanical predictions for the two experiments are the same
+expressions, so no separate reference is needed.
 
 Notation used throughout: for two pairs (a_r, a_d), (b_r, b_d) define
 
@@ -18,14 +18,12 @@ The product of the two embedded source elements is then
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _check_lam, mv_mul, place_legs, scalar_part
 from .errors import ArityUnsupported, EmptyInput
-from .spin import DirectionPair, pair_coefficients
+from .spin import DirectionPair
 
 Vec = np.ndarray
 
@@ -111,22 +109,23 @@ def _pair_product_parts(p1: DirectionPair, p2: DirectionPair):
     return alpha, u, v, w
 
 
-def nfold_scalar_part(pairs: Sequence[DirectionPair], lam: int = +1) -> float:
+def nfold_scalar_part(pairs: Sequence[DirectionPair]) -> float:
     """Scalar part of the source-element chain over the given pairs.
 
     Closed forms cover two, three and four factors; the value matches the
     direct product chain in the written order for either coin sign (the
     orientation enters the coefficients and the structure constants once
-    each, so it drops out of every chain scalar). Beyond four factors the
-    direct product is used. The four-factor form keeps the w1*w2 cross-dot
-    term; it vanishes identically for planar and role-mapped pairs but not
-    for general ones, and without it the chain equality would break there.
+    each, so it drops out of every chain scalar and no sign is taken).
+    Other counts raise ArityUnsupported. The four-factor form keeps the
+    w1*w2 cross-dot term; it vanishes identically for planar and role-mapped
+    pairs but not for general ones, and without it the chain equality would
+    break there.
     """
     n = len(pairs)
     if n == 0:
         raise EmptyInput("no pairs given")
-    if n == 1:
-        raise ArityUnsupported("chain scalars need at least two pairs")
+    if not 2 <= n <= 4:
+        raise ArityUnsupported("chain scalars are defined for two to four pairs")
     if n == 2:
         alpha, _, _, _ = _pair_product_parts(pairs[0], pairs[1])
         return -alpha
@@ -134,24 +133,9 @@ def nfold_scalar_part(pairs: Sequence[DirectionPair], lam: int = +1) -> float:
         (ar, ad), (br, bd), (cr, cd) = (_legs(p) for p in pairs)
         return float(ar @ (_cross(br, cr) + _cross(bd, cd))
                      + ad @ (_cross(br, cd) + _cross(bd, cr)))
-    if n == 4:
-        a1, u1, v1, w1 = _pair_product_parts(pairs[0], pairs[1])
-        a2, u2, v2, w2 = _pair_product_parts(pairs[2], pairs[3])
-        return float(a1 * a2 - u1 @ u2 - v1 @ v2 + w1 * w2)
-    elems = [Multivector(lam * pair_coefficients(p), lam) for p in pairs]
-    return scalar_part(reduce(mv_mul, elems))
-
-
-def torsion(p1: DirectionPair, p2: DirectionPair, lam: int = +1) -> Multivector:
-    """Half the commutator of the two source elements, in closed form.
-
-    The symmetric pieces of the pair product (the scalar and the w slot)
-    cancel between the two orders, leaving -lam times the embedding of the
-    cross-product legs.
-    """
-    lam = _check_lam(lam)
-    _, u, v, _ = _pair_product_parts(p1, p2)
-    return Multivector(-lam * place_legs(np.zeros(8), u, v), lam)
+    a1, u1, v1, w1 = _pair_product_parts(pairs[0], pairs[1])
+    a2, u2, v2, w2 = _pair_product_parts(pairs[2], pairs[3])
+    return float(a1 * a2 - u1 @ u2 - v1 @ v2 + w1 * w2)
 
 
 def chsh_bound(x, xp, y, yp) -> float:
@@ -167,7 +151,3 @@ def chsh_bound(x, xp, y, yp) -> float:
     inner = float(_cross(x, xp) @ _cross(yp, y))
     return 2.0 * math.sqrt(min(2.0, max(0.0, 1.0 - inner)))
 
-
-def chsh_value(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
-    """The standard four-term combination E1 + E2 + E3 - E4."""
-    return float(e_ab + e_abp + e_apb - e_apbp)

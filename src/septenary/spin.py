@@ -227,16 +227,11 @@ def _axis_element(u, what: str) -> Multivector:
 
 
 def _reflect(b, s) -> tuple[Multivector, Multivector]:
-    """The detector plane xb and the reflected element -xb * xs * xb."""
+    """The detector plane xb and the reflected element -xb * xs * xb,
+    whose plane leg is 2 (b.s) b - s."""
     xb = _axis_element(b, "detector axis")
     xs = _axis_element(s, "source axis")
     return xb, mv_mul(-xb, mv_mul(xs, xb))
-
-
-def reflect_source_axis(b, s) -> np.ndarray:
-    """Axis of -plane(b) * plane(s) * plane(b), which is 2 (b.s) b - s."""
-    _, y = _reflect(b, s)
-    return plane_leg(y.coeffs)
 
 
 def recover_source_axis(b, s) -> np.ndarray:

@@ -654,3 +654,13 @@ def test_check_suite_filter(capsys):
 def test_check_rejects_zero_samples(capsys):
     code, _ = run_cli(capsys, "check", "--samples", "0")
     assert code == 4
+
+
+def test_check_rejects_a_negative_tolerance(capsys):
+    # a negative tolerance is an invalid value, not a failed suite;
+    # --tol 0 stays valid and exits 1 (see above)
+    code = main(["check", "--tol", "-1", "--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "tolerance must be non-negative" in captured.err
+    assert captured.out == ""

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
 
-from septenary.algebra import Multivector, mv_mul
-from septenary.conformal import (
-    Quaternion,
-    multivector_to_quaternion,
-    quaternion_from_bivectors,
-    quaternion_to_multivector,
-    stereo_phi,
-    stereo_psi,
-)
-from septenary.errors import DegenerateInput
+from septenary.conformal import stereo_phi, stereo_psi
 
 finite3 = st.tuples(*[st.floats(min_value=-1e6, max_value=1e6,
                                 allow_nan=False, allow_infinity=False)] * 3)
@@ -52,47 +42,6 @@ def test_phi_fixed_unit_circle():
     p = stereo_phi(np.array([0.0, 1.0, 0.0]))
     assert p.w == pytest.approx(1.0, abs=1e-15)
     assert p.v == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
-
-
-def test_quaternion_from_bivectors_is_dot_and_reversed_cross():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        q = quaternion_from_bivectors(u, v)
-        assert q.scalar == pytest.approx(-float(u @ v), rel=1e-12, abs=1e-12)
-        assert_allclose(q.bivector, np.cross(v, u), rtol=0.0, atol=1e-12)
-
-
-def test_quaternion_bridge_agrees_with_the_full_product():
-    # embedding both factors in the rotor slots and multiplying in the big
-    # algebra must reproduce the quaternion product, and the product must
-    # not leak into slots 4..7
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        mu = quaternion_to_multivector(Quaternion(0.0, tuple(u)), 1)
-        mv = quaternion_to_multivector(Quaternion(0.0, tuple(v)), 1)
-        prod = mv_mul(mu, mv)
-        assert np.all(prod.coeffs[4:] == 0.0)
-        q = multivector_to_quaternion(prod)
-        want = quaternion_from_bivectors(u, v)
-        assert q.scalar == pytest.approx(want.scalar, rel=1e-12, abs=1e-12)
-        assert_allclose(q.bivector, want.bivector, rtol=0.0, atol=1e-12)
-
-
-def test_quaternion_round_trip_through_the_algebra():
-    q = Quaternion(0.5, (1.0, -2.0, 3.0))
-    m = quaternion_to_multivector(q, -1)
-    assert m.lam == -1
-    back = multivector_to_quaternion(m)
-    assert back == q
-
-
-def test_degenerate_bivector_factors_refuse():
-    with pytest.raises(DegenerateInput):
-        quaternion_from_bivectors(np.zeros(3), np.array([1.0, 0, 0]))
-    with pytest.raises(DegenerateInput):
-        quaternion_from_bivectors(np.array([1.0, 0, 0]), np.zeros(3))
 
 
 def test_non_finite_input_refuses():

@@ -77,13 +77,14 @@ def test_coin_is_fair_over_a_long_run():
 # ---------------------------------------------------------------------------
 # determinism
 
-def test_repeat_runs_are_identical():
+def test_repeat_runs_are_identical(tmp_path):
     cfg = TrialConfig(trials=5000, seed=42, mode="epr")
     r1, r2 = run_trials(cfg), run_trials(cfg)
     assert np.array_equal(r1.lam, r2.lam)
     assert np.array_equal(r1.phis_deg, r2.phis_deg)
-    assert np.array_equal(r1.outcomes, r2.outcomes)
     assert np.array_equal(r1.corr, r2.corr)
+    assert np.array_equal(_csv_outcomes(cfg, tmp_path / "1.csv"),
+                          _csv_outcomes(cfg, tmp_path / "2.csv"))
 
 
 def test_thread_count_does_not_change_results():
@@ -126,17 +127,19 @@ def test_ghz_per_event_matches_the_cosine():
     assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
 
 
-def test_outcome_columns_follow_the_coin():
-    run = run_trials(TrialConfig(trials=500, seed=23, mode="epr"))
-    assert np.array_equal(run.outcomes[:, 0], run.lam)
-    assert np.array_equal(run.outcomes[:, 1], -run.lam)
-    prod = run.outcomes.prod(axis=1)
+def test_outcome_columns_follow_the_coin(tmp_path):
+    cfg = TrialConfig(trials=500, seed=23, mode="epr")
+    run, outcomes = run_trials(cfg), _csv_outcomes(cfg, tmp_path / "epr.csv")
+    assert np.array_equal(outcomes[:, 0], run.lam)
+    assert np.array_equal(outcomes[:, 1], -run.lam)
+    prod = outcomes.prod(axis=1)
     assert np.all(prod == -1)
 
-    run = run_trials(TrialConfig(trials=500, seed=23, mode="ghz"))
+    cfg = TrialConfig(trials=500, seed=23, mode="ghz")
+    run, outcomes = run_trials(cfg), _csv_outcomes(cfg, tmp_path / "ghz.csv")
     signs = np.array([1, -1, 1, -1])
-    assert np.array_equal(run.outcomes, np.outer(run.lam, signs))
-    assert np.all(run.outcomes.prod(axis=1) == 1)
+    assert np.array_equal(outcomes, np.outer(run.lam, signs))
+    assert np.all(outcomes.prod(axis=1) == 1)
 
 
 def test_fixed_epr_settings_are_echoed():
@@ -286,8 +289,10 @@ def test_grid_correlation_bits_are_pinned(mode, parties, digest):
 def test_coin_average_leaves_a_pure_scalar():
     a, b = _planar_detector(20.0), _planar_detector(65.0)
     plus = paired_product([a, b], 1)
-    minus = paired_product([a, b], -1).reoriented(1)
-    ave = 0.5 * (plus.coeffs + minus.coeffs)
+    # the -1 product re-expressed under the +1 tag: blades 1..7 flip sign
+    minus = paired_product([a, b], -1).coeffs.copy()
+    minus[1:] = -minus[1:]
+    ave = 0.5 * (plus.coeffs + minus)
     assert np.all(ave[1:] == 0.0)
     assert ave[0] == pytest.approx(-math.cos(math.radians(45.0)), abs=1e-12)
 
@@ -366,11 +371,12 @@ def test_summary_bins_match_a_manual_count():
     assert sum(b.count for b in run.summary.bins) == run.config.trials
 
 
-def test_summary_outcome_averages():
-    run = run_trials(TrialConfig(trials=20000, seed=37, mode="epr"))
-    aves = run.summary.ave_outcomes
+def test_summary_outcome_averages(tmp_path):
+    cfg = TrialConfig(trials=20000, seed=37, mode="epr")
+    aves = run_trials(cfg).summary.ave_outcomes
     assert set(aves) == {"A", "B"}
-    assert aves["A"] == float(run.outcomes[:, 0].mean())
+    outcomes = _csv_outcomes(cfg, tmp_path / "run.csv")
+    assert aves["A"] == float(outcomes[:, 0].mean())
     assert aves["B"] == -aves["A"]
 
 
@@ -378,6 +384,15 @@ def _stream_csv(cfg, path):
     """Write cfg's CSV through the streaming writer; return its summary."""
     with open(path, "w", newline="") as fh:
         return stream_trials(cfg, fh)
+
+
+def _csv_outcomes(cfg, path):
+    """The (trials, parties) outcome columns A.. of cfg's streamed CSV."""
+    _stream_csv(cfg, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    names = "AB" if cfg.mode == "epr" else "ABCD"
+    return np.array([[int(row[p]) for p in names] for row in rows])
 
 
 def test_csv_round_trip(tmp_path):
@@ -393,7 +408,7 @@ def test_csv_round_trip(tmp_path):
         assert int(row["lambda"]) == run.lam[k]
         assert float(row["phi_a"]) == run.phis_deg[k, 0]
         assert float(row["phi_b"]) == run.phis_deg[k, 1]
-        assert (int(row["A"]), int(row["B"])) == tuple(run.outcomes[k])
+        assert (int(row["A"]), int(row["B"])) == (run.lam[k], -run.lam[k])
         assert float(row["corr"]) == run.corr[k]
 
 
@@ -401,13 +416,15 @@ def _csv_writer_reference(run) -> bytes:
     """The bytes of a row-at-a-time csv.writer over per-value str()."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
-    names = run.parties
+    names = "AB" if run.config.mode == "epr" else "ABCD"
     w.writerow(["k", "lambda"] + ["phi_%s" % p.lower() for p in names]
                + list(names) + ["corr"])
     for k in range(run.config.trials):
-        w.writerow([k, int(run.lam[k]),
+        lam = int(run.lam[k])
+        w.writerow([k, lam,
                     *[str(float(v)) for v in run.phis_deg[k]],
-                    *[int(v) for v in run.outcomes[k]],
+                    # first-style wings show the coin, second-style ones -coin
+                    *[lam if i % 2 == 0 else -lam for i in range(len(names))],
                     str(float(run.corr[k]))])
     return buf.getvalue().encode()
 
@@ -544,6 +561,14 @@ def test_configs_are_refused_or_stream_like_they_collect(
     {"trials": 10, "seed": 0, "bin_width_deg": 400.0},
     {"trials": 10, "seed": 0, "batch_size": 0},
     {"trials": 10, "seed": 0, "threads": 0},
+    {"trials": 10, "seed": 1.5},
+    {"trials": 10, "seed": "3"},
+    {"trials": 10, "seed": True},
+    {"trials": True, "seed": 0},
+    {"trials": 10.0, "seed": 0},
+    {"trials": 10, "seed": 0, "batch_size": 2.5},
+    {"trials": 10, "seed": 0, "threads": 1.5},
+    {"trials": 10, "seed": 0, "threads": True},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
@@ -567,7 +592,35 @@ def test_finest_bin_width_is_accepted():
     assert sum(b.count for b in run.summary.bins) == 100
 
 
+def test_numpy_integer_fields_are_accepted():
+    cfg = TrialConfig(trials=np.int64(100), seed=np.uint64(5), mode="ghz",
+                      batch_size=np.int32(16), threads=np.int8(2))
+    want = TrialConfig(trials=100, seed=5, mode="ghz", batch_size=16,
+                       threads=2)
+    assert cfg == want
+    assert all(type(getattr(cfg, f)) is int
+               for f in ("trials", "seed", "batch_size", "threads"))
+    assert (json.dumps(stream_trials(cfg).to_dict())
+            == json.dumps(stream_trials(want).to_dict()))
+
+
 def test_every_exported_name_resolves():
+    # the public surface is pinned: a name added or removed shows up here
+    assert set(septenary.__all__) == {
+        "ArityUnsupported", "BLADE_NAMES", "ConfigError", "DegenerateInput",
+        "Detector", "DirectionPair", "EmptyInput", "Multivector",
+        "OrientationMismatch", "R4Point", "SeptenaryError", "SpinState",
+        "TrialConfig", "TrialRun", "basis_product", "chsh_bound",
+        "chsh_scan", "detector", "epr_expectation",
+        "ghz_direction_expectation", "ghz_expectation",
+        "ghz_role_scalar_part", "make_pair_general", "make_pair_ghz",
+        "make_pair_planar", "measure", "mv_mul", "mv_norm",
+        "nfold_scalar_part", "paired_product", "pair_coefficients",
+        "quadric_defect", "recover_source_axis", "run_trials",
+        "scalar_part", "spin_state", "stereo_phi", "stereo_psi",
+        "stream_trials",
+    }
+    assert len(septenary.__all__) == len(set(septenary.__all__))
     for name in septenary.__all__:
         assert hasattr(septenary, name), name
 

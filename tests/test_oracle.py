@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from septenary.algebra import Multivector, commutator, mv_mul, scalar_part
+from septenary.algebra import (
+    E_VOL, SCALAR, Multivector, mv_mul, place_legs, scalar_part,
+)
 from septenary.errors import ArityUnsupported, EmptyInput
 from septenary.oracle import (
     _cross,
+    _pair_product_parts,
     chsh_bound,
-    chsh_value,
     epr_expectation,
     ghz_direction_expectation,
     ghz_expectation,
     ghz_role_scalar_part,
     nfold_scalar_part,
-    torsion,
 )
 from septenary.spin import (
     make_pair_general,
@@ -53,7 +54,7 @@ def test_closed_forms_match_direct_chains(n, lam):
     worst = 0.0
     for _ in range(1000):
         pairs = [make_pair_general(_unit(rng)) for _ in range(n)]
-        worst = max(worst, abs(nfold_scalar_part(pairs, lam)
+        worst = max(worst, abs(nfold_scalar_part(pairs)
                                - _chain_scalar(pairs, lam)))
     assert worst <= 1e-10
 
@@ -69,7 +70,7 @@ def test_closed_forms_hold_for_mixed_constructors(lam):
             make_pair_planar(_planar(rng)),
         ]
         for n in (2, 3, 4):
-            assert nfold_scalar_part(pairs[:n], lam) == pytest.approx(
+            assert nfold_scalar_part(pairs[:n]) == pytest.approx(
                 _chain_scalar(pairs[:n], lam), abs=1e-12)
 
 
@@ -80,7 +81,7 @@ def test_two_pair_scalar_is_minus_cos_for_planar_settings():
         tb = rng.uniform(-math.pi, math.pi)
         pa = make_pair_planar((math.cos(ta), math.sin(ta), 0.0))
         pb = make_pair_planar((math.cos(tb), math.sin(tb), 0.0))
-        got = nfold_scalar_part([pa, pb], 1)
+        got = nfold_scalar_part([pa, pb])
         assert got == pytest.approx(epr_expectation(tb - ta), abs=1e-12)
 
 
@@ -90,65 +91,46 @@ def test_three_pair_scalar_vanishes_for_planar_settings():
     rng = np.random.default_rng(67)
     for _ in range(100):
         pairs = [make_pair_planar(_planar(rng)) for _ in range(3)]
-        assert nfold_scalar_part(pairs, 1) == pytest.approx(0.0, abs=1e-12)
+        assert nfold_scalar_part(pairs) == pytest.approx(0.0, abs=1e-12)
     general = [make_pair_general(_unit(rng)) for _ in range(3)]
-    assert abs(nfold_scalar_part(general, 1)) > 0.0
-
-
-def test_five_pair_fallback_uses_the_product_chain():
-    rng = np.random.default_rng(71)
-    pairs = [make_pair_general(_unit(rng)) for _ in range(5)]
-    for lam in (1, -1):
-        assert nfold_scalar_part(pairs, lam) == pytest.approx(
-            _chain_scalar(pairs, lam), abs=1e-12)
+    assert abs(nfold_scalar_part(general)) > 0.0
 
 
 def test_chain_arity_errors():
     rng = np.random.default_rng(3)
     with pytest.raises(EmptyInput):
-        nfold_scalar_part([], 1)
-    with pytest.raises(ArityUnsupported):
-        nfold_scalar_part([make_pair_general(_unit(rng))], 1)
+        nfold_scalar_part([])
+    for n in (1, 5):
+        pairs = [make_pair_general(_unit(rng)) for _ in range(n)]
+        with pytest.raises(ArityUnsupported):
+            nfold_scalar_part(pairs)
 
 
 # ---------------------------------------------------------------------------
-# torsion
+# pair products
 
 @pytest.mark.parametrize("lam", [1, -1])
-def test_torsion_matches_the_commutator(lam):
+def test_pair_product_splits_into_the_closed_form_parts(lam):
+    # N1 N2 = -alpha - lam (u on the planes + v on the legs) + lam w e1234:
+    # the dots are its symmetric part and the crosses, which change sign
+    # with the order, its antisymmetric part
     rng = np.random.default_rng(83)
     for _ in range(200):
         p1 = make_pair_general(_unit(rng))
         p2 = make_pair_general(_unit(rng))
         n1 = Multivector(lam * pair_coefficients(p1), lam)
         n2 = Multivector(lam * pair_coefficients(p2), lam)
-        want = commutator(n1, n2)
-        got = torsion(p1, p2, lam)
-        assert got.lam == lam
-        assert_allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12)
-
-
-def test_torsion_rejects_a_bad_tag():
-    p = make_pair_planar((1.0, 0.0, 0.0))
-    for bad in (0, 1.5):
-        with pytest.raises(ValueError):
-            torsion(p, p, bad)
-
-
-def test_torsion_of_a_pair_with_itself_vanishes():
-    p = make_pair_general((0.0, 0.6, 0.8))
-    t = torsion(p, p, 1)
-    assert np.all(t.coeffs == 0.0)
-
-
-def test_torsion_is_scalar_free_and_tracks_sin():
-    pa = make_pair_planar((1.0, 0.0, 0.0))
-    pb = make_pair_planar((0.0, 1.0, 0.0))
-    for lam in (1, -1):
-        t = torsion(pa, pb, lam)
-        assert t.coeffs[0] == 0.0 and t.coeffs[7] == 0.0
-        # perpendicular planar settings: |[N1,N2]/2| = sin(90 deg) = 1
-        assert np.linalg.norm(t.coeffs) == pytest.approx(1.0, abs=1e-12)
+        alpha, u, v, w = _pair_product_parts(p1, p2)
+        want = -lam * place_legs(np.zeros(8), u, v)
+        want[SCALAR], want[E_VOL] = -alpha, lam * w
+        assert_allclose(mv_mul(n1, n2).coeffs, want, rtol=0.0, atol=1e-12)
+    # perpendicular planar settings: the half commutator has norm
+    # sin(90 deg) = 1, off the scalar and volume slots
+    n1, n2 = (Multivector(lam * pair_coefficients(make_pair_planar(d)), lam)
+              for d in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    half = 0.5 * (mv_mul(n1, n2).coeffs - mv_mul(n2, n1).coeffs)
+    assert half[SCALAR] == 0.0 and half[E_VOL] == 0.0
+    assert np.linalg.norm(half) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +216,6 @@ def test_chsh_bound_range_on_random_settings():
         assert 0.0 <= got <= 2.0 * ROOT2
 
 
-def test_chsh_value_reference_points():
-    """The subtracted slot must hold the mixed-prime pair (x, y').
-
-    With settings x=0, x'=90, y=45, y'=135 the three kept terms all sit at
-    45 degree separations and the subtracted one at 135, which is how the
-    combination reaches -2*sqrt(2).
-    """
-    assert chsh_value(-1.0, -1.0, -1.0, -1.0) == -2.0
-    e = lambda d: -math.cos(math.radians(d))
-    s = chsh_value(e(45 - 0), e(45 - 90), e(135 - 90), e(135 - 0))
-    assert s == pytest.approx(-2.0 * ROOT2, abs=1e-12)
-
-
 def test_matched_value_never_beats_the_bound_on_planar_grids():
     # combination with the minus on the (x, y') pair; the cross-product
     # bound majorises this pairing pointwise and touches it on a dense
@@ -259,7 +228,7 @@ def test_matched_value_never_beats_the_bound_on_planar_grids():
         for ap in range(0, 360, 30):
             for b in range(0, 360, 30):
                 for bp in range(0, 360, 30):
-                    s = chsh_value(e(b - a), e(b - ap), e(bp - ap), e(bp - a))
+                    s = e(b - a) + e(b - ap) + e(bp - ap) - e(bp - a)
                     bound = chsh_bound(vec(a), vec(ap), vec(b), vec(bp))
                     assert abs(s) <= bound + 1e-9
                     if abs(abs(s) - bound) < 1e-9:
@@ -271,7 +240,7 @@ def test_matched_value_never_beats_the_bound_off_plane():
     rng = np.random.default_rng(107)
     for _ in range(5000):
         x, xp, y, yp = (_unit(rng) for _ in range(4))
-        s = chsh_value(-x @ y, -xp @ y, -xp @ yp, -(x @ yp))
+        s = -x @ y - xp @ y - xp @ yp + x @ yp
         assert abs(s) <= chsh_bound(x, xp, y, yp) + 1e-9
 
 
@@ -291,8 +260,8 @@ def test_perturbation_sensitivity_grows_with_chain_length():
             moved = dirs[0] + delta * g.standard_normal(3)
             moved /= np.linalg.norm(moved)
             pert = [make_pair_general(moved)] + base[1:]
-            worst = max(worst, abs(nfold_scalar_part(pert, 1)
-                                   - nfold_scalar_part(base, 1)))
+            worst = max(worst, abs(nfold_scalar_part(pert)
+                                   - nfold_scalar_part(base)))
         return worst
 
     s2, s3, s4 = (max_sensitivity(n) for n in (2, 3, 4))

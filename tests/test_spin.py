@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from septenary.algebra import Multivector, is_on_s7, mv_mul, mv_norm
+from septenary.algebra import mv_mul, mv_norm, plane_leg, quadric_defect
 from septenary.errors import DegenerateInput
 from septenary.spin import (
+    _reflect,
     GHZ_SCALE,
     ROLE_SIGNS,
     SQRT_HALF,
@@ -19,7 +20,6 @@ from septenary.spin import (
     measure,
     pair_coefficients,
     recover_source_axis,
-    reflect_source_axis,
     spin_state,
 )
 
@@ -126,7 +126,8 @@ def test_detector_element_layout_and_sphere_membership():
     dx, dy, dz = p.n_d
     assert np.array_equal(c, [0.0, rz, ry, rx, dx, dy, dz, 0.0])
     assert det.element.lam == 1
-    assert is_on_s7(det.element)
+    assert mv_norm(det.element) == pytest.approx(1.0, abs=1e-12)
+    assert quadric_defect(det.element) == 0.0
     assert np.array_equal(pair_coefficients(p), c)
 
 
@@ -177,6 +178,11 @@ def test_measure_validates_inputs():
 
 # ---------------------------------------------------------------------------
 
+def _reflected_axis(b, s):
+    """Plane leg of the element recover_source_axis transports back."""
+    return plane_leg(_reflect(b, s)[1].coeffs)
+
+
 def test_reflection_formula():
     rng = np.random.default_rng(19)
     for _ in range(200):
@@ -184,16 +190,16 @@ def test_reflection_formula():
         b /= np.linalg.norm(b)
         s = rng.standard_normal(3)
         s /= np.linalg.norm(s)
-        got = reflect_source_axis(b, s)
+        got = _reflected_axis(b, s)
         want = 2.0 * float(b @ s) * b - s
         assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_reflection_special_cases():
     b = np.array([0.0, 0.0, 1.0])
-    assert_allclose(reflect_source_axis(b, b), b, rtol=0.0, atol=1e-15)
+    assert_allclose(_reflected_axis(b, b), b, rtol=0.0, atol=1e-15)
     s = np.array([1.0, 0.0, 0.0])
-    assert_allclose(reflect_source_axis(b, s), -s, rtol=0.0, atol=1e-15)
+    assert_allclose(_reflected_axis(b, s), -s, rtol=0.0, atol=1e-15)
 
 
 def test_source_axis_round_trip():
@@ -211,6 +217,6 @@ def test_source_axis_round_trip():
 
 def test_axis_helpers_reject_degenerate_vectors():
     with pytest.raises(DegenerateInput):
-        reflect_source_axis((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        recover_source_axis((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(DegenerateInput):
         recover_source_axis((1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
