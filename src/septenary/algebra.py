@@ -88,42 +88,17 @@ def _build_tensor(lam: int) -> np.ndarray:
 PRODUCT_TENSOR = {+1: _build_tensor(+1), -1: _build_tensor(-1)}
 
 
-def _build_pair_rows(lam: int):
-    """Entries for the scalar-free rows of the product, pair-grouped.
-
-    For each output slot rho >= 1 this lists (mu, nu, s_fwd, s_rev) with
-    mu < nu, where s_fwd is the sign of blade_mu * blade_nu and s_rev the
-    sign of blade_nu * blade_mu. The product sums the two cross terms of a
-    pair in one expression so that antisymmetric contributions of a product
-    X * X cancel bitwise instead of leaving rounding dust.
-    """
-    t = PRODUCT_TENSOR[lam]
-    rows: list[list[tuple[int, int, int, int]]] = [[] for _ in range(8)]
-    for rho in range(1, 8):
-        for mu in range(1, 8):
-            for nu in range(mu + 1, 8):
-                s_fwd = int(t[rho, mu, nu])
-                s_rev = int(t[rho, nu, mu])
-                if s_fwd or s_rev:
-                    rows[rho].append((mu, nu, s_fwd, s_rev))
-    return rows
-
-_PAIR_ROWS = {+1: _build_pair_rows(+1), -1: _build_pair_rows(-1)}
-
-
 class TermPlan(NamedTuple):
     """The terms of a product that survive a pattern of structural zeros.
 
-    A dense plan (no zero slot, every row) runs the written expression:
-    the straight-line scalar row, then for rho = 1..7 the pair list of
-    ``rows``. A pruned plan lists for each wanted row rho its surviving
-    groups (sign, i, j, inner, k, l) in the written term order. A group is
-    a[i] * b[j], plus or minus a[k] * b[l] as inner is +1 or -1 (0: no
-    second term), added to the row or subtracted from it as sign is +1 or
-    -1. A row with no surviving group comes back as None.
+    For each wanted row rho, ``rows`` lists its surviving groups (sign, i,
+    j, inner, k, l) in the written term order. A group is a[i] * b[j], plus
+    or minus a[k] * b[l] as inner is +1 or -1 (0: no second term), added to
+    the row or subtracted from it as sign is +1 or -1. Outside the scalar
+    row a group is the pair of cross terms of one blade pair {mu, nu}. A
+    row with no surviving group comes back as None.
     """
 
-    dense: bool
     rows: tuple
 
 
@@ -137,16 +112,17 @@ def term_plan(lam: int, zeros_a=(), zeros_b=(),
     so a caller fetches one per pattern and passes it to every product.
     """
     lam = _check_lam(lam)
-    if not (zeros_a or zeros_b or scalar_only):
-        return TermPlan(True, tuple(
-            (rho, tuple(_PAIR_ROWS[lam][rho])) for rho in range(1, 8)))
     t = PRODUCT_TENSOR[lam]
-    # the written groups of each row as ((s, mu, nu), ...) terms
+    # the written groups of each row as ((s, mu, nu), ...) terms: the
+    # scalar row term by term, every other row pair by pair, so that the
+    # antisymmetric cross terms of a product X * X cancel bitwise instead
+    # of leaving rounding dust
     written = [[((int(t[0, k, k]), k, k),) for k in range(8)]]
     for rho in range(1, 8):
         written.append([((1, 0, rho), (1, rho, 0))] + [
-            ((s_fwd, mu, nu), (s_rev, nu, mu))
-            for mu, nu, s_fwd, s_rev in _PAIR_ROWS[lam][rho]])
+            ((int(t[rho, mu, nu]), mu, nu), (int(t[rho, nu, mu]), nu, mu))
+            for mu in range(1, 8) for nu in range(mu + 1, 8)
+            if t[rho, mu, nu] or t[rho, nu, mu]])
     rows = []
     for rho in (SCALAR,) if scalar_only else range(8):
         groups = []
@@ -159,7 +135,7 @@ def term_plan(lam: int, zeros_a=(), zeros_b=(),
             (s2, k, l), = rest or ((0, 0, 0),)
             groups.append((s, i, j, s * s2, k, l))
         rows.append((rho, tuple(groups)))
-    return TermPlan(False, tuple(rows))
+    return TermPlan(tuple(rows))
 
 
 def zero_slots(x) -> tuple:
@@ -197,7 +173,8 @@ class Multivector:
         return self.lam == other.lam and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.lam, self.coeffs.tobytes()))
+        # + 0.0 makes -0.0 hash as 0.0, as __eq__ compares them
+        return hash((self.lam, (self.coeffs + 0.0).tobytes()))
 
     def __repr__(self):
         terms = []
@@ -239,23 +216,13 @@ def _product(a, b, plan: TermPlan, out) -> None:
     """Write the rows that plan lists of the product of a and b into out.
 
     a, b and out are indexed by slot; each entry is a float or an array, so
-    ``mv_mul`` and the engine's batched chains run this same kernel. Under a
-    dense plan the cross terms of every blade pair {mu, nu} are summed
-    together before being folded into the accumulator. Under a pruned plan
-    a slot the plan counts as structurally zero may hold None; only the
-    surviving terms are evaluated, so a result can differ from the dense
-    one in the sign of a zero and nowhere else.
+    ``mv_mul`` and the engine's batched chains run this same kernel. The
+    cross terms of every blade pair {mu, nu} are summed together before
+    being folded into the row. A slot the plan counts as structurally zero
+    may hold None; only the surviving terms are evaluated, so a pruned
+    result can differ from the full one in the sign of a zero and nowhere
+    else.
     """
-    if plan.dense:
-        # the scalar row carries no orientation sign
-        out[0] = (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-                  - a[4] * b[4] - a[5] * b[5] - a[6] * b[6] + a[7] * b[7])
-        for rho, pairs in plan.rows:
-            acc = a[0] * b[rho] + a[rho] * b[0]
-            for mu, nu, s_fwd, s_rev in pairs:
-                acc += s_fwd * a[mu] * b[nu] + s_rev * a[nu] * b[mu]
-            out[rho] = acc
-        return
     for rho, groups in plan.rows:
         acc = None
         for sign, i, j, inner, k, l in groups:
@@ -276,9 +243,10 @@ def _product(a, b, plan: TermPlan, out) -> None:
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     """Geometric product. Both operands must carry the same orientation tag.
 
-    Pair-grouped summation makes the antisymmetric contributions of a
-    product X * X cancel exactly in floating point, so squares of pair-built
-    elements come out with a bitwise-zero non-scalar part.
+    It runs ``_product`` under the full plan of the tag. Pair-grouped
+    summation makes the antisymmetric contributions of a product X * X
+    cancel exactly in floating point, so squares of pair-built elements
+    come out with a bitwise-zero non-scalar part.
     """
     if x.lam != y.lam:
         raise OrientationMismatch(

@@ -40,7 +40,7 @@ from .checks import DEFAULT_SAMPLES, DEFAULT_TOL, SUITE_NAMES, run_checks
 from .engine import TrialConfig, chsh_scan, stream_trials
 from .errors import SeptenaryError
 from .oracle import epr_expectation, ghz_expectation
-from .svgplot import minus_cos_deg, write_run_svg
+from .svgplot import write_run_svg
 
 _ENV_SEED = "SEPTENARY_SEED"
 
@@ -176,8 +176,6 @@ def _add_run_options(sub: argparse.ArgumentParser, parties: int) -> None:
                           "(default: print to stdout)")
     sub.add_argument("--plot", metavar="SVG",
                      help="write an SVG of binned means over the reference")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads; results do not depend on this")
 
 
 def _cmd_run(args) -> int:
@@ -191,7 +189,7 @@ def _cmd_run(args) -> int:
     cfg = TrialConfig(
         trials=args.trials, seed=seed, mode=mode,
         fixed_settings=fixed, bin_width_deg=args.bin_deg,
-        threads=args.threads, seed_source=source,
+        seed_source=source,
     )
     with _staged((args.out, args.plot, args.summary)) as (out, plot, path):
         # the CSV rows go out batch by batch as the run streams
@@ -199,7 +197,7 @@ def _cmd_run(args) -> int:
               else contextlib.nullcontext()) as csv_file:
             summary = stream_trials(cfg, csv_file)
         if plot:
-            write_run_svg(plot, summary, minus_cos_deg)
+            write_run_svg(plot, summary)
         text = _json_text(summary.to_dict())
         if path:
             _write_text(path, text)

@@ -5,10 +5,10 @@ Randomness
 All draws come from numpy's PCG64 bit generator. Trials are processed in
 fixed-size batches; batch ``i`` of a run seeded with ``s`` uses the stream
 ``PCG64(SeedSequence(s, spawn_key=(i,)))``, so results depend only on the
-seed, the batch size and the trial count, never on how many workers chewed
-through the batches. Every draw is a uniform from ``Generator.random``: the
-fair coin is ``+1 if u > 0.5 else -1``, and a random setting is the
-requested azimuth ``360 u`` degrees, one uniform per party and trial.
+seed, the batch size and the trial count. Every draw is a uniform from
+``Generator.random``: the fair coin is ``+1 if u > 0.5 else -1``, and a
+random setting is the requested azimuth ``360 u`` degrees, one uniform per
+party and trial.
 
 Within one batch of n trials the draw order is: n uniforms for the coin,
 then ``gen.random((parties, n))``, whose row j holds party j's uniforms.
@@ -42,27 +42,23 @@ adding 0.0, which makes every exact zero +0.0.
 
 Runs
 ----
-``_batches`` is the one batch generator: it yields a run's batches in
-order. With ``threads > 1`` a pool computes them, but at most
-``2 * threads`` batches are in flight (submitted and not yet taken), so
-memory stays bounded however many trials the run has. Two consumers share
-it. ``stream_trials`` feeds each batch to the summary tally (``_Tally``)
-and, given a file, appends the batch's CSV rows as the batch arrives; it
-keeps no trial column. ``run_trials`` collects every batch into
-preallocated columns for the API and the tests, and summarises them with
-the same tally. The tally adds each correlation into its bin with
-``np.add.at`` in trial order, which gives the same bits as one ``bincount``
-over the whole run, and takes the outcome means from the exact integer sum
-of the coins.
+``_batches`` is the one batch generator: it computes a run's batches one
+at a time, in order, on the calling thread, so memory stays bounded however
+many trials the run has. Three consumers share it. ``stream_trials`` feeds
+each batch to the summary tally (``_Tally``) and, given a file, appends the
+batch's CSV rows as the batch arrives; it keeps no trial column.
+``run_trials`` collects every batch into preallocated columns for the API
+and the tests, and summarises them with the same tally. The simulated
+four-term scan adds up each grid point's batch sums as they come. The
+tally adds each correlation into its bin with ``np.add.at`` in trial
+order, which gives the same bits as one ``bincount`` over the whole run,
+and takes the outcome means from the exact integer sum of the coins.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -113,13 +109,12 @@ class TrialConfig:
     fixed_settings: tuple = ()
     bin_width_deg: float = 5.0
     batch_size: int = BATCH_SIZE
-    threads: int = 1
     seed_source: str = "flag"
 
     def __post_init__(self):
         if self.mode not in _PARTIES:
             raise ConfigError("mode must be 'epr' or 'ghz'")
-        for name in ("trials", "seed", "batch_size", "threads"):
+        for name in ("trials", "seed", "batch_size"):
             value = getattr(self, name)
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral)):
@@ -146,8 +141,6 @@ class TrialConfig:
             raise ConfigError("bin width must be in [0.01, 360] degrees")
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -392,28 +385,9 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
 
 
 def _batches(cfg: TrialConfig) -> Iterator[_Batch]:
-    """Every batch of the run, in order.
-
-    With threads > 1 a pool computes them, with at most 2 * threads batches
-    submitted and not yet taken, so memory does not grow with the run.
-    Batches still queued when the consumer stops are cancelled.
-    """
+    """Every batch of the run, computed one at a time in order."""
     nbatches = (cfg.trials + cfg.batch_size - 1) // cfg.batch_size
-    if cfg.threads == 1 or nbatches == 1:
-        for i in range(nbatches):
-            yield _run_batch(cfg, i)
-        return
-    pool = ThreadPoolExecutor(max_workers=cfg.threads)
-    window = deque()
-    try:
-        for i in range(nbatches):
-            window.append(pool.submit(_run_batch, cfg, i))
-            if len(window) == 2 * cfg.threads:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return (_run_batch(cfg, i) for i in range(nbatches))
 
 
 def _csv_header(mode: str) -> str:
@@ -452,12 +426,10 @@ def stream_trials(cfg: TrialConfig,
     tally = _Tally(cfg)
     if csv_file is not None:
         csv_file.write(_csv_header(cfg.mode))
-    # closed at once if a write fails, so queued batches are cancelled
-    with contextlib.closing(_batches(cfg)) as batches:
-        for batch in batches:
-            tally.add(batch.lam, batch.phis, batch.corr)
-            if csv_file is not None:
-                csv_file.write(_csv_rows(cfg.mode, batch))
+    for batch in _batches(cfg):
+        tally.add(batch.lam, batch.phis, batch.corr)
+        if csv_file is not None:
+            csv_file.write(_csv_rows(cfg.mode, batch))
     return tally.summary()
 
 
@@ -484,7 +456,11 @@ def run_trials(cfg: TrialConfig) -> TrialRun:
 
 def _pair_expectation_simulated(deltas_deg: np.ndarray, seed: int,
                                 trials_per_setting: int) -> np.ndarray:
-    """Simulated E(delta) on a grid of separations, one mini-run each."""
+    """Simulated E(delta) on a grid of separations, one mini-run each.
+
+    Each run streams: its mean is the in-order sum of its batch sums over
+    the trial count, which for a single batch is bitwise ``corr.mean()``.
+    """
     out = np.empty(len(deltas_deg))
     for i, d in enumerate(deltas_deg):
         cfg = TrialConfig(
@@ -492,7 +468,7 @@ def _pair_expectation_simulated(deltas_deg: np.ndarray, seed: int,
             fixed_settings=((0.0, float(d)),),
             bin_width_deg=360.0,
         )
-        out[i] = float(run_trials(cfg).corr.mean())
+        out[i] = sum(b.corr.sum() for b in _batches(cfg)) / cfg.trials
     return out
 
 
@@ -520,6 +496,8 @@ def chsh_scan(grid_deg: float = 5.0, source: str = "analytic",
         raise ConfigError("grid step must be in [0.1, 90] degrees")
     if source not in ("analytic", "simulated"):
         raise ConfigError("source must be 'analytic' or 'simulated'")
+    # checked for either source, as a run checks them
+    TrialConfig(trials=trials_per_setting, seed=seed)
     grid = np.arange(0.0, 360.0, float(grid_deg))
     ng = len(grid)
     if abs(ng * grid_deg - 360.0) > 1e-9:

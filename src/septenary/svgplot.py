@@ -1,21 +1,22 @@
 """Tiny dependency-free SVG scatter for binned correlations.
 
-Writes a fixed-size plot: the reference curve as a polyline and the binned
-means as circles. Good enough to eyeball a run; anything fancier belongs in
-a real plotting package.
+Writes a fixed-size plot over angles 0..360 degrees: the reference curve
+-cos as a polyline and the binned means as circles. Good enough to eyeball
+a run; anything fancier belongs in a real plotting package.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 48
+ANGLE_MAX = 360.0           # the angle axis runs from 0 to here, in degrees
 
 
-def _x(angle: float, lo: float, hi: float) -> float:
-    return MARGIN + (angle - lo) / (hi - lo) * (WIDTH - 2 * MARGIN)
+def _x(angle: float) -> float:
+    return MARGIN + angle / ANGLE_MAX * (WIDTH - 2 * MARGIN)
 
 
 def _y(value: float) -> float:
@@ -23,13 +24,7 @@ def _y(value: float) -> float:
     return MARGIN + (1.1 - value) / 2.2 * (HEIGHT - 2 * MARGIN)
 
 
-def render_correlation_svg(
-    bins: Sequence,
-    reference: Callable[[float], float],
-    title: str,
-    angle_range: tuple = (0.0, 360.0),
-) -> str:
-    lo, hi = angle_range
+def render_correlation_svg(bins: Sequence, title: str) -> str:
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
         % (WIDTH, HEIGHT),
@@ -50,41 +45,41 @@ def render_correlation_svg(
         parts.append(
             '<text x="6" y="%.1f" font-family="monospace" font-size="11">'
             '%+.0f</text>' % (y + 4, v))
-    step = (hi - lo) / 4.0
+    step = ANGLE_MAX / 4.0
     for i in range(5):
-        a = lo + i * step
+        a = i * step
         parts.append(
             '<text x="%.1f" y="%d" font-family="monospace" font-size="11">'
-            '%.0f</text>' % (_x(a, lo, hi) - 10, HEIGHT - MARGIN + 16, a))
+            '%.0f</text>' % (_x(a) - 10, HEIGHT - MARGIN + 16, a))
 
     # reference curve
     pts = []
     n = 240
     for i in range(n + 1):
-        a = lo + (hi - lo) * i / n
-        pts.append("%.2f,%.2f" % (_x(a, lo, hi), _y(reference(a))))
+        a = ANGLE_MAX * i / n
+        pts.append("%.2f,%.2f" % (_x(a), _y(minus_cos_deg(a))))
     parts.append('<polyline points="%s" fill="none" stroke="#1f77b4"/>'
                  % " ".join(pts))
 
     # binned means: connected line plus markers
     if bins:
         mean_pts = " ".join(
-            "%.2f,%.2f" % (_x(b.angle_deg, lo, hi), _y(b.mean_corr))
+            "%.2f,%.2f" % (_x(b.angle_deg), _y(b.mean_corr))
             for b in bins)
         parts.append('<polyline points="%s" fill="none" stroke="#d62728"/>'
                      % mean_pts)
     for b in bins:
         parts.append(
             '<circle cx="%.2f" cy="%.2f" r="3" fill="#d62728"/>'
-            % (_x(b.angle_deg, lo, hi), _y(b.mean_corr)))
+            % (_x(b.angle_deg), _y(b.mean_corr)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_run_svg(path, summary, reference_deg: Callable[[float], float]) -> None:
+def write_run_svg(path, summary) -> None:
     title = "%s run, %d trials, seed %d" % (
         summary.mode, summary.trials, summary.seed)
-    svg = render_correlation_svg(summary.bins, reference_deg, title)
+    svg = render_correlation_svg(summary.bins, title)
     with open(path, "w") as fh:
         fh.write(svg)
 

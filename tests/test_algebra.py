@@ -10,6 +10,7 @@ from septenary.algebra import (
     BLADE_NAMES,
     E_VOL,
     E_Z,
+    PRODUCT_TENSOR,
     SCALAR,
     Multivector,
     _product,
@@ -249,13 +250,20 @@ def test_equality_and_hash_follow_the_tag_and_the_coefficients():
     assert hash(x) == hash(Multivector(np.eye(8)[2], 1))
     assert x != Multivector(np.eye(8)[2], -1)
     assert x != Multivector(2.0 * np.eye(8)[2], 1)
+    # a zero of either sign is equal, so it hashes the same
+    zero, minus_zero = Multivector([0.0] * 8), Multivector([-0.0] + [0.0] * 7)
+    assert zero == minus_zero
+    assert hash(zero) == hash(minus_zero)
+    assert len({zero, minus_zero}) == 1
 
 
 # ---------------------------------------------------------------------------
 # pruned products and exact cancellation
 
-def test_pruned_products_equal_the_dense_product_with_zero_slots():
-    # small integers make rows cancel to exact zeros of either sign
+def test_products_equal_the_exact_tensor_contraction():
+    # on small integers every product and sum is exact, so the kernel must
+    # give the contraction with the product tensor bit for bit, up to the
+    # sign of a zero; rows cancel to exact zeros of either sign
     rng = np.random.default_rng(7)
     for _ in range(400):
         lam = int(rng.choice([1, -1]))
@@ -264,8 +272,10 @@ def test_pruned_products_equal_the_dense_product_with_zero_slots():
         xs, ys = rng.integers(-2, 3, size=(2, 8, 16)).astype(np.float64)
         xs[list(za)] = 0.0
         ys[list(zb)] = 0.0
-        dense = np.empty((8, 16))
-        _product(xs, ys, term_plan(lam), dense)
+        want = np.einsum("rmn,mk,nk->rk", PRODUCT_TENSOR[lam], xs, ys)
+        full = np.empty((8, 16))
+        _product(xs, ys, term_plan(lam), full)
+        assert np.array_equal(full, want)
         a = [None if i in za else xs[i] for i in range(8)]
         b = [None if i in zb else ys[i] for i in range(8)]
         for scalar_only in (False, True):
@@ -275,9 +285,9 @@ def test_pruned_products_equal_the_dense_product_with_zero_slots():
                 if scalar_only and rho != SCALAR:
                     assert out[rho] == "unwritten"
                 elif out[rho] is None:
-                    assert np.all(dense[rho] == 0.0)
+                    assert np.all(want[rho] == 0.0)
                 else:
-                    assert np.array_equal(out[rho], dense[rho])
+                    assert np.array_equal(out[rho], want[rho])
 
 
 def test_planar_factors_alternate_between_two_slot_sets():

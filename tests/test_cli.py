@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -104,17 +103,6 @@ def test_repeat_invocations_are_byte_identical(tmp_path, capsys):
         paths.append((c, j))
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
-
-
-def test_thread_flag_keeps_bytes_identical(tmp_path, capsys):
-    outs = []
-    for tag, threads in (("a", "1"), ("b", "3")):
-        c = tmp_path / ("%s.csv" % tag)
-        code, _ = run_cli(capsys, "ghz", "--trials", "20000", "--seed", "4",
-                          "--threads", threads, "--out", str(c))
-        assert code == 0
-        outs.append(c.read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_plot_does_not_alter_the_summary(tmp_path, capsys):
@@ -240,6 +228,15 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("mode", ["epr", "ghz"])
+def test_thread_flag_is_a_usage_error(capsys, mode):
+    # runs compute their batches in order on one thread; there is no pool
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--trials", "10", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_random_and_fixed_angles_conflict(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["epr", "--random", "--fixed-angles", "0,0"])
@@ -341,14 +338,12 @@ def test_failed_run_leaves_existing_outputs_alone(tmp_path, capsys,
     assert csv_path.read_text() == "old csv"
 
 
-@pytest.mark.parametrize("target,threads", [
-    ("_csv_rows", "1"),     # writing the third batch's rows fails
-    ("_csv_rows", "2"),
-    ("_run_batch", "1"),    # computing the third batch fails
+@pytest.mark.parametrize("target", [
+    "_csv_rows",        # writing the third batch's rows fails
+    "_run_batch",       # computing the third batch fails
 ])
 def test_mid_stream_failure_leaves_no_partial_output(tmp_path, capsys,
-                                                     monkeypatch, target,
-                                                     threads):
+                                                     monkeypatch, target):
     real = getattr(engine, target)
     calls, written = [], []
 
@@ -363,13 +358,10 @@ def test_mid_stream_failure_leaves_no_partial_output(tmp_path, capsys,
     monkeypatch.setattr(engine, target, failing)
     csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
     csv_path.write_text("old csv")
-    alive = threading.active_count()
-    code = main(["epr", "--trials", "30000", "--threads", threads,
+    code = main(["epr", "--trials", "30000",
                  "--out", str(csv_path), "--summary", str(json_path)])
     captured = capsys.readouterr()
     assert code == 3
-    # no worker thread outlives the failed run
-    assert threading.active_count() == alive
     assert "disk full" in captured.err
     assert captured.out == ""
     # two batches of rows had reached the temp when the failure came
@@ -392,19 +384,26 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="ru_maxrss is in KiB on Linux")
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_large_run_memory_does_not_grow_with_trials(tmp_path, threads):
+@pytest.mark.parametrize("argv,key,value", [
     # collected, the columns of 2e6 four-party trials alone take 104 MB
+    pytest.param(("ghz", "--trials", "2000000", "--summary"),
+                 "trials", 2000000, id="ghz"),
+    # and those of one 4e6-trial grid point 128 MB
+    pytest.param(("chsh", "--source", "simulated", "--grid-deg", "90",
+                  "--trials-per-setting", "4000000", "--json"),
+                 "source", "simulated", id="chsh-simulated"),
+])
+def test_large_run_memory_does_not_grow_with_trials(tmp_path, argv, key,
+                                                    value):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
     env.pop("SEPTENARY_SEED", None)
     out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, "ghz", "--trials", "2000000",
-         "--threads", threads, "--summary", str(tmp_path / "run.json")],
+        [sys.executable, "-c", _PEAK_RSS, *argv, str(tmp_path / "run.json")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     code, maxrss_kib = map(int, out.stdout.split())
     assert code == 0
-    assert json.loads((tmp_path / "run.json").read_text())["trials"] == 2000000
+    assert json.loads((tmp_path / "run.json").read_text())[key] == value
     assert maxrss_kib < 96 * 1024
 
 
@@ -593,6 +592,24 @@ def test_chsh_bad_grid(capsys):
         assert code == 4
         assert "grid step must be in [0.1, 90] degrees" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["analytic", "simulated"])
+@pytest.mark.parametrize("flags,message", [
+    (("--seed", "-1"), "seed must fit in 64 bits"),
+    (("--seed", str(2 ** 64)), "seed must fit in 64 bits"),
+    (("--trials-per-setting", "0"), "trials must be a positive integer"),
+    (("--trials-per-setting", "-3"), "trials must be a positive integer"),
+])
+def test_chsh_bad_seed_or_trials(capsys, monkeypatch, source, flags,
+                                message):
+    # either source refuses them before scanning, as a run would
+    monkeypatch.delenv("SEPTENARY_SEED", raising=False)
+    code = main(["chsh", "--grid-deg", "90", "--source", source, *flags])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_chsh_grid_must_divide_360(capsys):

@@ -87,16 +87,6 @@ def test_repeat_runs_are_identical(tmp_path):
                           _csv_outcomes(cfg, tmp_path / "2.csv"))
 
 
-def test_thread_count_does_not_change_results():
-    base = TrialConfig(trials=3000, seed=8, mode="ghz", batch_size=256)
-    threaded = TrialConfig(trials=3000, seed=8, mode="ghz", batch_size=256,
-                           threads=4)
-    r1, r2 = run_trials(base), run_trials(threaded)
-    assert np.array_equal(r1.lam, r2.lam)
-    assert np.array_equal(r1.phis_deg, r2.phis_deg)
-    assert np.array_equal(r1.corr, r2.corr)
-
-
 @pytest.mark.parametrize("trials", [5, 8193])
 def test_partial_batches_are_handled(trials):
     run = run_trials(TrialConfig(trials=trials, seed=3, mode="epr"))
@@ -457,7 +447,6 @@ def test_summary_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("batch_size", [64, 8192])
-@pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("argv", [
     ("epr",),
     ("ghz",),
@@ -465,21 +454,19 @@ def test_summary_json_round_trip(tmp_path):
 ])
 def test_streamed_outputs_equal_the_collected_run(tmp_path, capsys,
                                                   monkeypatch, batch_size,
-                                                  threads, argv):
+                                                  argv):
     # 10000 trials: the last batch is partial at both batch sizes
     monkeypatch.delenv("SEPTENARY_SEED", raising=False)
     monkeypatch.setattr(cli, "TrialConfig",
                         functools.partial(TrialConfig, batch_size=batch_size))
     csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
     code = cli.main([*argv, "--trials", "10000", "--seed", "53",
-                     "--threads", threads, "--out", str(csv_path),
-                     "--summary", str(json_path)])
+                     "--out", str(csv_path), "--summary", str(json_path)])
     capsys.readouterr()
     assert code == 0
     fixed = tuple(tuple(map(float, a.split(","))) for a in argv[2::2])
     run = run_trials(TrialConfig(
         trials=10000, seed=53, mode=argv[0], batch_size=batch_size,
-        threads=int(threads),
         fixed_settings=fixed))
     assert csv_path.read_bytes() == _csv_writer_reference(run)
     assert json_path.read_text() == cli._json_text(run.summary.to_dict())
@@ -501,15 +488,14 @@ def _setting_lists(parties):
     width=st.one_of(st.floats(0.0, 400.0),
                     st.sampled_from([0.01, 360.0, math.nan, math.inf])),
     batch_size=st.integers(1, 256),
-    threads=st.integers(1, 3),
     data=st.data(),
 )
 def test_configs_are_refused_or_stream_like_they_collect(
-        mode, trials, width, batch_size, threads, data):
+        mode, trials, width, batch_size, data):
     parties = 2 if mode == "epr" else 4
     fixed = data.draw(st.none() | _setting_lists(parties), label="fixed")
     kwargs = dict(trials=trials, seed=61, mode=mode, bin_width_deg=width,
-                  batch_size=batch_size, threads=threads)
+                  batch_size=batch_size)
     if fixed is not None:
         kwargs.update(fixed_settings=fixed)
     valid = (trials >= 1 and 0.01 <= width <= 360.0
@@ -560,15 +546,12 @@ def test_configs_are_refused_or_stream_like_they_collect(
     {"trials": 10, "seed": 0, "bin_width_deg": float("nan")},
     {"trials": 10, "seed": 0, "bin_width_deg": 400.0},
     {"trials": 10, "seed": 0, "batch_size": 0},
-    {"trials": 10, "seed": 0, "threads": 0},
     {"trials": 10, "seed": 1.5},
     {"trials": 10, "seed": "3"},
     {"trials": 10, "seed": True},
     {"trials": True, "seed": 0},
     {"trials": 10.0, "seed": 0},
     {"trials": 10, "seed": 0, "batch_size": 2.5},
-    {"trials": 10, "seed": 0, "threads": 1.5},
-    {"trials": 10, "seed": 0, "threads": True},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
@@ -594,12 +577,11 @@ def test_finest_bin_width_is_accepted():
 
 def test_numpy_integer_fields_are_accepted():
     cfg = TrialConfig(trials=np.int64(100), seed=np.uint64(5), mode="ghz",
-                      batch_size=np.int32(16), threads=np.int8(2))
-    want = TrialConfig(trials=100, seed=5, mode="ghz", batch_size=16,
-                       threads=2)
+                      batch_size=np.int32(16))
+    want = TrialConfig(trials=100, seed=5, mode="ghz", batch_size=16)
     assert cfg == want
     assert all(type(getattr(cfg, f)) is int
-               for f in ("trials", "seed", "batch_size", "threads"))
+               for f in ("trials", "seed", "batch_size"))
     assert (json.dumps(stream_trials(cfg).to_dict())
             == json.dumps(stream_trials(want).to_dict()))
 
@@ -717,6 +699,22 @@ def test_scan_matches_the_full_loop(step):
 def test_simulated_scan_matches_the_full_loop(step, seed):
     assert (chsh_scan(step, "simulated", seed, 16)
             == _loop_scan(step, "simulated", seed, 16))
+
+
+@pytest.mark.parametrize("trials", [64, 8192, 20000])
+def test_simulated_expectation_is_the_mean_of_the_collected_run(trials):
+    # each grid point streams its batches: within one batch the result is
+    # the column mean bit for bit; beyond it the batch sums are added in
+    # order, so only the last bits may move
+    deltas = np.array([0.0, 45.0, 135.0])
+    got = engine._pair_expectation_simulated(deltas, 3, trials)
+    want = [run_trials(TrialConfig(
+        trials=trials, seed=3, mode="epr", fixed_settings=((0.0, d),),
+        bin_width_deg=360.0)).corr.mean() for d in deltas]
+    if trials <= engine.BATCH_SIZE:
+        assert np.array_equal(got, want)
+    else:
+        assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 _TIE_STEPS = (20.0, 24.0, 30.0, 36.0, 40.0, 45.0, 60.0, 72.0, 90.0)
