@@ -13,7 +13,7 @@ The package splits into focused layers:
 ``oracle``
     Closed-form expectations the simulations are judged against.
 ``engine``
-    Batched, seeded event-by-event runs, streamed or collected, plus the
+    Batched, seeded event-by-event runs, streamed batch by batch, plus the
     four-term scan.
 ``checks``
     The self-test suites behind ``septenary check``.
@@ -31,10 +31,8 @@ from .algebra import (
 from .conformal import R4Point, stereo_phi, stereo_psi
 from .engine import (
     TrialConfig,
-    TrialRun,
     chsh_scan,
     paired_product,
-    run_trials,
     stream_trials,
 )
 from .errors import (
@@ -83,7 +81,6 @@ __all__ = [
     "SeptenaryError",
     "SpinState",
     "TrialConfig",
-    "TrialRun",
     "basis_product",
     "chsh_bound",
     "chsh_scan",
@@ -103,7 +100,6 @@ __all__ = [
     "pair_coefficients",
     "quadric_defect",
     "recover_source_axis",
-    "run_trials",
     "scalar_part",
     "spin_state",
     "stereo_phi",

@@ -186,11 +186,8 @@ def _cmd_run(args) -> int:
     parties = 2 if mode == "epr" else 4
     fixed = tuple(_parse_setting(s, parties) for s in args.fixed_angles) \
         if args.fixed_angles else ()
-    cfg = TrialConfig(
-        trials=args.trials, seed=seed, mode=mode,
-        fixed_settings=fixed, bin_width_deg=args.bin_deg,
-        seed_source=source,
-    )
+    cfg = TrialConfig(trials=args.trials, seed=seed, mode=mode,
+                      fixed_settings=fixed, bin_width_deg=args.bin_deg)
     with _staged((args.out, args.plot, args.summary)) as (out, plot, path):
         # the CSV rows go out batch by batch as the run streams
         with (open(out, "w", newline="") if out
@@ -198,7 +195,9 @@ def _cmd_run(args) -> int:
             summary = stream_trials(cfg, csv_file)
         if plot:
             write_run_svg(plot, summary)
-        text = _json_text(summary.to_dict())
+        report = summary.to_dict()
+        report["seed_source"] = source
+        text = _json_text(report)
         if path:
             _write_text(path, text)
     if not args.summary:

@@ -44,13 +44,11 @@ Runs
 ----
 ``_batches`` is the one batch generator: it computes a run's batches one
 at a time, in order, on the calling thread, so memory stays bounded however
-many trials the run has. Three consumers share it. ``stream_trials`` feeds
+many trials the run has. Two consumers share it. ``stream_trials`` feeds
 each batch to the summary tally (``_Tally``) and, given a file, appends the
-batch's CSV rows as the batch arrives; it keeps no trial column.
-``run_trials`` collects every batch into preallocated columns for the API
-and the tests, and summarises them with the same tally. The simulated
-four-term scan adds up each grid point's batch sums as they come. The
-tally adds each correlation into its bin with ``np.add.at`` in trial
+batch's CSV rows as the batch arrives; it keeps no trial column. The
+simulated four-term scan adds up each grid point's batch sums as they come.
+The tally adds each correlation into its bin with ``np.add.at`` in trial
 order, which gives the same bits as one ``bincount`` over the whole run,
 and takes the outcome means from the exact integer sum of the coins.
 """
@@ -59,7 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -95,6 +93,16 @@ def _flip_batch(gen: Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # configuration and results
 
+_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number"}
+
+
+def _check_kind(value, kind: type, what: str) -> None:
+    """Refuse a bool, or any value that is not an instance of ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(
+            "%s must be %s, got %r" % (what, _KIND_NAMES[kind], value))
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Validated description of one run.
@@ -109,17 +117,13 @@ class TrialConfig:
     fixed_settings: tuple = ()
     bin_width_deg: float = 5.0
     batch_size: int = BATCH_SIZE
-    seed_source: str = "flag"
 
     def __post_init__(self):
         if self.mode not in _PARTIES:
             raise ConfigError("mode must be 'epr' or 'ghz'")
         for name in ("trials", "seed", "batch_size"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ConfigError(
-                    "%s must be an integer, got %r" % (name, value))
+            _check_kind(value, numbers.Integral, name)
             # numpy integers are stored as int, so summaries stay JSON
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
@@ -132,10 +136,13 @@ class TrialConfig:
                 raise ConfigError(
                     "each fixed setting needs %d angles, got %r" % (want, tup)
                 )
+            for v in tup:
+                _check_kind(v, numbers.Real, "fixed setting angle")
             if not all(math.isfinite(float(v)) for v in tup):
                 raise ConfigError(
                     "fixed setting angles must be finite, got %r" % (tup,)
                 )
+        _check_kind(self.bin_width_deg, numbers.Real, "bin width")
         # the summary holds ceil(360 / width) bins; 0.01 caps it at 36000
         if not (0.01 <= float(self.bin_width_deg) <= 360.0):
             raise ConfigError("bin width must be in [0.01, 360] degrees")
@@ -158,7 +165,6 @@ class CorrelationSummary:
     bins: tuple
     ave_outcomes: dict
     mode: str
-    seed_source: str
 
     def to_dict(self) -> dict:
         return {
@@ -172,25 +178,7 @@ class CorrelationSummary:
             ],
             "ave_outcomes": dict(self.ave_outcomes),
             "mode": self.mode,
-            "seed_source": self.seed_source,
         }
-
-
-@dataclass
-class TrialRun:
-    """Columnar result of a run plus its binned summary."""
-
-    config: TrialConfig
-    lam: np.ndarray
-    phis_deg: np.ndarray      # (n, parties)
-    corr: np.ndarray
-    summary: CorrelationSummary = field(init=False)
-
-    def __post_init__(self):
-        self.summary = _summarize(self)
-
-    def angle_keys_deg(self) -> np.ndarray:
-        return _angle_keys(self.config.mode, self.phis_deg)
 
 
 def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
@@ -255,14 +243,7 @@ class _Tally:
         return CorrelationSummary(
             trials=cfg.trials, seed=cfg.seed, bin_width_deg=self.width,
             bins=bins, ave_outcomes=aves, mode=cfg.mode,
-            seed_source=cfg.seed_source,
         )
-
-
-def _summarize(run: TrialRun) -> CorrelationSummary:
-    tally = _Tally(run.config)
-    tally.add(run.lam, run.phis_deg, run.corr)
-    return tally.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +402,7 @@ def stream_trials(cfg: TrialConfig,
     When ``csv_file`` is an open text file (opened with ``newline=""``),
     the header and then each batch's rows are written to it as the batch
     arrives. No trial column is kept, so memory does not grow with the
-    trial count. The summary and the CSV bytes are those of ``run_trials``.
+    trial count.
     """
     tally = _Tally(cfg)
     if csv_file is not None:
@@ -431,24 +412,6 @@ def stream_trials(cfg: TrialConfig,
         if csv_file is not None:
             csv_file.write(_csv_rows(cfg.mode, batch))
     return tally.summary()
-
-
-def run_trials(cfg: TrialConfig) -> TrialRun:
-    """Execute a full run and keep every trial in columns.
-
-    The batches are written into preallocated columns in order; the
-    summary is the tally of ``stream_trials`` fed with those columns.
-    """
-    n, parties = cfg.trials, len(_PARTIES[cfg.mode])
-    lam = np.empty(n, dtype=np.int64)
-    phis = np.empty((n, parties))
-    corr = np.empty(n)
-    for batch in _batches(cfg):
-        rows = slice(batch.start, batch.start + len(batch.corr))
-        lam[rows] = batch.lam
-        phis[rows] = batch.phis
-        corr[rows] = batch.corr
-    return TrialRun(config=cfg, lam=lam, phis_deg=phis, corr=corr)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def measure(det: Detector, lam: int, side: str) -> int:
         raise DegenerateInput(
             "outcome extraction needs a unit-norm detector element"
         )
-    n = Multivector(lam * d.coeffs, lam)
+    n = spin_state(det, lam).element
     if side == "first":
         value = scalar_part(mv_mul(-d, n))
         expected = lam

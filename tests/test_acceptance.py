@@ -14,7 +14,8 @@ import pytest
 
 from septenary.algebra import Multivector, basis_product, mv_mul
 from septenary.conformal import stereo_phi, stereo_psi
-from septenary.engine import TrialConfig, chsh_scan, run_trials
+from septenary import engine
+from septenary.engine import TrialConfig, chsh_scan, stream_trials
 from septenary.oracle import chsh_bound, ghz_direction_expectation, ghz_role_scalar_part
 from septenary.spin import (
     detector,
@@ -113,38 +114,41 @@ def test_criterion_03_norm_composition_on_the_quadric():
 def test_criterion_04_epr_run_reproduces_the_negative_cosine():
     start = time.perf_counter()
     m = 200000
-    run = run_trials(TrialConfig(trials=m, seed=7, mode="epr"))
-    keys = run.angle_keys_deg()
-    oracle = -np.cos(np.radians(keys))
-    assert np.abs(run.corr - oracle).max() <= 1e-9
-
-    width = run.config.bin_width_deg
+    cfg = TrialConfig(trials=m, seed=7, mode="epr")
+    width = cfg.bin_width_deg
     nbins = int(math.ceil(360.0 / width))
-    idx = np.minimum((keys / width).astype(np.int64), nbins - 1)
-    counts = np.bincount(idx, minlength=nbins)
-    sim = np.bincount(idx, weights=run.corr, minlength=nbins)
-    want = np.bincount(idx, weights=oracle, minlength=nbins)
+    counts, sim, want = (np.zeros(nbins) for _ in range(3))
+    for batch in engine._batches(cfg):
+        keys = engine._angle_keys(cfg.mode, batch.phis)
+        oracle = -np.cos(np.radians(keys))
+        assert np.abs(batch.corr - oracle).max() <= 1e-9
+        idx = np.minimum((keys / width).astype(np.int64), nbins - 1)
+        counts += np.bincount(idx, minlength=nbins)
+        sim += np.bincount(idx, weights=batch.corr, minlength=nbins)
+        want += np.bincount(idx, weights=oracle, minlength=nbins)
     mask = counts > 0
     assert np.abs(sim[mask] / counts[mask]
                   - want[mask] / counts[mask]).max() <= 1e-9
 
+    summary = stream_trials(cfg)
     bound = 5.0 / math.sqrt(m)
-    assert abs(run.summary.ave_outcomes["A"]) <= bound
-    assert abs(run.summary.ave_outcomes["B"]) <= bound
+    assert abs(summary.ave_outcomes["A"]) <= bound
+    assert abs(summary.ave_outcomes["B"]) <= bound
     assert time.perf_counter() - start <= 10.0
 
 
 def test_criterion_05_ghz_run_reproduces_the_negative_cosine():
     start = time.perf_counter()
-    run = run_trials(TrialConfig(trials=200000, seed=7, mode="ghz"))
-    for b in run.summary.bins:
+    cfg = TrialConfig(trials=200000, seed=7, mode="ghz")
+    for b in stream_trials(cfg).bins:
         assert abs(b.mean_corr + math.cos(math.radians(b.angle_deg))) <= 0.01
-    assert (run.corr > 0.0).any() and (run.corr < 0.0).any()
+    corr = np.concatenate([b.corr for b in engine._batches(cfg)])
+    assert (corr > 0.0).any() and (corr < 0.0).any()
 
     products = []
     for angles, want in (((0.0, 0.0, 0.0, 0.0), -1.0),
                          ((180.0, 0.0, 0.0, 0.0), 1.0)):
-        fixed = run_trials(TrialConfig(
+        (fixed,) = engine._batches(TrialConfig(
             trials=4096, seed=7, mode="ghz", fixed_settings=(angles,)))
         assert np.abs(fixed.corr - want).max() <= 1e-9
         products.append(float(np.sign(fixed.corr.mean())))

@@ -20,7 +20,6 @@ from septenary.engine import (
     batch_stream,
     chsh_scan,
     paired_product,
-    run_trials,
     stream_trials,
 )
 from septenary.errors import ConfigError, EmptyInput
@@ -59,17 +58,19 @@ def test_batch_streams_are_distinct_and_stable():
 
 
 def test_setting_azimuths_are_uniform():
-    run = run_trials(TrialConfig(trials=100000, seed=123, mode="epr"))
-    counts, _ = np.histogram(run.phis_deg[:, 0], bins=36, range=(-180.0, 180.0))
-    expected = run.config.trials / 36.0
+    cfg = TrialConfig(trials=100000, seed=123, mode="epr")
+    counts = sum(np.histogram(b.phis[:, 0], bins=36, range=(-180.0, 180.0))[0]
+                 for b in engine._batches(cfg))
+    expected = cfg.trials / 36.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 == pytest.approx(CHI2_PHI_A_SEED123, abs=1e-9)
     assert chi2 < CHI2_CRITICAL_35DOF
 
 
 def test_coin_is_fair_over_a_long_run():
-    run = run_trials(TrialConfig(trials=1000000, seed=2026, mode="epr"))
-    mean = float(run.lam.mean())
+    # outcome A is the coin itself
+    summary = stream_trials(TrialConfig(trials=1000000, seed=2026, mode="epr"))
+    mean = summary.ave_outcomes["A"]
     assert mean == LAMBDA_MEAN_SEED2026
     assert abs(mean) < 0.005
 
@@ -78,93 +79,113 @@ def test_coin_is_fair_over_a_long_run():
 # determinism
 
 def test_repeat_runs_are_identical(tmp_path):
-    cfg = TrialConfig(trials=5000, seed=42, mode="epr")
-    r1, r2 = run_trials(cfg), run_trials(cfg)
-    assert np.array_equal(r1.lam, r2.lam)
-    assert np.array_equal(r1.phis_deg, r2.phis_deg)
-    assert np.array_equal(r1.corr, r2.corr)
-    assert np.array_equal(_csv_outcomes(cfg, tmp_path / "1.csv"),
-                          _csv_outcomes(cfg, tmp_path / "2.csv"))
+    cfg = TrialConfig(trials=20000, seed=42, mode="epr")
+    for b1, b2 in zip(engine._batches(cfg), engine._batches(cfg),
+                      strict=True):
+        assert b1.start == b2.start
+        assert np.array_equal(b1.lam, b2.lam)
+        assert np.array_equal(b1.phis, b2.phis)
+        assert np.array_equal(b1.corr, b2.corr)
+    first, second = tmp_path / "1.csv", tmp_path / "2.csv"
+    _stream_csv(cfg, first)
+    _stream_csv(cfg, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("trials", [5, 8193])
 def test_partial_batches_are_handled(trials):
-    run = run_trials(TrialConfig(trials=trials, seed=3, mode="epr"))
-    assert run.lam.shape == (trials,)
-    assert run.phis_deg.shape == (trials, 2)
-    assert run.corr.shape == (trials,)
-    assert run.summary.trials == trials
+    cfg = TrialConfig(trials=trials, seed=3, mode="epr")
+    start = 0
+    for batch in engine._batches(cfg):
+        n = len(batch.corr)
+        assert batch.start == start
+        assert n == min(cfg.batch_size, trials - start)
+        assert batch.lam.shape == (n,)
+        assert batch.phis.shape == (n, 2)
+        start += n
+    assert start == trials
+    summary = stream_trials(cfg)
+    assert summary.trials == trials
+    assert sum(b.count for b in summary.bins) == trials
 
 
 def test_seed_changes_the_run():
-    a = run_trials(TrialConfig(trials=1000, seed=1, mode="epr"))
-    b = run_trials(TrialConfig(trials=1000, seed=2, mode="epr"))
-    assert not np.array_equal(a.phis_deg, b.phis_deg)
+    a = next(engine._batches(TrialConfig(trials=1000, seed=1, mode="epr")))
+    b = next(engine._batches(TrialConfig(trials=1000, seed=2, mode="epr")))
+    assert not np.array_equal(a.phis, b.phis)
 
 
 # ---------------------------------------------------------------------------
 # per-event correlations
 
+def _assert_events_match_the_cosine(cfg):
+    for batch in engine._batches(cfg):
+        want = -np.cos(np.radians(engine._angle_keys(cfg.mode, batch.phis)))
+        assert_allclose(batch.corr, want, rtol=0.0, atol=1e-12)
+
+
+# 20000 trials: three batches, the last one partial
 def test_epr_per_event_matches_the_cosine():
-    run = run_trials(TrialConfig(trials=2000, seed=17, mode="epr"))
-    want = -np.cos(np.radians(run.angle_keys_deg()))
-    assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
+    _assert_events_match_the_cosine(
+        TrialConfig(trials=20000, seed=17, mode="epr"))
 
 
 def test_ghz_per_event_matches_the_cosine():
-    run = run_trials(TrialConfig(trials=2000, seed=19, mode="ghz"))
-    want = -np.cos(np.radians(run.angle_keys_deg()))
-    assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
+    _assert_events_match_the_cosine(
+        TrialConfig(trials=20000, seed=19, mode="ghz"))
 
 
 def test_outcome_columns_follow_the_coin(tmp_path):
     cfg = TrialConfig(trials=500, seed=23, mode="epr")
-    run, outcomes = run_trials(cfg), _csv_outcomes(cfg, tmp_path / "epr.csv")
-    assert np.array_equal(outcomes[:, 0], run.lam)
-    assert np.array_equal(outcomes[:, 1], -run.lam)
+    outcomes = _csv_outcomes(cfg, tmp_path / "epr.csv")
+    lam = np.concatenate([b.lam for b in engine._batches(cfg)])
+    assert np.array_equal(outcomes[:, 0], lam)
+    assert np.array_equal(outcomes[:, 1], -lam)
     prod = outcomes.prod(axis=1)
     assert np.all(prod == -1)
 
     cfg = TrialConfig(trials=500, seed=23, mode="ghz")
-    run, outcomes = run_trials(cfg), _csv_outcomes(cfg, tmp_path / "ghz.csv")
+    outcomes = _csv_outcomes(cfg, tmp_path / "ghz.csv")
+    lam = np.concatenate([b.lam for b in engine._batches(cfg)])
     signs = np.array([1, -1, 1, -1])
-    assert np.array_equal(outcomes, np.outer(run.lam, signs))
+    assert np.array_equal(outcomes, np.outer(lam, signs))
     assert np.all(outcomes.prod(axis=1) == 1)
 
 
 def test_fixed_epr_settings_are_echoed():
     cfg = TrialConfig(trials=64, seed=0, mode="epr",
                       fixed_settings=((30.0, 75.0),))
-    run = run_trials(cfg)
-    assert np.all(run.phis_deg[:, 0] == 30.0)
-    assert np.all(run.phis_deg[:, 1] == 75.0)
-    assert_allclose(run.corr, -math.cos(math.radians(45.0)), atol=1e-12)
+    for batch in engine._batches(cfg):
+        assert np.all(batch.phis[:, 0] == 30.0)
+        assert np.all(batch.phis[:, 1] == 75.0)
+        assert_allclose(batch.corr, -math.cos(math.radians(45.0)), atol=1e-12)
 
 
 def test_fixed_lists_cycle_across_batches():
     cfg = TrialConfig(trials=10, seed=0, mode="epr", batch_size=4,
                       fixed_settings=((0.0, 45.0), (0.0, 90.0)))
-    run = run_trials(cfg)
-    assert np.array_equal(run.phis_deg[:, 1],
-                          np.where(np.arange(10) % 2 == 0, 45.0, 90.0))
+    phi_b = np.concatenate([b.phis[:, 1] for b in engine._batches(cfg)])
+    assert np.array_equal(phi_b, np.where(np.arange(10) % 2 == 0, 45.0, 90.0))
 
 
 def test_out_of_range_epr_settings_are_wrapped():
     cfg = TrialConfig(trials=8, seed=0, mode="epr",
                       fixed_settings=((0.0, 190.0),))
-    run = run_trials(cfg)
-    assert np.all(run.phis_deg[:, 1] == -170.0)
-    assert_allclose(run.corr, -math.cos(math.radians(190.0)), atol=1e-12)
+    for batch in engine._batches(cfg):
+        assert np.all(batch.phis[:, 1] == -170.0)
+        assert_allclose(batch.corr, -math.cos(math.radians(190.0)),
+                        atol=1e-12)
 
 
 def test_fixed_ghz_settings_are_echoed():
     cfg = TrialConfig(trials=32, seed=0, mode="ghz",
                       fixed_settings=((10.0, 20.0, 30.0, 40.0),))
-    run = run_trials(cfg)
-    assert np.array_equal(run.phis_deg,
-                          np.tile([10.0, 20.0, 30.0, 40.0], (32, 1)))
-    # Phi = 10 + 20 - 30 - 40 = -40
-    assert_allclose(run.corr, -math.cos(math.radians(-40.0)), atol=1e-12)
+    for batch in engine._batches(cfg):
+        assert np.array_equal(batch.phis,
+                              np.tile([10.0, 20.0, 30.0, 40.0], (32, 1)))
+        # Phi = 10 + 20 - 30 - 40 = -40
+        assert_allclose(batch.corr, -math.cos(math.radians(-40.0)),
+                        atol=1e-12)
 
 
 @pytest.mark.parametrize("angles,want", [
@@ -175,14 +196,15 @@ def test_fixed_ghz_settings_are_echoed():
 def test_ghz_disproof_points_hold_every_event(angles, want):
     cfg = TrialConfig(trials=256, seed=11, mode="ghz",
                       fixed_settings=(angles,))
-    run = run_trials(cfg)
-    assert_allclose(run.corr, want, rtol=0.0, atol=1e-12)
+    for batch in engine._batches(cfg):
+        assert_allclose(batch.corr, want, rtol=0.0, atol=1e-12)
 
 
 def test_random_run_correlations_take_both_signs():
-    run = run_trials(TrialConfig(trials=4000, seed=29, mode="ghz"))
-    assert (run.corr > 0.0).any()
-    assert (run.corr < 0.0).any()
+    cfg = TrialConfig(trials=4000, seed=29, mode="ghz")
+    corr = np.concatenate([b.corr for b in engine._batches(cfg)])
+    assert (corr > 0.0).any()
+    assert (corr < 0.0).any()
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +248,6 @@ def test_paired_product_argument_errors():
 def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
     cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256,
                       fixed_settings=tuples)
-    run = run_trials(cfg)
     # requested azimuths as party rows, then the written four-party map
     rows = np.array(tuples).T[:, np.arange(cfg.trials) % len(tuples)]
     if mode == "ghz":
@@ -235,11 +256,12 @@ def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
     # the same array calls the engine makes, row by row
     xs = np.array([np.cos(np.radians(row)) for row in rows])
     ys = np.array([np.sin(np.radians(row)) for row in rows])
-    for k in range(cfg.trials):
-        dets = [detector(make_pair_planar((x, y, 0.0)))
-                for x, y in zip(xs[:, k], ys[:, k])]
-        want = paired_product(dets, int(run.lam[k])).coeffs[0]
-        assert run.corr[k] == want, k
+    for batch in engine._batches(cfg):
+        for j, (lam, corr) in enumerate(zip(batch.lam, batch.corr)):
+            k = batch.start + j
+            dets = [detector(make_pair_planar((x, y, 0.0)))
+                    for x, y in zip(xs[:, k], ys[:, k])]
+            assert corr == paired_product(dets, int(lam)).coeffs[0], k
 
 
 @pytest.mark.parametrize("mode,parties", [("epr", 2), ("ghz", 4)])
@@ -253,12 +275,12 @@ def test_random_run_is_the_fixed_list_run_of_its_own_draws(mode, parties):
         gen = batch_stream(cfg.seed, i // cfg.batch_size)
         gen.random(n)                       # the coin
         drawn.extend((360.0 * gen.random((parties, n)).T).tolist())
-    run = run_trials(cfg)
-    fixed = run_trials(dataclasses.replace(
-        cfg, fixed_settings=tuple(map(tuple, drawn))))
-    assert run.corr.tobytes() == fixed.corr.tobytes()
-    assert np.array_equal(run.phis_deg, fixed.phis_deg)
-    assert np.array_equal(run.lam, fixed.lam)
+    fixed = dataclasses.replace(cfg, fixed_settings=tuple(map(tuple, drawn)))
+    for a, b in zip(engine._batches(cfg), engine._batches(fixed),
+                    strict=True):
+        assert a.corr.tobytes() == b.corr.tobytes()
+        assert np.array_equal(a.phis, b.phis)
+        assert np.array_equal(a.lam, b.lam)
 
 
 @pytest.mark.parametrize("mode,parties,digest", [
@@ -272,8 +294,11 @@ def test_grid_correlation_bits_are_pinned(mode, parties, digest):
     tuples = tuple(itertools.product(grid, repeat=parties))
     cfg = TrialConfig(trials=8 * len(tuples), seed=7, mode=mode,
                       fixed_settings=tuples)
-    corr = run_trials(cfg).corr
-    assert hashlib.sha256(corr.tobytes()).hexdigest() == digest
+    # the digest of the whole column, fed batch by batch
+    sha = hashlib.sha256()
+    for batch in engine._batches(cfg):
+        sha.update(batch.corr.tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_coin_average_leaves_a_pure_scalar():
@@ -331,39 +356,61 @@ def test_far_fixed_angles_report_the_written_wrap():
               (719.9999999999999, 1e-320, 1e6, -1e9),
               (-1e9, 10.0, -719.9999999999999, 719.9999999999999))
     cfg = TrialConfig(trials=9, seed=3, mode="ghz", fixed_settings=tuples)
-    run = run_trials(cfg)
+    (batch,) = engine._batches(cfg)
     # requested -> internal -> reported, as written, then wrapped
     rep = np.array(tuples)[np.arange(cfg.trials) % len(tuples)]
     rep[:, 0] = -(-rep[:, 0])
     rep[:, 3] = 180.0 - (180.0 - rep[:, 3])
     want = 180.0 - np.mod(180.0 - rep, 360.0)
-    assert run.phis_deg.tobytes() == want.tobytes()
+    assert batch.phis.tobytes() == want.tobytes()
     s = want[:, 0] + want[:, 1] - want[:, 2] - want[:, 3]
-    assert run.angle_keys_deg().tobytes() == np.mod(s, 360.0).tobytes()
+    keys = engine._angle_keys(cfg.mode, batch.phis)
+    assert keys.tobytes() == np.mod(s, 360.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # summaries and serialization
 
-def test_summary_bins_match_a_manual_count():
-    run = run_trials(TrialConfig(trials=20000, seed=31, mode="epr"))
-    width = run.config.bin_width_deg
+def _assert_summary_is_one_bincount(cfg, summary):
+    """Check a summary dict against one bincount over every trial of cfg
+    and the exact coin sum; return the indices of the occupied bins."""
+    batches = list(engine._batches(cfg))
+    width = float(cfg.bin_width_deg)
     nbins = int(math.ceil(360.0 / width))
-    idx = np.minimum((run.angle_keys_deg() / width).astype(np.int64), nbins - 1)
+    keys = np.concatenate([engine._angle_keys(cfg.mode, b.phis)
+                           for b in batches])
+    assert bool(((keys >= 0.0) & (keys < 360.0)).all())
+    idx = np.minimum((keys / width).astype(np.int64), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)
-    sums = np.bincount(idx, weights=run.corr, minlength=nbins)
-    got = {b.angle_deg: (b.mean_corr, b.count) for b in run.summary.bins}
-    for i in range(nbins):
-        if counts[i] == 0:
-            continue
-        center = (i + 0.5) * width
-        assert got[center] == (sums[i] / counts[i], int(counts[i]))
-    assert sum(b.count for b in run.summary.bins) == run.config.trials
+    sums = np.bincount(idx, weights=np.concatenate([b.corr for b in batches]),
+                       minlength=nbins)
+    occupied = np.flatnonzero(counts)
+    assert [(b["mean_corr"], b["count"]) for b in summary["bins"]] == [
+        (sums[i] / counts[i], counts[i]) for i in occupied]
+    coin_mean = sum(int(b.lam.sum()) for b in batches) / cfg.trials
+    signs = {"A": 1, "B": -1} if cfg.mode == "epr" else {
+        "A": 1, "B": -1, "C": 1, "D": -1}
+    assert summary["ave_outcomes"] == {p: s * coin_mean
+                                       for p, s in signs.items()}
+    assert ((summary["trials"], summary["seed"], summary["mode"],
+             summary["bin_width_deg"])
+            == (cfg.trials, cfg.seed, cfg.mode, width))
+    return occupied
+
+
+def test_summary_bins_match_a_manual_count():
+    # 20000 trials: the tally is fed three batches, the last one partial
+    cfg = TrialConfig(trials=20000, seed=31, mode="epr")
+    summary = stream_trials(cfg).to_dict()
+    occupied = _assert_summary_is_one_bincount(cfg, summary)
+    assert ([b["angle_deg"] for b in summary["bins"]]
+            == [(i + 0.5) * cfg.bin_width_deg for i in occupied])
+    assert sum(b["count"] for b in summary["bins"]) == cfg.trials
 
 
 def test_summary_outcome_averages(tmp_path):
     cfg = TrialConfig(trials=20000, seed=37, mode="epr")
-    aves = run_trials(cfg).summary.ave_outcomes
+    aves = stream_trials(cfg).ave_outcomes
     assert set(aves) == {"A", "B"}
     outcomes = _csv_outcomes(cfg, tmp_path / "run.csv")
     assert aves["A"] == float(outcomes[:, 0].mean())
@@ -387,35 +434,39 @@ def _csv_outcomes(cfg, path):
 
 def test_csv_round_trip(tmp_path):
     cfg = TrialConfig(trials=200, seed=41, mode="epr")
-    run = run_trials(cfg)
+    (batch,) = engine._batches(cfg)
     path = tmp_path / "run.csv"
     _stream_csv(cfg, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     for k, row in enumerate(rows):
+        lam = batch.lam[k]
         assert int(row["k"]) == k
-        assert int(row["lambda"]) == run.lam[k]
-        assert float(row["phi_a"]) == run.phis_deg[k, 0]
-        assert float(row["phi_b"]) == run.phis_deg[k, 1]
-        assert (int(row["A"]), int(row["B"])) == (run.lam[k], -run.lam[k])
-        assert float(row["corr"]) == run.corr[k]
+        assert int(row["lambda"]) == lam
+        assert float(row["phi_a"]) == batch.phis[k, 0]
+        assert float(row["phi_b"]) == batch.phis[k, 1]
+        assert (int(row["A"]), int(row["B"])) == (lam, -lam)
+        assert float(row["corr"]) == batch.corr[k]
 
 
-def _csv_writer_reference(run) -> bytes:
-    """The bytes of a row-at-a-time csv.writer over per-value str()."""
+def _csv_writer_reference(cfg) -> bytes:
+    """The bytes of a row-at-a-time csv.writer over per-value str() of
+    every batch of cfg."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
-    names = "AB" if run.config.mode == "epr" else "ABCD"
+    names = "AB" if cfg.mode == "epr" else "ABCD"
     w.writerow(["k", "lambda"] + ["phi_%s" % p.lower() for p in names]
                + list(names) + ["corr"])
-    for k in range(run.config.trials):
-        lam = int(run.lam[k])
-        w.writerow([k, lam,
-                    *[str(float(v)) for v in run.phis_deg[k]],
-                    # first-style wings show the coin, second-style ones -coin
-                    *[lam if i % 2 == 0 else -lam for i in range(len(names))],
-                    str(float(run.corr[k]))])
+    for batch in engine._batches(cfg):
+        for j, (lam, phis, corr) in enumerate(
+                zip(batch.lam.tolist(), batch.phis, batch.corr)):
+            w.writerow([batch.start + j, lam,
+                        *[str(float(v)) for v in phis],
+                        # first-style wings show the coin, second-style -coin
+                        *[lam if i % 2 == 0 else -lam
+                          for i in range(len(names))],
+                        str(float(corr))])
     return buf.getvalue().encode()
 
 
@@ -428,22 +479,23 @@ def _csv_writer_reference(run) -> bytes:
 def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
     # 1000 trials in batches of 64: sixteen chunks, the last one partial
     cfg = TrialConfig(trials=1000, seed=47, batch_size=64, **kwargs)
-    run = run_trials(cfg)
     path = tmp_path / "run.csv"
     _stream_csv(cfg, path)
-    assert path.read_bytes() == _csv_writer_reference(run)
+    assert path.read_bytes() == _csv_writer_reference(cfg)
 
 
 def test_summary_json_round_trip(tmp_path):
     cfg = TrialConfig(trials=300, seed=43, mode="ghz")
-    run = run_trials(cfg)
+    summary = stream_trials(cfg).to_dict()
     path = tmp_path / "summary.json"
-    path.write_text(cli._json_text(stream_trials(cfg).to_dict()))
+    path.write_text(cli._json_text(summary))
     with open(path) as fh:
         data = json.load(fh)
-    assert data == run.summary.to_dict()
+    assert data == summary
     assert data["mode"] == "ghz"
-    assert data["seed_source"] == "flag"
+    # where the seed came from is the CLI's to report, not the engine's
+    assert list(data) == ["trials", "seed", "bin_width_deg", "bins",
+                          "ave_outcomes", "mode"]
 
 
 @pytest.mark.parametrize("batch_size", [64, 8192])
@@ -465,11 +517,14 @@ def test_streamed_outputs_equal_the_collected_run(tmp_path, capsys,
     capsys.readouterr()
     assert code == 0
     fixed = tuple(tuple(map(float, a.split(","))) for a in argv[2::2])
-    run = run_trials(TrialConfig(
-        trials=10000, seed=53, mode=argv[0], batch_size=batch_size,
-        fixed_settings=fixed))
-    assert csv_path.read_bytes() == _csv_writer_reference(run)
-    assert json_path.read_text() == cli._json_text(run.summary.to_dict())
+    cfg = TrialConfig(trials=10000, seed=53, mode=argv[0],
+                      batch_size=batch_size, fixed_settings=fixed)
+    assert csv_path.read_bytes() == _csv_writer_reference(cfg)
+    text = json_path.read_text()
+    data = json.loads(text)
+    assert text == cli._json_text(data)
+    _assert_summary_is_one_bincount(cfg, data)
+    assert data["seed_source"] == "flag"
 
 
 def _setting_lists(parties):
@@ -506,21 +561,17 @@ def test_configs_are_refused_or_stream_like_they_collect(
             TrialConfig(**kwargs)
         return
     cfg = TrialConfig(**kwargs)
-    run = run_trials(cfg)
     buf = io.StringIO(newline="")
     summary = stream_trials(cfg, buf)
-    text = cli._json_text(summary.to_dict())    # strict: NaN would raise
-    assert text == cli._json_text(run.summary.to_dict())
+    cli._json_text(summary.to_dict())       # strict: NaN would raise
+    occupied = _assert_summary_is_one_bincount(cfg, summary.to_dict())
     assert sum(b.count for b in summary.bins) == trials
-    assert buf.getvalue().encode() == _csv_writer_reference(run)
-    assert bool((np.abs(run.phis_deg) <= 180.0).all())
-    keys = run.angle_keys_deg()
-    assert bool(((keys >= 0.0) & (keys < 360.0)).all())
+    assert buf.getvalue().encode() == _csv_writer_reference(cfg)
+    assert all(bool((np.abs(b.phis) <= 180.0).all())
+               for b in engine._batches(cfg))
     # every bin is reported inside its key range, the last one cut at 360
     w = float(width)
-    last = int(math.ceil(360.0 / w)) - 1
-    idx = np.minimum((keys / w).astype(np.int64), last)
-    for i, b in zip(np.unique(idx).tolist(), summary.bins):
+    for i, b in zip(occupied.tolist(), summary.bins, strict=True):
         assert i * w <= b.angle_deg < min((i + 1) * w, 360.0)
 
 
@@ -552,6 +603,10 @@ def test_configs_are_refused_or_stream_like_they_collect(
     {"trials": True, "seed": 0},
     {"trials": 10.0, "seed": 0},
     {"trials": 10, "seed": 0, "batch_size": 2.5},
+    {"trials": 10, "seed": 0, "bin_width_deg": True},
+    {"trials": 10, "seed": 0, "bin_width_deg": "5"},
+    {"trials": 10, "seed": 0, "fixed_settings": (("30", "45"),)},
+    {"trials": 10, "seed": 0, "fixed_settings": ((True, 45.0),)},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
@@ -560,19 +615,19 @@ def test_config_rejections(kwargs):
 
 def test_fixed_settings_alone_select_the_fixed_list():
     # no other field is needed: the settings themselves pick the source
-    run = run_trials(TrialConfig(trials=4, seed=0, mode="epr",
-                                 fixed_settings=((0.0, 45.0),)))
-    assert np.array_equal(run.phis_deg, np.tile([0.0, 45.0], (4, 1)))
-    assert_allclose(run.corr, -math.cos(math.radians(45.0)), atol=1e-12)
+    (batch,) = engine._batches(TrialConfig(trials=4, seed=0, mode="epr",
+                                           fixed_settings=((0.0, 45.0),)))
+    assert np.array_equal(batch.phis, np.tile([0.0, 45.0], (4, 1)))
+    assert_allclose(batch.corr, -math.cos(math.radians(45.0)), atol=1e-12)
     for bad in (((float("nan"), 45.0),), ((0.0, 45.0, 90.0),)):
         with pytest.raises(ConfigError):
             TrialConfig(trials=4, seed=0, mode="epr", fixed_settings=bad)
 
 
 def test_finest_bin_width_is_accepted():
-    run = run_trials(TrialConfig(trials=100, seed=0, mode="epr",
-                                 bin_width_deg=0.01))
-    assert sum(b.count for b in run.summary.bins) == 100
+    summary = stream_trials(TrialConfig(trials=100, seed=0, mode="epr",
+                                        bin_width_deg=0.01))
+    assert sum(b.count for b in summary.bins) == 100
 
 
 def test_numpy_integer_fields_are_accepted():
@@ -592,15 +647,13 @@ def test_every_exported_name_resolves():
         "ArityUnsupported", "BLADE_NAMES", "ConfigError", "DegenerateInput",
         "Detector", "DirectionPair", "EmptyInput", "Multivector",
         "OrientationMismatch", "R4Point", "SeptenaryError", "SpinState",
-        "TrialConfig", "TrialRun", "basis_product", "chsh_bound",
-        "chsh_scan", "detector", "epr_expectation",
-        "ghz_direction_expectation", "ghz_expectation",
-        "ghz_role_scalar_part", "make_pair_general", "make_pair_ghz",
-        "make_pair_planar", "measure", "mv_mul", "mv_norm",
+        "TrialConfig", "basis_product", "chsh_bound", "chsh_scan",
+        "detector", "epr_expectation", "ghz_direction_expectation",
+        "ghz_expectation", "ghz_role_scalar_part", "make_pair_general",
+        "make_pair_ghz", "make_pair_planar", "measure", "mv_mul", "mv_norm",
         "nfold_scalar_part", "paired_product", "pair_coefficients",
-        "quadric_defect", "recover_source_axis", "run_trials",
-        "scalar_part", "spin_state", "stereo_phi", "stereo_psi",
-        "stream_trials",
+        "quadric_defect", "recover_source_axis", "scalar_part",
+        "spin_state", "stereo_phi", "stereo_psi", "stream_trials",
     }
     assert len(septenary.__all__) == len(set(septenary.__all__))
     for name in septenary.__all__:
@@ -651,14 +704,42 @@ def test_finest_scan_stays_under_the_ceiling():
     assert scan["max_abs_S"] == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
 
-def _loop_scan(grid_deg, source="analytic", seed=0, trials_per_setting=64):
-    """The full O(ng^3) scan: every (ng, ng) table of S, argmax row-major."""
+def _simulated_expectations(deltas_deg, seed, trials):
+    """E(delta) of a simulated run per separation, built from the scalar
+    products rather than the engine's batches.
+
+    Each batch's coins come from its own stream. A coin's correlation is
+    the scalar of ``paired_product`` over detectors built from the row-array
+    cos/sin calls the engine makes, plus 0.0; each batch is summed with
+    ``.sum()`` and the batch sums are added in batch order.
+    """
+    out = []
+    for d in deltas_deg:
+        total = 0.0
+        for i, start in enumerate(range(0, trials, engine.BATCH_SIZE)):
+            n = min(engine.BATCH_SIZE, trials - start)
+            lam = engine._flip_batch(batch_stream(seed, i), n)
+            # every trial of the run has the same two detectors
+            rows = np.array([[0.0] * n, [d] * n])
+            xs = [np.cos(np.radians(row)) for row in rows]
+            ys = [np.sin(np.radians(row)) for row in rows]
+            dets = [detector(make_pair_planar((x[0], y[0], 0.0)))
+                    for x, y in zip(xs, ys)]
+            plus, minus = (paired_product(dets, c).coeffs[0] + 0.0
+                           for c in (1, -1))
+            total += np.where(lam == 1, plus, minus).sum()
+        out.append(total / trials)
+    return np.array(out)
+
+
+def _loop_scan(grid_deg, source="analytic", e_of_delta=None):
+    """The full O(ng^3) scan: every (ng, ng) table of S, argmax row-major.
+
+    ``e_of_delta`` holds E at each grid separation, -cos by default.
+    """
     grid = np.arange(0.0, 360.0, float(grid_deg))
-    if source == "analytic":
+    if e_of_delta is None:
         e_of_delta = -np.cos(np.radians(grid))
-    else:
-        e_of_delta = engine._pair_expectation_simulated(
-            grid, seed, trials_per_setting)
     ng = len(grid)
 
     def e_lookup(i, j):
@@ -697,24 +778,20 @@ def test_scan_matches_the_full_loop(step):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("step", [15.0, 30.0])
 def test_simulated_scan_matches_the_full_loop(step, seed):
+    grid = np.arange(0.0, 360.0, step)
     assert (chsh_scan(step, "simulated", seed, 16)
-            == _loop_scan(step, "simulated", seed, 16))
+            == _loop_scan(step, "simulated",
+                          _simulated_expectations(grid, seed, 16)))
 
 
 @pytest.mark.parametrize("trials", [64, 8192, 20000])
 def test_simulated_expectation_is_the_mean_of_the_collected_run(trials):
-    # each grid point streams its batches: within one batch the result is
-    # the column mean bit for bit; beyond it the batch sums are added in
-    # order, so only the last bits may move
+    # each grid point's batch sums, added in order over the trial count:
+    # the column mean bit for bit within one batch, and past it too
     deltas = np.array([0.0, 45.0, 135.0])
     got = engine._pair_expectation_simulated(deltas, 3, trials)
-    want = [run_trials(TrialConfig(
-        trials=trials, seed=3, mode="epr", fixed_settings=((0.0, d),),
-        bin_width_deg=360.0)).corr.mean() for d in deltas]
-    if trials <= engine.BATCH_SIZE:
-        assert np.array_equal(got, want)
-    else:
-        assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    want = _simulated_expectations(deltas, 3, trials)
+    assert got.tobytes() == want.tobytes()
 
 
 _TIE_STEPS = (20.0, 24.0, 30.0, 36.0, 40.0, 45.0, 60.0, 72.0, 90.0)
@@ -733,4 +810,4 @@ def test_scan_breaks_exact_ties_like_the_full_loop(table):
         mp.setattr(engine, "_pair_expectation_simulated",
                    lambda grid, seed, trials: np.array(values))
         assert (chsh_scan(step, "simulated")
-                == _loop_scan(step, "simulated"))
+                == _loop_scan(step, "simulated", np.array(values)))
