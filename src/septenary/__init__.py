@@ -6,15 +6,16 @@ The package splits into focused layers:
     The eight-component product, orientation tags, norms and the closure
     quadric.
 ``conformal``
-    Stereographic lifts of 3-space onto the unit sphere in four dimensions.
+    Stereographic lifts of 3-space onto the unit sphere in four dimensions,
+    returned as arrays of four coordinates.
 ``spin``
-    Detector settings as embedded direction pairs, measurement outcomes,
-    source-axis transport.
+    Measurement settings as direction pairs embedded as algebra elements,
+    source elements, measurement outcomes, source-axis transport.
 ``oracle``
     Closed-form expectations the simulations are judged against.
 ``engine``
-    Batched, seeded event-by-event runs, streamed batch by batch, plus the
-    four-term scan.
+    Batched, seeded event-by-event runs, streamed batch by batch into a
+    summary dict, plus the four-term scan.
 ``checks``
     The self-test suites behind ``septenary check``.
 """
@@ -28,7 +29,7 @@ from .algebra import (
     quadric_defect,
     scalar_part,
 )
-from .conformal import R4Point, stereo_phi, stereo_psi
+from .conformal import stereo_phi, stereo_psi
 from .engine import (
     TrialConfig,
     chsh_scan,
@@ -52,9 +53,7 @@ from .oracle import (
     nfold_scalar_part,
 )
 from .spin import (
-    Detector,
     DirectionPair,
-    SpinState,
     detector,
     make_pair_general,
     make_pair_ghz,
@@ -72,14 +71,11 @@ __all__ = [
     "BLADE_NAMES",
     "ConfigError",
     "DegenerateInput",
-    "Detector",
     "DirectionPair",
     "EmptyInput",
     "Multivector",
     "OrientationMismatch",
-    "R4Point",
     "SeptenaryError",
-    "SpinState",
     "TrialConfig",
     "basis_product",
     "chsh_bound",

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,25 +87,19 @@ def _build_tensor(lam: int) -> np.ndarray:
 PRODUCT_TENSOR = {+1: _build_tensor(+1), -1: _build_tensor(-1)}
 
 
-class TermPlan(NamedTuple):
-    """The terms of a product that survive a pattern of structural zeros.
-
-    For each wanted row rho, ``rows`` lists its surviving groups (sign, i,
-    j, inner, k, l) in the written term order. A group is a[i] * b[j], plus
-    or minus a[k] * b[l] as inner is +1 or -1 (0: no second term), added to
-    the row or subtracted from it as sign is +1 or -1. Outside the scalar
-    row a group is the pair of cross terms of one blade pair {mu, nu}. A
-    row with no surviving group comes back as None.
-    """
-
-    rows: tuple
-
-
 @functools.cache
 def term_plan(lam: int, zeros_a=(), zeros_b=(),
-              scalar_only: bool = False) -> TermPlan:
+              scalar_only: bool = False) -> tuple:
     """Plan of the product under tag lam when the slots in zeros_a of the
     left factor and those in zeros_b of the right one are structurally zero.
+
+    The plan is a tuple of rows (rho, groups), one per wanted row rho, its
+    surviving groups (sign, i, j, inner, k, l) in the written term order. A
+    group is a[i] * b[j], plus or minus a[k] * b[l] as inner is +1 or -1
+    (0: no second term), added to the row or subtracted from it as sign is
+    +1 or -1. Outside the scalar row a group is the pair of cross terms of
+    one blade pair {mu, nu}. A row with no surviving group comes back as
+    None.
 
     With scalar_only the plan lists the scalar row alone. Plans are cached,
     so a caller fetches one per pattern and passes it to every product.
@@ -135,7 +128,7 @@ def term_plan(lam: int, zeros_a=(), zeros_b=(),
             (s2, k, l), = rest or ((0, 0, 0),)
             groups.append((s, i, j, s * s2, k, l))
         rows.append((rho, tuple(groups)))
-    return TermPlan(tuple(rows))
+    return tuple(rows)
 
 
 def zero_slots(x) -> tuple:
@@ -171,10 +164,6 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.lam == other.lam and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        # + 0.0 makes -0.0 hash as 0.0, as __eq__ compares them
-        return hash((self.lam, (self.coeffs + 0.0).tobytes()))
 
     def __repr__(self):
         terms = []
@@ -212,7 +201,7 @@ def basis_product(mu: int, nu: int, lam: int = +1) -> Multivector:
     return Multivector(PRODUCT_TENSOR[lam][:, mu, nu].astype(np.float64), lam)
 
 
-def _product(a, b, plan: TermPlan, out) -> None:
+def _product(a, b, plan: tuple, out) -> None:
     """Write the rows that plan lists of the product of a and b into out.
 
     a, b and out are indexed by slot; each entry is a float or an array, so
@@ -223,7 +212,7 @@ def _product(a, b, plan: TermPlan, out) -> None:
     result can differ from the full one in the sign of a zero and nowhere
     else.
     """
-    for rho, groups in plan.rows:
+    for rho, groups in plan:
         acc = None
         for sign, i, j, inner, k, l in groups:
             g = a[i] * b[j]

@@ -156,16 +156,14 @@ def _suite_source_recovery(tol, samples, gen) -> CheckResult:
 
 def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    origin = stereo_psi(np.zeros(3))
-    exact0 = origin.v == (0.0, 0.0, 0.0) and origin.w == -1.0
+    exact0 = stereo_psi(np.zeros(3)).tolist() == [0.0, 0.0, 0.0, -1.0]
     for _ in range(samples):
         x = gen.standard_normal(3) * 10.0 ** gen.uniform(-3, 3)
         up = stereo_phi(x)
         down = stereo_psi(x)
-        worst = max(worst, abs(np.linalg.norm(down.as_array()) - 1.0))
-        worst = max(worst, float(np.max(np.abs(
-            np.asarray(up.v) - np.asarray(down.v)))))
-        worst = max(worst, abs((up.w - 1.0) - down.w))
+        worst = max(worst, abs(np.linalg.norm(down) - 1.0))
+        worst = max(worst, float(np.max(np.abs(up[:3] - down[:3]))))
+        worst = max(worst, abs((up[3] - 1.0) - down[3]))
     ok = exact0 and worst <= tol
     return CheckResult("sphere-maps", ok,
                        "unit norm and shifted-pole agreement within %.3e"

@@ -4,12 +4,11 @@ Two inverse-stereographic charts are provided. stereo_psi sends a point of
 R^3 onto the unit sphere centred at the origin (the south pole (0,0,0,-1) is
 the image of 0, the north pole the limit at infinity). stereo_phi is the
 same chart shifted one unit along the fourth axis, so its image is the unit
-sphere centred at (0,0,0,1), passing through the origin.
+sphere centred at (0,0,0,1), passing through the origin. Each chart
+returns its image as a (4,) float64 array (x1, x2, x3, x4).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +20,7 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class R4Point:
-    """A point of R^4 stored as a 3-vector part plus the fourth coordinate."""
-
-    v: tuple
-    w: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v[0], self.v[1], self.v[2], self.w])
-
-
-def stereo_phi(x) -> R4Point:
+def stereo_phi(x) -> np.ndarray:
     """Inverse stereographic chart onto the sphere centred at (0,0,0,1).
 
     phi(x) = (2 x / (|x|^2 + 1),  2 |x|^2 / (|x|^2 + 1)). phi(0) is the
@@ -41,16 +29,15 @@ def stereo_phi(x) -> R4Point:
     x = _as_vec3(x)
     r2 = float(x @ x)
     s = 2.0 / (r2 + 1.0)
-    v = s * x
-    return R4Point(v=(float(v[0]), float(v[1]), float(v[2])), w=s * r2)
+    return np.append(s * x, s * r2)
 
 
-def stereo_psi(x) -> R4Point:
+def stereo_psi(x) -> np.ndarray:
     """Inverse stereographic chart onto the unit sphere at the origin.
 
     Same vector part as stereo_phi with the fourth coordinate lowered by
     one; the image always has unit norm and psi(0) = (0,0,0,-1).
     """
     p = stereo_phi(x)
-    return R4Point(v=p.v, w=p.w - 1.0)
-
+    p[3] -= 1.0
+    return p

@@ -51,6 +51,8 @@ simulated four-term scan adds up each grid point's batch sums as they come.
 The tally adds each correlation into its bin with ``np.add.at`` in trial
 order, which gives the same bits as one ``bincount`` over the whole run,
 and takes the outcome means from the exact integer sum of the coins.
+The summary is a plain dict, the JSON object the CLI writes; its keys are
+written once, in ``_Tally.summary``.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .algebra import (
     zero_slots,
 )
 from .errors import ConfigError, EmptyInput
-from .spin import Detector, planar_legs
+from .spin import planar_legs
 
 BATCH_SIZE = 8192
 
@@ -119,7 +121,7 @@ class TrialConfig:
     batch_size: int = BATCH_SIZE
 
     def __post_init__(self):
-        if self.mode not in _PARTIES:
+        if not isinstance(self.mode, str) or self.mode not in _PARTIES:
             raise ConfigError("mode must be 'epr' or 'ghz'")
         for name in ("trials", "seed", "batch_size"):
             value = getattr(self, name)
@@ -130,8 +132,15 @@ class TrialConfig:
             raise ConfigError("trials must be a positive integer")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed must fit in 64 bits")
+        try:
+            fixed = tuple(tuple(tup) for tup in self.fixed_settings)
+        except TypeError:
+            raise ConfigError("fixed settings must be a sequence of angle "
+                              "tuples, got %r" % (self.fixed_settings,))
+        # stored as tuples, so the frozen config hashes
+        object.__setattr__(self, "fixed_settings", fixed)
         want = len(_PARTIES[self.mode])
-        for tup in self.fixed_settings:
+        for tup in fixed:
             if len(tup) != want:
                 raise ConfigError(
                     "each fixed setting needs %d angles, got %r" % (want, tup)
@@ -148,37 +157,6 @@ class TrialConfig:
             raise ConfigError("bin width must be in [0.01, 360] degrees")
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
-
-
-@dataclass(frozen=True)
-class BinStat:
-    angle_deg: float
-    mean_corr: float
-    count: int
-
-
-@dataclass(frozen=True)
-class CorrelationSummary:
-    trials: int
-    seed: int
-    bin_width_deg: float
-    bins: tuple
-    ave_outcomes: dict
-    mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "bin_width_deg": self.bin_width_deg,
-            "bins": [
-                {"angle_deg": b.angle_deg, "mean_corr": b.mean_corr,
-                 "count": b.count}
-                for b in self.bins
-            ],
-            "ave_outcomes": dict(self.ave_outcomes),
-            "mode": self.mode,
-        }
 
 
 def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
@@ -229,36 +207,40 @@ class _Tally:
             return 0.5 * (i * self.width + 360.0)
         return (i + 0.5) * self.width
 
-    def summary(self) -> CorrelationSummary:
+    def summary(self) -> dict:
+        """The run's summary as its JSON object, keys in output order."""
         cfg, counts, sums = self.cfg, self.counts, self.sums
-        bins = tuple(
-            BinStat(angle_deg=self.centre(i),
-                    mean_corr=float(sums[i] / counts[i]),
-                    count=int(counts[i]))
-            for i in np.flatnonzero(counts).tolist()
-        )
-        aves = {name: s * self.lam_sum / cfg.trials
-                for name, s in zip(_PARTIES[cfg.mode],
-                                   _OUTCOME_SIGNS[cfg.mode])}
-        return CorrelationSummary(
-            trials=cfg.trials, seed=cfg.seed, bin_width_deg=self.width,
-            bins=bins, ave_outcomes=aves, mode=cfg.mode,
-        )
+        return {
+            "trials": cfg.trials,
+            "seed": cfg.seed,
+            "bin_width_deg": self.width,
+            "bins": [
+                {"angle_deg": self.centre(i),
+                 "mean_corr": float(sums[i] / counts[i]),
+                 "count": int(counts[i])}
+                for i in np.flatnonzero(counts).tolist()
+            ],
+            "ave_outcomes": {name: s * self.lam_sum / cfg.trials
+                             for name, s in zip(_PARTIES[cfg.mode],
+                                                _OUTCOME_SIGNS[cfg.mode])},
+            "mode": cfg.mode,
+        }
 
 
 # ---------------------------------------------------------------------------
 # products
 
-def paired_product(detectors: Sequence[Detector], lam: int) -> Multivector:
+def paired_product(detectors: Sequence[Multivector], lam: int) -> Multivector:
     """Ordered product of detector elements under the trial orientation.
 
-    A +1 coin multiplies in the order given, a -1 coin in the fully
-    reversed order.
+    Each detector is re-tagged with lam, its coefficients unchanged. A +1
+    coin multiplies in the order given, a -1 coin in the fully reversed
+    order.
     """
     if len(detectors) < 2:
         raise EmptyInput("paired_product needs at least two detectors")
     lam = _check_lam(lam)
-    elems = [d.element_at(lam) for d in detectors]
+    elems = [Multivector(d.coeffs, lam) for d in detectors]
     if lam == -1:
         elems.reverse()
     acc = elems[0]
@@ -395,9 +377,9 @@ def _csv_rows(mode: str, batch: _Batch) -> str:
     return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
 
 
-def stream_trials(cfg: TrialConfig,
-                  csv_file: IO[str] | None = None) -> CorrelationSummary:
-    """Run ``cfg`` batch by batch and return its summary.
+def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
+    """Run ``cfg`` batch by batch and return its summary, the dict of
+    ``_Tally.summary`` that the CLI writes as JSON.
 
     When ``csv_file`` is an open text file (opened with ``newline=""``),
     the header and then each batch's rows are written to it as the batch

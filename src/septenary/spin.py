@@ -1,4 +1,4 @@
-"""Detector and source elements built from paired direction vectors.
+"""Setting and source elements built from paired direction vectors.
 
 A measurement setting is a pair of 3-vectors (n_r, n_d). The pair embeds
 into the algebra through the slot map of ``algebra.place_legs``: n_r onto
@@ -18,9 +18,10 @@ volume slots zero. Three constructors are provided:
   planar constructor; the ``check`` chain-forms suite draws its settings
   through this one.
 
-A detector is the embedded pair. A source (spin state) is the detector
-scaled by the trial's orientation sign; with the tag carried alongside, the
-pair-product closed forms hold for either sign of the coin.
+A detector D is the embedded pair, an element under the +1 tag. A trial
+re-tags it with its coin lam and leaves its coefficients alone. A source
+(spin state) is the element lam D under the tag lam, so the pair-product
+closed forms hold for either sign of the coin.
 """
 
 from __future__ import annotations
@@ -154,43 +155,18 @@ def pair_coefficients(pair: DirectionPair) -> np.ndarray:
     return place_legs(np.zeros(8), pair.n_r, pair.n_d)
 
 
-@dataclass(frozen=True)
-class Detector:
-    """A setting embedded in the algebra, stored under the +1 tag."""
-
-    pair: DirectionPair
-    element: Multivector
-
-    def element_at(self, lam: int) -> Multivector:
-        """The detector as seen in a trial with orientation lam.
-
-        The stored coordinates do not change; only the tag does. This is a
-        re-tag, not a reorientation: the setting is defined by its slot
-        coefficients, which the trial coin does not touch.
-        """
-        return Multivector(self.element.coeffs, lam)
+def detector(pair: DirectionPair) -> Multivector:
+    """The setting embedded in the algebra, under the +1 tag."""
+    return Multivector(pair_coefficients(pair), +1)
 
 
-def detector(pair: DirectionPair) -> Detector:
-    return Detector(pair=pair, element=Multivector(pair_coefficients(pair), +1))
-
-
-@dataclass(frozen=True)
-class SpinState:
+def spin_state(det: Multivector, lam: int) -> Multivector:
     """The source element for one trial: the detector scaled by the coin."""
-
-    detector: Detector
-    lam: int
-    element: Multivector
-
-
-def spin_state(det: Detector, lam: int) -> SpinState:
     lam = _check_lam(lam)
-    elem = Multivector(lam * det.element.coeffs, lam)
-    return SpinState(detector=det, lam=lam, element=elem)
+    return Multivector(lam * det.coeffs, lam)
 
 
-def measure(det: Detector, lam: int, side: str) -> int:
+def measure(det: Multivector, lam: int, side: str) -> int:
     """Deterministic outcome of one wing at the source-aligned limit.
 
     side='first' evaluates the scalar of -D (lam D) and returns +lam;
@@ -200,12 +176,12 @@ def measure(det: Detector, lam: int, side: str) -> int:
     if side not in ("first", "second"):
         raise ValueError("side must be 'first' or 'second'")
     lam = _check_lam(lam)
-    d = det.element_at(lam)
+    d = Multivector(det.coeffs, lam)
     if abs(mv_norm(d) - 1.0) > 1e-9:
         raise DegenerateInput(
             "outcome extraction needs a unit-norm detector element"
         )
-    n = spin_state(det, lam).element
+    n = spin_state(det, lam)
     if side == "first":
         value = scalar_part(mv_mul(-d, n))
         expected = lam

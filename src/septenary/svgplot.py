@@ -64,22 +64,23 @@ def render_correlation_svg(bins: Sequence, title: str) -> str:
     # binned means: connected line plus markers
     if bins:
         mean_pts = " ".join(
-            "%.2f,%.2f" % (_x(b.angle_deg), _y(b.mean_corr))
+            "%.2f,%.2f" % (_x(b["angle_deg"]), _y(b["mean_corr"]))
             for b in bins)
         parts.append('<polyline points="%s" fill="none" stroke="#d62728"/>'
                      % mean_pts)
     for b in bins:
         parts.append(
             '<circle cx="%.2f" cy="%.2f" r="3" fill="#d62728"/>'
-            % (_x(b.angle_deg), _y(b.mean_corr)))
+            % (_x(b["angle_deg"]), _y(b["mean_corr"])))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_run_svg(path, summary) -> None:
+def write_run_svg(path, summary: dict) -> None:
+    """Plot the bins of a run summary, the dict ``stream_trials`` returns."""
     title = "%s run, %d trials, seed %d" % (
-        summary.mode, summary.trials, summary.seed)
-    svg = render_correlation_svg(summary.bins, title)
+        summary["mode"], summary["trials"], summary["seed"])
+    svg = render_correlation_svg(summary["bins"], title)
     with open(path, "w") as fh:
         fh.write(svg)
 

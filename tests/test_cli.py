@@ -669,8 +669,11 @@ def test_check_suite_filter(capsys):
 
 
 def test_check_rejects_zero_samples(capsys):
-    code, _ = run_cli(capsys, "check", "--samples", "0")
+    code = main(["check", "--samples", "0"])
+    captured = capsys.readouterr()
     assert code == 4
+    assert captured.err == "error: samples must be at least 1\n"
+    assert captured.out == ""
 
 
 def test_check_rejects_a_negative_tolerance(capsys):

@@ -10,38 +10,38 @@ finite3 = st.tuples(*[st.floats(min_value=-1e6, max_value=1e6,
 
 def test_base_points():
     p = stereo_phi(np.zeros(3))
-    assert p.v == (0.0, 0.0, 0.0) and p.w == 0.0
+    assert p.tolist() == [0.0, 0.0, 0.0, 0.0]
     q = stereo_psi(np.zeros(3))
-    assert q.v == (0.0, 0.0, 0.0) and q.w == -1.0
+    assert q.tolist() == [0.0, 0.0, 0.0, -1.0]
 
 
 @given(finite3)
 def test_psi_lands_on_the_unit_sphere(x):
     q = stereo_psi(np.array(x))
-    assert abs(np.linalg.norm(q.as_array()) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
 
 
 @given(finite3)
 def test_phi_is_psi_shifted_along_the_pole(x):
     up = stereo_phi(np.array(x))
     down = stereo_psi(np.array(x))
-    assert up.v == down.v
-    assert up.w - 1.0 == pytest.approx(down.w, abs=1e-15)
+    assert up[:3].tolist() == down[:3].tolist()
+    assert up[3] - 1.0 == pytest.approx(down[3], abs=1e-15)
 
 
 def test_phi_limit_at_large_radius():
     for u in (np.array([1.0, 0, 0]), np.array([0, -1.0, 0]),
               np.array([0.6, 0.8, 0.0]), np.array([0, 0, 1.0])):
         p = stereo_phi(1e8 * u)
-        assert np.max(np.abs(np.asarray(p.v))) <= 1e-7
-        assert abs(p.w - 2.0) <= 1e-7
+        assert np.max(np.abs(p[:3])) <= 1e-7
+        assert abs(p[3] - 2.0) <= 1e-7
 
 
 def test_phi_fixed_unit_circle():
     # points of the unit sphere of R^3 sit at w = 1 on the lifted sphere
     p = stereo_phi(np.array([0.0, 1.0, 0.0]))
-    assert p.w == pytest.approx(1.0, abs=1e-15)
-    assert p.v == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+    assert p[3] == pytest.approx(1.0, abs=1e-15)
+    assert p[:3] == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
 
 def test_non_finite_input_refuses():

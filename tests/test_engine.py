@@ -70,7 +70,7 @@ def test_setting_azimuths_are_uniform():
 def test_coin_is_fair_over_a_long_run():
     # outcome A is the coin itself
     summary = stream_trials(TrialConfig(trials=1000000, seed=2026, mode="epr"))
-    mean = summary.ave_outcomes["A"]
+    mean = summary["ave_outcomes"]["A"]
     assert mean == LAMBDA_MEAN_SEED2026
     assert abs(mean) < 0.005
 
@@ -105,8 +105,8 @@ def test_partial_batches_are_handled(trials):
         start += n
     assert start == trials
     summary = stream_trials(cfg)
-    assert summary.trials == trials
-    assert sum(b.count for b in summary.bins) == trials
+    assert summary["trials"] == trials
+    assert sum(b["count"] for b in summary["bins"]) == trials
 
 
 def test_seed_changes_the_run():
@@ -225,9 +225,12 @@ def test_paired_product_of_equal_settings_is_minus_one():
 def test_paired_product_reverses_under_the_coin():
     ds = [_planar_detector(a) for a in (10.0, 40.0, 75.0)]
     flipped = paired_product(ds, -1)
-    elems = [d.element_at(-1) for d in reversed(ds)]
+    elems = [Multivector(d.coeffs, -1) for d in reversed(ds)]
     want = mv_mul(mv_mul(elems[0], elems[1]), elems[2])
     assert_allclose(flipped.coeffs, want.coeffs, rtol=0.0, atol=0.0)
+    # the coin re-tags the detectors without moving their coordinates
+    assert flipped.lam == -1
+    assert all(d.lam == 1 for d in ds)
 
 
 def test_paired_product_argument_errors():
@@ -401,7 +404,7 @@ def _assert_summary_is_one_bincount(cfg, summary):
 def test_summary_bins_match_a_manual_count():
     # 20000 trials: the tally is fed three batches, the last one partial
     cfg = TrialConfig(trials=20000, seed=31, mode="epr")
-    summary = stream_trials(cfg).to_dict()
+    summary = stream_trials(cfg)
     occupied = _assert_summary_is_one_bincount(cfg, summary)
     assert ([b["angle_deg"] for b in summary["bins"]]
             == [(i + 0.5) * cfg.bin_width_deg for i in occupied])
@@ -410,7 +413,7 @@ def test_summary_bins_match_a_manual_count():
 
 def test_summary_outcome_averages(tmp_path):
     cfg = TrialConfig(trials=20000, seed=37, mode="epr")
-    aves = stream_trials(cfg).ave_outcomes
+    aves = stream_trials(cfg)["ave_outcomes"]
     assert set(aves) == {"A", "B"}
     outcomes = _csv_outcomes(cfg, tmp_path / "run.csv")
     assert aves["A"] == float(outcomes[:, 0].mean())
@@ -486,7 +489,7 @@ def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
 
 def test_summary_json_round_trip(tmp_path):
     cfg = TrialConfig(trials=300, seed=43, mode="ghz")
-    summary = stream_trials(cfg).to_dict()
+    summary = stream_trials(cfg)
     path = tmp_path / "summary.json"
     path.write_text(cli._json_text(summary))
     with open(path) as fh:
@@ -563,16 +566,16 @@ def test_configs_are_refused_or_stream_like_they_collect(
     cfg = TrialConfig(**kwargs)
     buf = io.StringIO(newline="")
     summary = stream_trials(cfg, buf)
-    cli._json_text(summary.to_dict())       # strict: NaN would raise
-    occupied = _assert_summary_is_one_bincount(cfg, summary.to_dict())
-    assert sum(b.count for b in summary.bins) == trials
+    cli._json_text(summary)                 # strict: NaN would raise
+    occupied = _assert_summary_is_one_bincount(cfg, summary)
+    assert sum(b["count"] for b in summary["bins"]) == trials
     assert buf.getvalue().encode() == _csv_writer_reference(cfg)
     assert all(bool((np.abs(b.phis) <= 180.0).all())
                for b in engine._batches(cfg))
     # every bin is reported inside its key range, the last one cut at 360
     w = float(width)
-    for i, b in zip(occupied.tolist(), summary.bins, strict=True):
-        assert i * w <= b.angle_deg < min((i + 1) * w, 360.0)
+    for i, b in zip(occupied.tolist(), summary["bins"], strict=True):
+        assert i * w <= b["angle_deg"] < min((i + 1) * w, 360.0)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +610,9 @@ def test_configs_are_refused_or_stream_like_they_collect(
     {"trials": 10, "seed": 0, "bin_width_deg": "5"},
     {"trials": 10, "seed": 0, "fixed_settings": (("30", "45"),)},
     {"trials": 10, "seed": 0, "fixed_settings": ((True, 45.0),)},
+    {"trials": 10, "seed": 0, "mode": ["epr"]},
+    {"trials": 10, "seed": 0, "fixed_settings": 5},
+    {"trials": 10, "seed": 0, "fixed_settings": (5,)},
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):
@@ -619,6 +625,11 @@ def test_fixed_settings_alone_select_the_fixed_list():
                                            fixed_settings=((0.0, 45.0),)))
     assert np.array_equal(batch.phis, np.tile([0.0, 45.0], (4, 1)))
     assert_allclose(batch.corr, -math.cos(math.radians(45.0)), atol=1e-12)
+    # lists are stored as tuples, so the frozen config hashes
+    listed = TrialConfig(trials=4, seed=0, mode="epr",
+                         fixed_settings=[[0.0, 45.0]])
+    assert {listed} == {TrialConfig(trials=4, seed=0, mode="epr",
+                                    fixed_settings=((0.0, 45.0),))}
     for bad in (((float("nan"), 45.0),), ((0.0, 45.0, 90.0),)):
         with pytest.raises(ConfigError):
             TrialConfig(trials=4, seed=0, mode="epr", fixed_settings=bad)
@@ -627,7 +638,7 @@ def test_fixed_settings_alone_select_the_fixed_list():
 def test_finest_bin_width_is_accepted():
     summary = stream_trials(TrialConfig(trials=100, seed=0, mode="epr",
                                         bin_width_deg=0.01))
-    assert sum(b.count for b in summary.bins) == 100
+    assert sum(b["count"] for b in summary["bins"]) == 100
 
 
 def test_numpy_integer_fields_are_accepted():
@@ -637,17 +648,17 @@ def test_numpy_integer_fields_are_accepted():
     assert cfg == want
     assert all(type(getattr(cfg, f)) is int
                for f in ("trials", "seed", "batch_size"))
-    assert (json.dumps(stream_trials(cfg).to_dict())
-            == json.dumps(stream_trials(want).to_dict()))
+    assert (json.dumps(stream_trials(cfg))
+            == json.dumps(stream_trials(want)))
 
 
 def test_every_exported_name_resolves():
     # the public surface is pinned: a name added or removed shows up here
     assert set(septenary.__all__) == {
         "ArityUnsupported", "BLADE_NAMES", "ConfigError", "DegenerateInput",
-        "Detector", "DirectionPair", "EmptyInput", "Multivector",
-        "OrientationMismatch", "R4Point", "SeptenaryError", "SpinState",
-        "TrialConfig", "basis_product", "chsh_bound", "chsh_scan",
+        "DirectionPair", "EmptyInput", "Multivector", "OrientationMismatch",
+        "SeptenaryError", "TrialConfig", "basis_product", "chsh_bound",
+        "chsh_scan",
         "detector", "epr_expectation", "ghz_direction_expectation",
         "ghz_expectation", "ghz_role_scalar_part", "make_pair_general",
         "make_pair_ghz", "make_pair_planar", "measure", "mv_mul", "mv_norm",

@@ -61,7 +61,13 @@ CHSH = {
         "91433a9c5b5746b92042067217eec53c9d7549c581d1303324a9e629d2de1374",
 }
 
-CHECK_20 = "8c8ab9c9f694b1ab2282d9121163a494b05b88bb7c77e631b26197a41d402ad9"
+CHECK = {
+    ("--samples", "20"):
+        "8c8ab9c9f694b1ab2282d9121163a494b05b88bb7c77e631b26197a41d402ad9",
+    # the default report, --samples 300
+    ():
+        "20acace4b9f2cd04fa2133a53e6c58adb6fe472a27f698525ca3855799ed76a9",
+}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -82,7 +88,10 @@ def test_chsh_scan_output_matches_its_digest(tmp_path, capsys):
 
 
 def test_check_report_matches_its_digest(capsys):
-    code = main(["check", "--samples", "20"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_20
+    got = {}
+    for argv in CHECK:
+        code = main(["check", *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        got[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == CHECK

@@ -11,7 +11,6 @@ from septenary.spin import (
     GHZ_SCALE,
     ROLE_SIGNS,
     SQRT_HALF,
-    Detector,
     DirectionPair,
     detector,
     make_pair_general,
@@ -121,32 +120,25 @@ def test_direction_pair_validation():
 def test_detector_element_layout_and_sphere_membership():
     p = make_pair_planar((0.6, 0.8, 0.0))
     det = detector(p)
-    c = det.element.coeffs
+    c = det.coeffs
     rx, ry, rz = p.n_r
     dx, dy, dz = p.n_d
     assert np.array_equal(c, [0.0, rz, ry, rx, dx, dy, dz, 0.0])
-    assert det.element.lam == 1
-    assert mv_norm(det.element) == pytest.approx(1.0, abs=1e-12)
-    assert quadric_defect(det.element) == 0.0
+    assert det.lam == 1
+    assert mv_norm(det) == pytest.approx(1.0, abs=1e-12)
+    assert quadric_defect(det) == 0.0
     assert np.array_equal(pair_coefficients(p), c)
-
-
-def test_element_at_retags_without_moving_coordinates():
-    det = detector(make_pair_planar((0.0, -1.0, 0.0)))
-    e = det.element_at(-1)
-    assert e.lam == -1
-    assert np.array_equal(e.coeffs, det.element.coeffs)
 
 
 def test_spin_state_scales_by_the_coin():
     det = detector(make_pair_planar((1.0, 0.0, 0.0)))
     up = spin_state(det, 1)
     down = spin_state(det, -1)
-    assert np.array_equal(up.element.coeffs, det.element.coeffs)
-    assert np.array_equal(down.element.coeffs, -det.element.coeffs)
-    assert down.element.lam == -1
+    assert np.array_equal(up.coeffs, det.coeffs)
+    assert np.array_equal(down.coeffs, -det.coeffs)
+    assert down.lam == -1
     for st in (up, down):
-        sq = mv_mul(st.element, st.element)
+        sq = mv_mul(st, st)
         assert np.all(sq.coeffs[1:] == 0.0)
         assert sq.coeffs[0] == pytest.approx(-1.0, abs=1e-12)
     for bad in (0, 1.5):
@@ -171,7 +163,7 @@ def test_measure_validates_inputs():
             measure(det, bad, "first")
     role_det = detector(make_pair_ghz((0.0, 0.0, 1.0), "A"))
     # role elements are scaled for the four-party identities, not unit norm
-    assert mv_norm(role_det.element) != pytest.approx(1.0, abs=1e-6)
+    assert mv_norm(role_det) != pytest.approx(1.0, abs=1e-6)
     with pytest.raises(DegenerateInput):
         measure(role_det, 1, "first")
 
