@@ -9,8 +9,9 @@ The package splits into focused layers:
     Stereographic lifts of 3-space onto the unit sphere in four dimensions,
     returned as arrays of four coordinates.
 ``spin``
-    Measurement settings as direction pairs embedded as algebra elements,
-    source elements, measurement outcomes, source-axis transport.
+    Measurement settings as leg tuples (n_r, n_d), their one embedding as
+    algebra elements, source elements, measurement outcomes, source-axis
+    transport.
 ``oracle``
     Closed-form expectations the simulations are judged against.
 ``engine``
@@ -53,13 +54,11 @@ from .oracle import (
     nfold_scalar_part,
 )
 from .spin import (
-    DirectionPair,
     detector,
     make_pair_general,
     make_pair_ghz,
     make_pair_planar,
     measure,
-    pair_coefficients,
     recover_source_axis,
     spin_state,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "BLADE_NAMES",
     "ConfigError",
     "DegenerateInput",
-    "DirectionPair",
     "EmptyInput",
     "Multivector",
     "OrientationMismatch",
@@ -93,7 +91,6 @@ __all__ = [
     "mv_norm",
     "nfold_scalar_part",
     "paired_product",
-    "pair_coefficients",
     "quadric_defect",
     "recover_source_axis",
     "scalar_part",

@@ -174,7 +174,7 @@ class Multivector:
         return "Multivector(%s | lam=%+d)" % (body, self.lam)
 
 
-def place_legs(out, n_r, n_d=(0.0, 0.0, 0.0)):
+def place_legs(out, n_r, n_d):
     """Write the legs of a direction pair into their slots of out; return out.
 
     out is indexed by slot: an (8,) array, or a list of eight entries, in

@@ -23,7 +23,7 @@ from .engine import paired_product
 from .oracle import nfold_scalar_part
 from .spin import (
     detector, make_pair_general, make_pair_ghz, make_pair_planar, measure,
-    pair_coefficients, recover_source_axis,
+    recover_source_axis, spin_state,
 )
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
@@ -175,12 +175,11 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
     for _ in range(samples):
         lam = 1 if gen.random() > 0.5 else -1
         pairs = [make_pair_general(_unit3(gen)) for _ in range(4)]
+        elems = [spin_state(detector(p), lam) for p in pairs]
         for n in (2, 3, 4):
             closed = nfold_scalar_part(pairs[:n])
-            elems = [Multivector(lam * pair_coefficients(p), lam)
-                     for p in pairs[:n]]
             acc = elems[0]
-            for e in elems[1:]:
+            for e in elems[1:n]:
                 acc = mv_mul(acc, e)
             worst = max(worst, abs(closed - acc.coeffs[0]))
     return CheckResult("chain-forms", worst <= tol,
@@ -201,9 +200,9 @@ def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
                                "second-side outcome is not the flipped coin")
     for role in "ABCD":
         for _ in range(max(1, samples // 4)):
-            p = make_pair_ghz(_unit3(gen), role)
-            rr = sum(v * v for v in p.n_r)
-            dd = sum(v * v for v in p.n_d)
+            n_r, n_d = make_pair_ghz(_unit3(gen), role)
+            rr = sum(v * v for v in n_r)
+            dd = sum(v * v for v in n_d)
             worst = max(worst, abs(rr + dd - target))
     return CheckResult("outcome-maps", worst <= tol,
                        "outcomes exact, role norms within %.3e" % worst)

@@ -6,6 +6,10 @@ The engine and these forms are compared in the test suite; the
 quantum-mechanical predictions for the two experiments are the same
 expressions, so no separate reference is needed.
 
+A setting arrives as its legs (n_r, n_d) and is unpacked here. The module
+imports nothing from the package but its errors, so the reference shares
+no code with the algebra and the embedding it checks.
+
 Notation used throughout: for two pairs (a_r, a_d), (b_r, b_d) define
 
     alpha = a_r.b_r + a_d.b_d        u = a_r x b_r + a_d x b_d
@@ -23,14 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityUnsupported, EmptyInput
-from .spin import DirectionPair
 
 Vec = np.ndarray
+Legs = tuple  # a setting (n_r, n_d): two 3-vectors
 
 
-def _legs(pair: DirectionPair) -> tuple[Vec, Vec]:
-    return (np.asarray(pair.n_r, dtype=np.float64),
-            np.asarray(pair.n_d, dtype=np.float64))
+def _legs(pair: Legs) -> tuple[Vec, Vec]:
+    n_r, n_d = pair
+    return (np.asarray(n_r, dtype=np.float64),
+            np.asarray(n_d, dtype=np.float64))
 
 
 def epr_expectation(theta: float) -> float:
@@ -69,7 +74,7 @@ def ghz_direction_expectation(a, b, c, d) -> float:
     )
 
 
-def ghz_role_scalar_part(pairs: Sequence[DirectionPair]) -> float:
+def ghz_role_scalar_part(pairs: Sequence[Legs]) -> float:
     """Four-party scalar for role-mapped pairs, evaluated two by two.
 
     The chain is grouped as (N_a N_b)(N_c N_d) and the six surviving dot
@@ -99,7 +104,7 @@ def _cross(a: Vec, b: Vec) -> Vec:
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
-def _pair_product_parts(p1: DirectionPair, p2: DirectionPair):
+def _pair_product_parts(p1: Legs, p2: Legs):
     ar, ad = _legs(p1)
     br, bd = _legs(p2)
     alpha = float(ar @ br + ad @ bd)
@@ -109,7 +114,7 @@ def _pair_product_parts(p1: DirectionPair, p2: DirectionPair):
     return alpha, u, v, w
 
 
-def nfold_scalar_part(pairs: Sequence[DirectionPair]) -> float:
+def nfold_scalar_part(pairs: Sequence[Legs]) -> float:
     """Scalar part of the source-element chain over the given pairs.
 
     Closed forms cover two, three and four factors; the value matches the

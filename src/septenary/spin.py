@@ -1,24 +1,30 @@
 """Setting and source elements built from paired direction vectors.
 
-A measurement setting is a pair of 3-vectors (n_r, n_d). The pair embeds
-into the algebra through the slot map of ``algebra.place_legs``: n_r onto
-the planes dual to its axes, n_d onto the legs along them, the scalar and
-volume slots zero. Three constructors are provided:
+A measurement setting is its legs, the tuple (n_r, n_d) of two 3-vectors.
+``detector`` is its one embedding into the algebra, through the slot map
+of ``algebra.place_legs``: n_r onto the planes dual to its axes, n_d onto
+the legs along them, the scalar and volume slots zero. Three constructors
+return legs:
 
-* make_pair_planar: for a unit vector a in the xy plane, n_r = a / sqrt(2)
+* make_pair_planar: for a unit direction a in the xy plane, n_r = a / sqrt(2)
   and n_d is a rotated a quarter turn counter-clockwise, same scaling. The
   rotation reuses the already scaled components bitwise, which is what lets
   squares of these elements cancel exactly (see mv_mul).
 * make_pair_ghz: one of four fixed sign patterns per party role, all scaled
-  by 2**-0.25, with the z component moved to the n_d leg. These pairs feed
+  by 2**-0.25, with the z component moved to the n_d leg. These legs feed
   the four-party closed-form identities; their embedded elements are not
   unit norm and are not meant for outcome extraction.
 * make_pair_general: any unit 3-vector, with n_d built by deterministic
-  Gram-Schmidt against a fixed reference axis. The trial engine uses the
-  planar constructor; the ``check`` chain-forms suite draws its settings
-  through this one.
+  Gram-Schmidt against the x axis, or against the y axis within about
+  0.01 rad of +-x, where the x residual is too short to keep n_d
+  orthogonal to 1e-12. The trial engine uses the planar constructor; the
+  ``check`` chain-forms suite draws its settings through this one.
 
-A detector D is the embedded pair, an element under the +1 tag. A trial
+The planar and role constructors refuse a direction whose legs miss their
+squared norms by more than 1e-12, a tighter bound than the 1e-6 unit test
+every direction passes first.
+
+A detector D is the embedded setting, an element under the +1 tag. A trial
 re-tags it with its coin lam and leaves its coefficients alone. A source
 (spin state) is the element lam D under the tag lam, so the pair-product
 closed forms hold for either sign of the coin.
@@ -27,8 +33,6 @@ closed forms hold for either sign of the coin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,37 +52,6 @@ ROLE_SIGNS = {
     "C": (1.0, 1.0, 1.0),
     "D": (1.0, -1.0, -1.0),
 }
-
-_MODES = ("planar", "ghz-role", "general")
-
-
-@dataclass(frozen=True)
-class DirectionPair:
-    """A validated (n_r, n_d) setting with its construction mode."""
-
-    n_r: tuple
-    n_d: tuple
-    mode: str = "planar"
-    role: Optional[str] = None
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError("unknown pair mode %r" % (self.mode,))
-        nr = np.asarray(self.n_r, dtype=np.float64)
-        nd = np.asarray(self.n_d, dtype=np.float64)
-        if nr.shape != (3,) or nd.shape != (3,):
-            raise ValueError("direction pair legs must be 3-vectors")
-        rr, dd, rd = float(nr @ nr), float(nd @ nd), float(nr @ nd)
-        if self.mode == "ghz-role":
-            if self.role not in ROLE_SIGNS:
-                raise ValueError("ghz-role pair needs a role in A..D")
-            if abs((rr + dd) - SQRT_HALF) > 1e-12:
-                raise DegenerateInput("role pair squared norms must sum to 2**-0.5")
-        else:
-            if abs(rr - 0.5) > 1e-12 or abs(dd - 0.5) > 1e-12:
-                raise DegenerateInput("pair legs must each have norm 2**-0.5")
-        if abs(rd) > 1e-12:
-            raise DegenerateInput("pair legs must be orthogonal")
 
 
 def _check_unit(a: np.ndarray, what: str) -> None:
@@ -101,17 +74,28 @@ def planar_legs(x, y) -> tuple[tuple, tuple]:
     return (rx, ry, 0.0), (-ry, rx, 0.0)
 
 
-def make_pair_planar(a) -> DirectionPair:
-    """Pair for a unit direction in the xy plane (see planar_legs)."""
+def _check_square(sq: float, want: float, a: np.ndarray, what: str) -> None:
+    # _check_unit allows 1e-6; the legs of a setting are held to 1e-12
+    if abs(sq - want) > 1e-12:
+        raise DegenerateInput("%s %r is not unit length to 1e-12"
+                              % (what, tuple(a.tolist())))
+
+
+def make_pair_planar(a) -> tuple[tuple, tuple]:
+    """Legs of the setting for a unit direction in the xy plane (see
+    planar_legs)."""
     a = np.asarray(a, dtype=np.float64).reshape(3)
     if a[2] != 0.0:
         raise DegenerateInput("planar pair needs a z-free direction")
     _check_unit(a, "planar direction")
-    return DirectionPair(*planar_legs(a[0], a[1]), "planar")
+    legs = planar_legs(a[0], a[1])
+    for leg in legs:
+        _check_square(float(np.dot(leg, leg)), 0.5, a, "planar direction")
+    return legs
 
 
-def make_pair_ghz(a, role: str) -> DirectionPair:
-    """Role-mapped pair for the four-party identities.
+def make_pair_ghz(a, role: str) -> tuple[tuple, tuple]:
+    """Role-mapped legs for the four-party identities.
 
     The xy part of the direction lands in n_r and the z part in n_d, each
     component multiplied by the role's sign and by 2**-0.25. Role A with
@@ -124,40 +108,40 @@ def make_pair_ghz(a, role: str) -> DirectionPair:
     sx, sy, sz = ROLE_SIGNS[role]
     n_r = (sx * a[0] * GHZ_SCALE, sy * a[1] * GHZ_SCALE, 0.0)
     n_d = (0.0, 0.0, sz * a[2] * GHZ_SCALE)
-    return DirectionPair(n_r, n_d, "ghz-role", role)
+    _check_square(float(np.dot(n_r, n_r)) + float(np.dot(n_d, n_d)),
+                  SQRT_HALF, a, "ghz direction")
+    return n_r, n_d
 
 
-_REFERENCE_AXES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+_X_AXIS = np.array([1.0, 0.0, 0.0])
+_Y_AXIS = np.array([0.0, 1.0, 0.0])
 
 
-def make_pair_general(a) -> DirectionPair:
-    """Pair for an arbitrary unit direction.
+def make_pair_general(a) -> tuple[tuple, tuple]:
+    """Legs of the setting for an arbitrary unit direction.
 
-    n_d comes from Gram-Schmidt of a fixed reference axis against a; when a
-    is almost parallel to the first reference the next one is used, so the
-    construction is deterministic with no randomness.
+    n_d comes from Gram-Schmidt of the x axis against a. Its orthogonality
+    to a degrades as eps / n, n the norm of the residual, so where n is not
+    above 1e-2 (a within about 0.01 rad of +-x) the y axis is used instead,
+    whose residual there is near 1. The construction is deterministic.
     """
     a = np.asarray(a, dtype=np.float64).reshape(3)
     _check_unit(a, "direction")
     ahat = a / np.linalg.norm(a)
-    for ref in _REFERENCE_AXES:
-        d = ref - (ref @ ahat) * ahat
+    d = _X_AXIS - (_X_AXIS @ ahat) * ahat
+    n = float(np.linalg.norm(d))
+    if n <= 1e-2:
+        d = _Y_AXIS - (_Y_AXIS @ ahat) * ahat
         n = float(np.linalg.norm(d))
-        if n > 1e-6:
-            d = d / n
-            return DirectionPair(tuple(ahat * SQRT_HALF), tuple(d * SQRT_HALF),
-                                 "general")
-    raise DegenerateInput("could not build a dual leg for %r" % (a,))
+    d = d / n
+    return tuple(ahat * SQRT_HALF), tuple(d * SQRT_HALF)
 
 
-def pair_coefficients(pair: DirectionPair) -> np.ndarray:
-    """The eight-slot embedding of a pair (scalar and volume slots zero)."""
-    return place_legs(np.zeros(8), pair.n_r, pair.n_d)
-
-
-def detector(pair: DirectionPair) -> Multivector:
-    """The setting embedded in the algebra, under the +1 tag."""
-    return Multivector(pair_coefficients(pair), +1)
+def detector(legs) -> Multivector:
+    """The setting (n_r, n_d) embedded in the algebra, under the +1 tag: its
+    legs in their slots (see algebra.place_legs), scalar and volume zero."""
+    n_r, n_d = legs
+    return Multivector(place_legs(np.zeros(8), n_r, n_d), +1)
 
 
 def spin_state(det: Multivector, lam: int) -> Multivector:
@@ -199,7 +183,7 @@ def measure(det: Multivector, lam: int, side: str) -> int:
 def _axis_element(u, what: str) -> Multivector:
     u = np.asarray(u, dtype=np.float64).reshape(3)
     _check_unit(u, what)
-    return Multivector(place_legs(np.zeros(8), u), +1)
+    return detector((u, (0.0, 0.0, 0.0)))
 
 
 def _reflect(b, s) -> tuple[Multivector, Multivector]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .oracle import epr_expectation
+
 WIDTH, HEIGHT = 640, 420
 MARGIN = 48
 ANGLE_MAX = 360.0           # the angle axis runs from 0 to here, in degrees
@@ -57,7 +59,7 @@ def render_correlation_svg(bins: Sequence, title: str) -> str:
     n = 240
     for i in range(n + 1):
         a = ANGLE_MAX * i / n
-        pts.append("%.2f,%.2f" % (_x(a), _y(minus_cos_deg(a))))
+        pts.append("%.2f,%.2f" % (_x(a), _y(epr_expectation(math.radians(a)))))
     parts.append('<polyline points="%s" fill="none" stroke="#1f77b4"/>'
                  % " ".join(pts))
 
@@ -83,8 +85,3 @@ def write_run_svg(path, summary: dict) -> None:
     svg = render_correlation_svg(summary["bins"], title)
     with open(path, "w") as fh:
         fh.write(svg)
-
-
-def minus_cos_deg(angle_deg: float) -> float:
-    """The closed form both runs are binned against, -cos of the angle."""
-    return -math.cos(math.radians(angle_deg))

@@ -200,8 +200,8 @@ def test_plane_product_is_minus_dot_plus_reversed_cross():
     for lam in (1, -1):
         for _ in range(100):
             u, v = rng.standard_normal((2, 3))
-            x = Multivector(place_legs(np.zeros(8), u), lam)
-            y = Multivector(place_legs(np.zeros(8), v), lam)
+            x = Multivector(place_legs(np.zeros(8), u, (0.0, 0.0, 0.0)), lam)
+            y = Multivector(place_legs(np.zeros(8), v, (0.0, 0.0, 0.0)), lam)
             prod = mv_mul(x, y).coeffs
             assert np.all(prod[4:] == 0.0)
             assert prod[SCALAR] == pytest.approx(-float(u @ v), rel=1e-12,

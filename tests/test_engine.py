@@ -656,13 +656,13 @@ def test_every_exported_name_resolves():
     # the public surface is pinned: a name added or removed shows up here
     assert set(septenary.__all__) == {
         "ArityUnsupported", "BLADE_NAMES", "ConfigError", "DegenerateInput",
-        "DirectionPair", "EmptyInput", "Multivector", "OrientationMismatch",
+        "EmptyInput", "Multivector", "OrientationMismatch",
         "SeptenaryError", "TrialConfig", "basis_product", "chsh_bound",
         "chsh_scan",
         "detector", "epr_expectation", "ghz_direction_expectation",
         "ghz_expectation", "ghz_role_scalar_part", "make_pair_general",
         "make_pair_ghz", "make_pair_planar", "measure", "mv_mul", "mv_norm",
-        "nfold_scalar_part", "paired_product", "pair_coefficients",
+        "nfold_scalar_part", "paired_product",
         "quadric_defect", "recover_source_axis", "scalar_part",
         "spin_state", "stereo_phi", "stereo_psi", "stream_trials",
     }

@@ -52,6 +52,9 @@ RUNS = {
     ),
 }
 
+# the SVG that the ghz-fixed run writes with --plot
+PLOT = "b9cff2c427e8c43d2269295e91a7e87a3f000326e90741f6416253c7da19336e"
+
 CHSH = {
     ("--grid-deg", "5"):
         "ba30788f1a3d4e236ed0ac6d6ea8d726d915e9a70c9b593704a95d5f37171183",
@@ -74,6 +77,15 @@ CHECK = {
 def test_run_outputs_match_their_digests(tmp_path, capsys, name):
     argv, want = RUNS[name]
     assert _run(tmp_path, capsys, *argv) == want
+
+
+def test_plot_output_matches_its_digest(tmp_path, capsys):
+    argv, _ = RUNS["ghz-fixed"]
+    path = tmp_path / "plot.svg"
+    code = main([*argv, "--plot", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha(path) == PLOT
 
 
 def test_chsh_scan_output_matches_its_digest(tmp_path, capsys):

@@ -1,12 +1,14 @@
+import ast
 import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from septenary.algebra import (
-    E_VOL, SCALAR, Multivector, mv_mul, place_legs, scalar_part,
+    E_VOL, SCALAR, mv_mul, place_legs, scalar_part,
 )
 from septenary.errors import ArityUnsupported, EmptyInput
 from septenary.oracle import (
@@ -20,13 +22,29 @@ from septenary.oracle import (
     nfold_scalar_part,
 )
 from septenary.spin import (
+    detector,
     make_pair_general,
     make_pair_ghz,
     make_pair_planar,
-    pair_coefficients,
+    spin_state,
 )
 
 ROOT2 = math.sqrt(2.0)
+
+
+def test_the_oracle_imports_nothing_from_the_package_but_its_errors():
+    # an independent reference must not share code with what it checks
+    import septenary.oracle
+
+    tree = ast.parse(Path(septenary.oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert {n for n in names
+            if n.startswith((".", "septenary"))} == {".errors"}
 
 
 def _unit(rng):
@@ -40,7 +58,7 @@ def _planar(rng):
 
 
 def _chain_scalar(pairs, lam):
-    elems = [Multivector(lam * pair_coefficients(p), lam) for p in pairs]
+    elems = [spin_state(detector(p), lam) for p in pairs]
     return scalar_part(reduce(mv_mul, elems))
 
 
@@ -118,15 +136,15 @@ def test_pair_product_splits_into_the_closed_form_parts(lam):
     for _ in range(200):
         p1 = make_pair_general(_unit(rng))
         p2 = make_pair_general(_unit(rng))
-        n1 = Multivector(lam * pair_coefficients(p1), lam)
-        n2 = Multivector(lam * pair_coefficients(p2), lam)
+        n1 = spin_state(detector(p1), lam)
+        n2 = spin_state(detector(p2), lam)
         alpha, u, v, w = _pair_product_parts(p1, p2)
         want = -lam * place_legs(np.zeros(8), u, v)
         want[SCALAR], want[E_VOL] = -alpha, lam * w
         assert_allclose(mv_mul(n1, n2).coeffs, want, rtol=0.0, atol=1e-12)
     # perpendicular planar settings: the half commutator has norm
     # sin(90 deg) = 1, off the scalar and volume slots
-    n1, n2 = (Multivector(lam * pair_coefficients(make_pair_planar(d)), lam)
+    n1, n2 = (spin_state(detector(make_pair_planar(d)), lam)
               for d in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
     half = 0.5 * (mv_mul(n1, n2).coeffs - mv_mul(n2, n1).coeffs)
     assert half[SCALAR] == 0.0 and half[E_VOL] == 0.0
@@ -182,12 +200,12 @@ def test_raw_role_chain_cannot_reach_the_closed_form():
     for _ in range(200):
         dirs = [_unit(rng) for _ in range(4)]
         pairs = [make_pair_ghz(d, r) for d, r in zip(dirs, "ABCD")]
-        elems = [Multivector(pair_coefficients(p), 1) for p in pairs]
+        elems = [detector(p) for p in pairs]
         raw = scalar_part(reduce(mv_mul, elems))
         assert abs(raw) <= 0.5 + 1e-12
     pole = [np.array([0.0, 0.0, 1.0])] * 4
     pairs = [make_pair_ghz(d, r) for d, r in zip(pole, "ABCD")]
-    elems = [Multivector(pair_coefficients(p), 1) for p in pairs]
+    elems = [detector(p) for p in pairs]
     raw = scalar_part(reduce(mv_mul, elems))
     assert raw == pytest.approx(0.5, abs=1e-12)
     assert ghz_direction_expectation(*pole) == pytest.approx(1.0, abs=1e-15)

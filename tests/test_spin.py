@@ -11,34 +11,29 @@ from septenary.spin import (
     GHZ_SCALE,
     ROLE_SIGNS,
     SQRT_HALF,
-    DirectionPair,
     detector,
     make_pair_general,
     make_pair_ghz,
     make_pair_planar,
     measure,
-    pair_coefficients,
     recover_source_axis,
     spin_state,
 )
 
 
 def test_planar_pair_axis_examples():
-    p = make_pair_planar((1.0, 0.0, 0.0))
-    assert p.n_r == (SQRT_HALF, 0.0, 0.0)
-    assert p.n_d == (-0.0, SQRT_HALF, 0.0)
-    q = make_pair_planar((0.0, 1.0, 0.0))
-    assert q.n_r == (0.0, SQRT_HALF, 0.0)
-    assert q.n_d == (-SQRT_HALF, 0.0, 0.0)
+    assert make_pair_planar((1.0, 0.0, 0.0)) == (
+        (SQRT_HALF, 0.0, 0.0), (-0.0, SQRT_HALF, 0.0))
+    assert make_pair_planar((0.0, 1.0, 0.0)) == (
+        (0.0, SQRT_HALF, 0.0), (-SQRT_HALF, 0.0, 0.0))
 
 
 def test_planar_pair_orthogonality_is_bitwise():
     rng = np.random.default_rng(2)
     for _ in range(500):
         t = rng.uniform(-math.pi, math.pi)
-        p = make_pair_planar((math.cos(t), math.sin(t), 0.0))
-        rx, ry, _ = p.n_r
-        dx, dy, _ = p.n_d
+        (rx, ry, _), (dx, dy, _) = make_pair_planar(
+            (math.cos(t), math.sin(t), 0.0))
         # the dual leg reuses the scaled components, so the dot product is
         # rx*(-ry) + ry*rx which cancels exactly in floating point
         assert rx * dx + ry * dy == 0.0
@@ -51,6 +46,9 @@ def test_planar_pair_rejects_off_plane_and_bad_norms():
         make_pair_planar((0.5, 0.0, 0.0))
     with pytest.raises(DegenerateInput):
         make_pair_planar((0.0, 0.0, 0.0))
+    # unit to 1e-6 but not to the 1e-12 the legs are held to
+    with pytest.raises(DegenerateInput, match="0.8000001"):
+        make_pair_planar((0.6, 0.8000001, 0.0))
 
 
 @pytest.mark.parametrize("role", ["A", "B", "C", "D"])
@@ -60,21 +58,26 @@ def test_role_pairs_split_xy_from_z(role):
     for _ in range(50):
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
-        p = make_pair_ghz(a, role)
-        assert p.mode == "ghz-role" and p.role == role
-        assert p.n_r == pytest.approx(
+        n_r, n_d = make_pair_ghz(a, role)
+        assert n_r == pytest.approx(
             (sx * a[0] * GHZ_SCALE, sy * a[1] * GHZ_SCALE, 0.0), abs=1e-15)
-        assert p.n_d == pytest.approx(
+        assert n_d == pytest.approx(
             (0.0, 0.0, sz * a[2] * GHZ_SCALE), abs=1e-15)
-        rr = sum(v * v for v in p.n_r)
-        dd = sum(v * v for v in p.n_d)
+        rr = sum(v * v for v in n_r)
+        dd = sum(v * v for v in n_d)
         assert rr + dd == pytest.approx(SQRT_HALF, abs=1e-12)
 
 
 def test_role_pair_example_pole():
-    p = make_pair_ghz((0.0, 0.0, 1.0), "A")
-    assert p.n_r == (-0.0, 0.0, 0.0)
-    assert p.n_d == (0.0, 0.0, -GHZ_SCALE)
+    assert make_pair_ghz((0.0, 0.0, 1.0), "A") == (
+        (-0.0, 0.0, 0.0), (0.0, 0.0, -GHZ_SCALE))
+
+
+@pytest.mark.parametrize("role", ["A", "B", "C", "D"])
+def test_role_pair_refuses_a_near_unit_direction(role):
+    # unit to 1e-6 but not to the 1e-12 the legs are held to
+    with pytest.raises(DegenerateInput, match="0.8000001"):
+        make_pair_ghz((0.6, 0.8000001, 0.0), role)
 
 
 def test_unknown_role_refuses():
@@ -88,46 +91,52 @@ def test_general_pair_is_orthonormal_and_deterministic():
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
         p = make_pair_general(a)
-        q = make_pair_general(a)
-        assert p == q
-        nr, nd = np.array(p.n_r), np.array(p.n_d)
+        assert p == make_pair_general(a)
+        nr, nd = map(np.array, p)
         assert float(nr @ nr) == pytest.approx(0.5, abs=1e-12)
         assert float(nd @ nd) == pytest.approx(0.5, abs=1e-12)
         assert abs(float(nr @ nd)) <= 1e-12
+    # a direction unit only to 1e-6 is normalised, not refused
+    nr, nd = map(np.array, make_pair_general((0.6, 0.8000001, 0.0)))
+    assert float(nr @ nr) == pytest.approx(0.5, abs=1e-12)
+    assert float(nd @ nd) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_general_pair_falls_back_near_the_reference_axis():
-    p = make_pair_general((1.0, 0.0, 0.0))
+    _, n_d = make_pair_general((1.0, 0.0, 0.0))
     # Gram-Schmidt against x-hat degenerates, so the y reference is used
-    assert p.n_d == pytest.approx((0.0, SQRT_HALF, 0.0), abs=1e-12)
+    assert n_d == pytest.approx((0.0, SQRT_HALF, 0.0), abs=1e-12)
 
 
-def test_direction_pair_validation():
-    good = make_pair_planar((1.0, 0.0, 0.0))
-    DirectionPair(good.n_r, good.n_d)  # re-validates fine
-    with pytest.raises(DegenerateInput):
-        DirectionPair((0.6, 0.0, 0.0), (0.0, SQRT_HALF, 0.0))
-    with pytest.raises(DegenerateInput):
-        DirectionPair((SQRT_HALF, 0.0, 0.0), (0.1, SQRT_HALF, 0.0))
-    with pytest.raises(ValueError):
-        DirectionPair(good.n_r, good.n_d, mode="weird")
-    with pytest.raises(ValueError):
-        DirectionPair(good.n_r, good.n_d, mode="ghz-role", role="Z")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_general_pair_stays_orthonormal_near_the_x_axis(sign):
+    # the x residual shrinks with the angle off +-x and its rounding with
+    # it; the legs must stay orthonormal to 1e-12 all the way in
+    rng = np.random.default_rng(43)
+    dirs = [(0.9999999996253763, 2.2002019329397417e-05,
+             1.6283697568285344e-05)]
+    for angle in np.geomspace(1e-7, 1e-1, 25):
+        for phi in rng.uniform(-math.pi, math.pi, 20):
+            dirs.append((math.cos(angle), math.sin(angle) * math.cos(phi),
+                         math.sin(angle) * math.sin(phi)))
+    for d in dirs:
+        nr, nd = map(np.array, make_pair_general((sign * d[0], d[1], d[2])))
+        assert abs(float(nr @ nd)) <= 1e-12
+        assert abs(float(nr @ nr) - 0.5) <= 1e-12
+        assert abs(float(nd @ nd) - 0.5) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 
 def test_detector_element_layout_and_sphere_membership():
-    p = make_pair_planar((0.6, 0.8, 0.0))
-    det = detector(p)
+    legs = make_pair_planar((0.6, 0.8, 0.0))
+    det = detector(legs)
     c = det.coeffs
-    rx, ry, rz = p.n_r
-    dx, dy, dz = p.n_d
+    (rx, ry, rz), (dx, dy, dz) = legs
     assert np.array_equal(c, [0.0, rz, ry, rx, dx, dy, dz, 0.0])
     assert det.lam == 1
     assert mv_norm(det) == pytest.approx(1.0, abs=1e-12)
     assert quadric_defect(det) == 0.0
-    assert np.array_equal(pair_coefficients(p), c)
 
 
 def test_spin_state_scales_by_the_coin():
