@@ -189,8 +189,9 @@ def place_legs(out, n_r, n_d):
 
 
 def plane_leg(coeffs: np.ndarray) -> np.ndarray:
-    """The x, y, z components of n_r held in an (8,) coefficient array."""
-    return coeffs[list(R_SLOTS)]
+    """The x, y, z components of n_r held in an (8,) coefficient array, or
+    in each row of an (n, 8) stack."""
+    return coeffs[..., list(R_SLOTS)]
 
 
 def basis_product(mu: int, nu: int, lam: int = +1) -> Multivector:
@@ -205,12 +206,12 @@ def _product(a, b, plan: tuple, out) -> None:
     """Write the rows that plan lists of the product of a and b into out.
 
     a, b and out are indexed by slot; each entry is a float or an array, so
-    ``mv_mul`` and the engine's batched chains run this same kernel. The
-    cross terms of every blade pair {mu, nu} are summed together before
-    being folded into the row. A slot the plan counts as structurally zero
-    may hold None; only the surviving terms are evaluated, so a pruned
-    result can differ from the full one in the sign of a zero and nowhere
-    else.
+    ``mv_mul``, ``mv_mul_rows`` and the engine's batched chains run this
+    same kernel. The cross terms of every blade pair {mu, nu} are summed
+    together before being folded into the row. A slot the plan counts as
+    structurally zero may hold None; only the surviving terms are
+    evaluated, so a pruned result can differ from the full one in the sign
+    of a zero and nowhere else.
     """
     for rho, groups in plan:
         acc = None
@@ -247,8 +248,39 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     return Multivector(out, x.lam)
 
 
+def mv_mul_rows(x: np.ndarray, y: np.ndarray, lam,
+                scalar_only: bool = False) -> np.ndarray:
+    """Row-wise geometric products of two (n, 8) coefficient stacks.
+
+    lam is the tag of every row, or an (n,) array of per-row tags; row i is
+    multiplied under its own tag, so it is bitwise ``mv_mul`` of the two
+    rows under that tag. ``_product`` runs once per tag present, on the
+    per-slot columns of that tag's rows. With scalar_only it runs the
+    scalar row alone and the (n,) scalar parts come back.
+    """
+    lam = np.broadcast_to(lam, (len(x),))
+    plus, minus = lam == 1, lam == -1
+    if not (plus | minus).all():
+        raise ValueError("orientation tags must be +1 or -1")
+    out = np.empty(len(x) if scalar_only else (len(x), 8))
+    for tag, rows in ((1, plus), (-1, minus)):
+        if not rows.any():
+            continue
+        cols = [None] * 8
+        _product(list(x[rows].T), list(y[rows].T),
+                 term_plan(tag, scalar_only=scalar_only), cols)
+        out[rows] = cols[SCALAR] if scalar_only else np.column_stack(cols)
+    return out
+
+
 def mv_norm(x: Multivector) -> float:
-    return float(math.sqrt(float(np.dot(x.coeffs, x.coeffs))))
+    return row_norm(x.coeffs)
+
+
+def row_norm(c: np.ndarray) -> float:
+    """The norm of one (8,) coefficient row, summed by ``np.dot``; the row
+    paths call it row by row so their norms keep ``mv_norm``'s bits."""
+    return math.sqrt(float(np.dot(c, c)))
 
 
 def scalar_part(x: Multivector) -> float:
@@ -262,6 +294,11 @@ def quadric_defect(x: Multivector) -> float:
     multiplicatively under the +1 orientation; products of such elements
     stay on it.
     """
-    c = x.coeffs
-    return float(-c[0] * c[7] + c[1] * c[6] + c[2] * c[5] + c[3] * c[4])
+    return float(quadric_pairing(x.coeffs))
+
+
+def quadric_pairing(c):
+    """The pairing of ``quadric_defect`` on slot-indexed coefficients: an
+    (8,) row, or the (8, n) transpose of a stack for one value per row."""
+    return -c[0] * c[7] + c[1] * c[6] + c[2] * c[5] + c[3] * c[4]
 

@@ -5,6 +5,17 @@ the same verdicts as running everything. The product-table suite works in
 integers and must pass at any tolerance including zero; the rest compare
 floating defects against the requested tolerance. ``samples`` scales the
 random iteration counts; even at 1 every suite still executes.
+
+The draws stay per sample: one sample at a time, in the same order and
+through the same rejection loops as a scalar loop would take them. A suite
+stacks them into chunks of ``_CHUNK`` rows and runs each chunk's products
+on the batch kernel (``algebra.mv_mul_rows``: one ``_product`` call per
+tag present), through the row forms of the outcome map and of the
+similarity transport in ``spin``. Each row is bitwise what the scalar
+product gives, so the report does not depend on the chunk size, and memory
+does not grow with ``samples``. The closed forms of ``oracle`` and the
+reference cosines stay per-sample scalar evaluations: they are the
+independent path.
 """
 
 from __future__ import annotations
@@ -16,14 +27,13 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .algebra import (
-    E_VOL, PRODUCT_TENSOR, Multivector, mv_mul, mv_norm, quadric_defect,
+    E_VOL, PRODUCT_TENSOR, mv_mul_rows, quadric_pairing, row_norm,
 )
 from .conformal import stereo_phi, stereo_psi
-from .engine import paired_product
 from .oracle import nfold_scalar_part
 from .spin import (
-    detector, make_pair_general, make_pair_ghz, make_pair_planar, measure,
-    recover_source_axis, spin_state,
+    detector_rows, make_pair_general, make_pair_ghz, make_pair_planar,
+    measure_rows, recover_source_axis_rows,
 )
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
@@ -31,6 +41,15 @@ CheckResult = namedtuple("CheckResult", "name passed detail")
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 300
 _SUITE_SEED = 20260814
+# rows per chunk of stacked draws: large enough that the kernel's per-call
+# cost is spread thin, small enough that memory stays flat in samples
+_CHUNK = 128
+
+
+def _chunks(samples: int):
+    """The sizes of the consecutive chunks that cover samples rows."""
+    for start in range(0, samples, _CHUNK):
+        yield min(_CHUNK, samples - start)
 
 
 def _unit3(gen: Generator) -> np.ndarray:
@@ -49,19 +68,16 @@ def _unit2(gen: Generator) -> np.ndarray:
             return np.array([v[0] / r, v[1] / r, 0.0])
 
 
-def _quadric_unit(gen: Generator) -> Multivector:
-    """Random unit element on the orientation +1 product-closed quadric."""
+def _quadric_unit(gen: Generator) -> np.ndarray:
+    """Coefficients of a random unit element on the orientation +1
+    product-closed quadric."""
     while True:
         c = gen.standard_normal(8)
         if abs(c[7]) < 0.1:
             continue
         c[0] = (c[1] * c[6] + c[2] * c[5] + c[3] * c[4]) / c[7]
         c /= np.linalg.norm(c)
-        return Multivector(tuple(c), 1)
-
-
-def _random_mv(gen: Generator, lam: int) -> Multivector:
-    return Multivector(tuple(gen.standard_normal(8)), lam)
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +113,16 @@ def _suite_product_table(tol, samples, gen) -> CheckResult:
 
 def _suite_associativity(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        lam = 1 if gen.random() > 0.5 else -1
-        x, y, z = (_random_mv(gen, lam) for _ in range(3))
-        left = mv_mul(mv_mul(x, y), z)
-        right = mv_mul(x, mv_mul(y, z))
-        worst = max(worst, max(abs(a - b) for a, b in
-                               zip(left.coeffs, right.coeffs)))
+    for n in _chunks(samples):
+        lams = np.empty(n, dtype=np.int64)
+        x, y, z = factors = np.empty((3, n, 8))
+        for i in range(n):
+            lams[i] = 1 if gen.random() > 0.5 else -1
+            for f in factors:
+                f[i] = gen.standard_normal(8)
+        left = mv_mul_rows(mv_mul_rows(x, y, lams), z, lams)
+        right = mv_mul_rows(x, mv_mul_rows(y, z, lams), lams)
+        worst = max(worst, float(np.abs(left - right).max()))
     return CheckResult("associativity", worst <= tol,
                        "max defect %.3e over %d random triples"
                        % (worst, samples))
@@ -111,11 +130,15 @@ def _suite_associativity(tol, samples, gen) -> CheckResult:
 
 def _suite_norm_composition(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        x = _quadric_unit(gen)
-        y = _quadric_unit(gen)
-        p = mv_mul(x, y)
-        worst = max(worst, abs(mv_norm(p) - 1.0), abs(quadric_defect(p)))
+    for n in _chunks(samples):
+        x, y = np.empty((2, n, 8))
+        for i in range(n):
+            x[i] = _quadric_unit(gen)
+            y[i] = _quadric_unit(gen)
+        p = mv_mul_rows(x, y, 1)
+        norms = np.array([row_norm(r) for r in p])
+        worst = max(worst, float(np.abs(norms - 1.0).max()),
+                    float(np.abs(quadric_pairing(p.T)).max()))
     return CheckResult(
         "norm-composition", worst <= tol,
         "max norm/closure defect %.3e over %d unit products"
@@ -124,17 +147,27 @@ def _suite_norm_composition(tol, samples, gen) -> CheckResult:
 
 def _suite_conservation(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        a = _unit2(gen)
-        b = _unit2(gen)
-        lam = 1 if gen.random() > 0.5 else -1
-        da = detector(make_pair_planar(a))
-        db = detector(make_pair_planar(b))
-        prod = paired_product([da, db], lam)
-        delta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
-        worst = max(worst, abs(prod.coeffs[0] + math.cos(delta)))
-        out = measure(da, lam, "first") * measure(db, lam, "second")
-        if out != -1:
+    for n in _chunks(samples):
+        lams = np.empty(n, dtype=np.int64)
+        minus_cos = np.empty(n)
+        legs = []
+        for i in range(n):
+            a = _unit2(gen)
+            b = _unit2(gen)
+            lams[i] = 1 if gen.random() > 0.5 else -1
+            legs += make_pair_planar(a), make_pair_planar(b)
+            delta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
+            minus_cos[i] = math.cos(delta)
+        da, db = detector_rows(legs).reshape(n, 2, 8).transpose(1, 0, 2)
+        # the pair product of engine.paired_product: detector a first under
+        # a +1 coin, the order reversed under a -1 coin
+        plus = (lams > 0)[:, None]
+        prod = mv_mul_rows(np.where(plus, da, db), np.where(plus, db, da),
+                           lams, scalar_only=True)
+        worst = max(worst, float(np.abs(prod + minus_cos).max()))
+        out = (measure_rows(da, lams, "first")
+               * measure_rows(db, lams, "second"))
+        if (out != -1).any():
             return CheckResult("conservation", False,
                                "paired outcomes did not cancel")
     return CheckResult(
@@ -144,11 +177,13 @@ def _suite_conservation(tol, samples, gen) -> CheckResult:
 
 def _suite_source_recovery(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        b = _unit3(gen)
-        s = _unit3(gen)
-        got = recover_source_axis(b, s)
-        worst = max(worst, float(np.max(np.abs(got - s))))
+    for n in _chunks(samples):
+        b, s = np.empty((2, n, 3))
+        for i in range(n):
+            b[i] = _unit3(gen)
+            s[i] = _unit3(gen)
+        got = recover_source_axis_rows(b, s)
+        worst = max(worst, float(np.abs(got - s).max()))
     return CheckResult("source-recovery", worst <= tol,
                        "max axis error %.3e over %d round trips"
                        % (worst, samples))
@@ -172,16 +207,22 @@ def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
 
 def _suite_chain_forms(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        lam = 1 if gen.random() > 0.5 else -1
-        pairs = [make_pair_general(_unit3(gen)) for _ in range(4)]
-        elems = [spin_state(detector(p), lam) for p in pairs]
-        for n in (2, 3, 4):
-            closed = nfold_scalar_part(pairs[:n])
-            acc = elems[0]
-            for e in elems[1:n]:
-                acc = mv_mul(acc, e)
-            worst = max(worst, abs(closed - acc.coeffs[0]))
+    for n in _chunks(samples):
+        lams = np.empty(n, dtype=np.int64)
+        closed = np.empty((n, 3))
+        legs = []
+        for i in range(n):
+            lams[i] = 1 if gen.random() > 0.5 else -1
+            pairs = [make_pair_general(_unit3(gen)) for _ in range(4)]
+            legs += pairs
+            closed[i] = [nfold_scalar_part(pairs[:k]) for k in (2, 3, 4)]
+        # the sources lam D of the four settings of each row
+        elems = lams[:, None, None] * detector_rows(legs).reshape(n, 4, 8)
+        acc = elems[:, 0]
+        for k in (1, 2, 3):
+            acc = mv_mul_rows(acc, elems[:, k], lams)
+            gap = np.abs(closed[:, k - 1] - acc[:, 0])
+            worst = max(worst, float(gap.max()))
     return CheckResult("chain-forms", worst <= tol,
                        "closed forms match chains within %.3e" % worst)
 
@@ -189,13 +230,17 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
 def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
     target = 2.0 ** -0.5
-    for _ in range(samples):
-        lam = 1 if gen.random() > 0.5 else -1
-        det = detector(make_pair_planar(_unit2(gen)))
-        if measure(det, lam, "first") != lam:
+    for n in _chunks(samples):
+        lams = np.empty(n, dtype=np.int64)
+        legs = []
+        for i in range(n):
+            lams[i] = 1 if gen.random() > 0.5 else -1
+            legs.append(make_pair_planar(_unit2(gen)))
+        det = detector_rows(legs)
+        if (measure_rows(det, lams, "first") != lams).any():
             return CheckResult("outcome-maps", False,
                                "first-side outcome is not the coin")
-        if measure(det, lam, "second") != -lam:
+        if (measure_rows(det, lams, "second") != -lams).any():
             return CheckResult("outcome-maps", False,
                                "second-side outcome is not the flipped coin")
     for role in "ABCD":

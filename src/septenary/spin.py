@@ -28,6 +28,13 @@ A detector D is the embedded setting, an element under the +1 tag. A trial
 re-tags it with its coin lam and leaves its coefficients alone. A source
 (spin state) is the element lam D under the tag lam, so the pair-product
 closed forms hold for either sign of the coin.
+
+The embedding, the outcome map and the similarity transport are each
+defined once, on stacks of rows (``detector_rows``, ``measure_rows``,
+``recover_source_axis_rows``), with their products on the batch kernel
+``algebra.mv_mul_rows``. ``detector``, ``measure`` and
+``recover_source_axis`` are their one-row views. Every row is held to the
+checks on its own, so one bad row in a stack raises DegenerateInput.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ import math
 import numpy as np
 
 from .algebra import (
-    R_SLOTS, Multivector, _check_lam, mv_mul, mv_norm, place_legs, plane_leg,
-    scalar_part,
+    R_SLOTS, Multivector, _check_lam, mv_mul_rows, place_legs, plane_leg,
+    row_norm,
 )
 from .errors import DegenerateInput
 
@@ -55,11 +62,18 @@ ROLE_SIGNS = {
 
 
 def _check_unit(a: np.ndarray, what: str) -> None:
-    n = float(np.linalg.norm(a))
-    if n < 1e-9:
-        raise DegenerateInput("%s is numerically zero" % what)
-    if abs(n - 1.0) > 1e-6:
-        raise DegenerateInput("%s must be unit length, got norm %.3g" % (what, n))
+    """Refuse a direction that is not unit length, or any row of an (n, 3)
+    stack of them. The bounds are written so that nan and inf fail them."""
+    if a.ndim == 1:
+        norms = [float(np.linalg.norm(a))]
+    else:
+        norms = np.linalg.norm(a, axis=1).tolist()
+    for n in norms:
+        if n < 1e-9:
+            raise DegenerateInput("%s is numerically zero" % what)
+        if not abs(n - 1.0) <= 1e-6:
+            raise DegenerateInput("%s must be unit length, got norm %.3g"
+                                  % (what, n))
 
 
 def planar_legs(x, y) -> tuple[tuple, tuple]:
@@ -76,7 +90,7 @@ def planar_legs(x, y) -> tuple[tuple, tuple]:
 
 def _check_square(sq: float, want: float, a: np.ndarray, what: str) -> None:
     # _check_unit allows 1e-6; the legs of a setting are held to 1e-12
-    if abs(sq - want) > 1e-12:
+    if not abs(sq - want) <= 1e-12:
         raise DegenerateInput("%s %r is not unit length to 1e-12"
                               % (what, tuple(a.tolist())))
 
@@ -140,8 +154,17 @@ def make_pair_general(a) -> tuple[tuple, tuple]:
 def detector(legs) -> Multivector:
     """The setting (n_r, n_d) embedded in the algebra, under the +1 tag: its
     legs in their slots (see algebra.place_legs), scalar and volume zero."""
-    n_r, n_d = legs
-    return Multivector(place_legs(np.zeros(8), n_r, n_d), +1)
+    return Multivector(detector_rows([legs])[0], +1)
+
+
+def detector_rows(legs) -> np.ndarray:
+    """The settings of a sequence of n legs (n_r, n_d), or of an (n, 2, 3)
+    array of them, as the rows of an (n, 8) coefficient stack: row i holds
+    the coefficients of ``detector(legs[i])``."""
+    stack = np.asarray(legs, dtype=np.float64).reshape(-1, 2, 3)
+    rows = np.zeros((len(stack), 8))
+    place_legs(rows.T, stack[:, 0].T, stack[:, 1].T)
+    return rows
 
 
 def spin_state(det: Multivector, lam: int) -> Multivector:
@@ -155,43 +178,57 @@ def measure(det: Multivector, lam: int, side: str) -> int:
 
     side='first' evaluates the scalar of -D (lam D) and returns +lam;
     side='second' evaluates (lam D) D and returns -lam. The float product is
-    checked against the exact value before the integer is returned.
+    checked against the exact value before the integer is returned. This is
+    the one-row view of ``measure_rows``.
+    """
+    lam = _check_lam(lam)
+    return int(measure_rows(det.coeffs[None], np.array([lam]), side)[0])
+
+
+def measure_rows(dets: np.ndarray, lams: np.ndarray, side: str) -> np.ndarray:
+    """The outcomes of ``measure`` for an (n, 8) stack of detector
+    coefficients under the (n,) coins lams, as an (n,) int array.
+
+    Each row is held to measure's checks on its own: a row whose norm is not
+    1 to 1e-9, or whose product drifts from its limit by more than 1e-9,
+    raises DegenerateInput.
     """
     if side not in ("first", "second"):
         raise ValueError("side must be 'first' or 'second'")
-    lam = _check_lam(lam)
-    d = Multivector(det.coeffs, lam)
-    if abs(mv_norm(d) - 1.0) > 1e-9:
+    lams = np.array(lams)
+    norms = np.array([row_norm(d) for d in dets])
+    if not (np.abs(norms - 1.0) <= 1e-9).all():
         raise DegenerateInput(
             "outcome extraction needs a unit-norm detector element"
         )
-    n = spin_state(det, lam)
+    sources = lams[:, None] * dets
     if side == "first":
-        value = scalar_part(mv_mul(-d, n))
-        expected = lam
+        value = mv_mul_rows(-dets, sources, lams, scalar_only=True)
+        expected = lams
     else:
-        value = scalar_part(mv_mul(n, d))
-        expected = -lam
-    if abs(value - expected) > 1e-9:
+        value = mv_mul_rows(sources, dets, lams, scalar_only=True)
+        expected = -lams
+    drift = ~(np.abs(value - expected) <= 1e-9)
+    if drift.any():
+        k = int(np.argmax(drift))
         raise DegenerateInput(
             "outcome drifted from its limit: got %.17g, wanted %+d"
-            % (value, expected)
+            % (value[k], expected[k])
         )
     return expected
 
 
-def _axis_element(u, what: str) -> Multivector:
-    u = np.asarray(u, dtype=np.float64).reshape(3)
+def _axis_rows(u: np.ndarray, what: str) -> np.ndarray:
     _check_unit(u, what)
-    return detector((u, (0.0, 0.0, 0.0)))
+    return detector_rows(np.stack([u, np.zeros_like(u)], axis=1))
 
 
-def _reflect(b, s) -> tuple[Multivector, Multivector]:
-    """The detector plane xb and the reflected element -xb * xs * xb,
-    whose plane leg is 2 (b.s) b - s."""
-    xb = _axis_element(b, "detector axis")
-    xs = _axis_element(s, "source axis")
-    return xb, mv_mul(-xb, mv_mul(xs, xb))
+def _reflect(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For (n, 3) stacks of axes b and s: the detector planes xb and the
+    reflected elements -xb * xs * xb, whose plane legs are 2 (b.s) b - s."""
+    xb = _axis_rows(b, "detector axis")
+    xs = _axis_rows(s, "source axis")
+    return xb, mv_mul_rows(-xb, mv_mul_rows(xs, xb, 1), 1)
 
 
 def recover_source_axis(b, s) -> np.ndarray:
@@ -200,11 +237,20 @@ def recover_source_axis(b, s) -> np.ndarray:
     Conjugating the reflected element by the detector plane undoes the
     reflection, so the returned axis equals s up to rounding. All four
     products run through the real algebra; nothing is symbolically
-    cancelled.
+    cancelled. This is the one-row view of ``recover_source_axis_rows``.
     """
+    b = np.asarray(b, dtype=np.float64).reshape(1, 3)
+    s = np.asarray(s, dtype=np.float64).reshape(1, 3)
+    return recover_source_axis_rows(b, s)[0]
+
+
+def recover_source_axis_rows(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``recover_source_axis`` for each row of two (n, 3) stacks of unit
+    axes; any row that is not unit, or whose transport leaks outside the
+    planes by more than 1e-9, raises DegenerateInput."""
     xb, y = _reflect(b, s)
-    z = mv_mul(xb, mv_mul(y, -xb))
-    leak = float(np.abs(np.delete(z.coeffs, R_SLOTS)).max())
-    if leak > 1e-9:
+    z = mv_mul_rows(xb, mv_mul_rows(y, -xb, 1), 1)
+    leak = np.abs(np.delete(z, R_SLOTS, axis=1)).max(axis=1)
+    if not (leak <= 1e-9).all():
         raise DegenerateInput("similarity transport leaked outside the planes")
-    return plane_leg(z.coeffs)
+    return plane_leg(z)

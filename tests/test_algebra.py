@@ -16,10 +16,13 @@ from septenary.algebra import (
     _product,
     basis_product,
     mv_mul,
+    mv_mul_rows,
     mv_norm,
     place_legs,
     plane_leg,
     quadric_defect,
+    quadric_pairing,
+    row_norm,
     scalar_part,
     term_plan,
 )
@@ -291,6 +294,53 @@ def test_products_equal_the_exact_tensor_contraction():
                     assert np.all(want[rho] == 0.0)
                 else:
                     assert np.array_equal(out[rho], want[rho])
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("tags", ["+1", "-1", "mixed"])
+def test_row_products_are_bitwise_mv_mul(tags):
+    rng = np.random.default_rng({"+1": 41, "-1": 42, "mixed": 43}[tags])
+    n = 300
+    x, y = rng.standard_normal((2, n, 8))
+    # structural zeros of either sign, so the sign of a zero is pinned too
+    x[rng.random((n, 8)) < 0.2] = 0.0
+    y[rng.random((n, 8)) < 0.2] = -0.0
+    lams = {"+1": np.ones(n, dtype=np.int64),
+            "-1": -np.ones(n, dtype=np.int64),
+            "mixed": rng.choice([1, -1], size=n)}[tags]
+    full = mv_mul_rows(x, y, lams)
+    scalar = mv_mul_rows(x, y, lams, scalar_only=True)
+    assert full.shape == (n, 8) and scalar.shape == (n,)
+    for i in range(n):
+        want = mv_mul(Multivector(x[i], int(lams[i])),
+                      Multivector(y[i], int(lams[i])))
+        assert (full[i] == want.coeffs).all()
+        assert _bits(full[i]) == _bits(want.coeffs)
+        assert scalar[i] == want.coeffs[SCALAR]
+        assert _bits(scalar[i]) == _bits(want.coeffs[SCALAR])
+    if tags != "mixed":
+        # one tag for every row gives the same rows as the per-row array
+        assert _bits(mv_mul_rows(x, y, int(lams[0]))) == _bits(full)
+
+
+def test_row_products_refuse_a_bad_tag():
+    x = np.ones((3, 8))
+    for bad in (0, 2, np.array([1, -1, 0])):
+        with pytest.raises(ValueError):
+            mv_mul_rows(x, x, bad)
+
+
+def test_row_norms_and_pairings_are_the_scalar_ones():
+    rng = np.random.default_rng(44)
+    rows = rng.standard_normal((50, 8))
+    pairing = quadric_pairing(rows.T)
+    for r, q in zip(rows, pairing):
+        x = Multivector(r, 1)
+        assert _bits(row_norm(r)) == _bits(mv_norm(x))
+        assert _bits(q) == _bits(quadric_defect(x))
 
 
 def test_planar_factors_alternate_between_two_slot_sets():

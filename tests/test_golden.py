@@ -5,13 +5,22 @@ purpose re-pins the affected digests and says why in CHANGES.md.
 
 The digests hold for the platform the suite is maintained on (x86-64,
 numpy 2.4); a different numpy or libm may round the trigonometry
-differently and then needs its own re-pin.
+differently and then needs its own re-pin. They must not depend on which
+SIMD kernels numpy dispatches to on the host CPU, so the goldens are also
+rerun in a child process with dispatch cut down to numpy's baseline.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import septenary
+from septenary import checks
 from septenary.cli import main
 
 
@@ -107,3 +116,25 @@ def test_check_report_matches_its_digest(capsys):
         assert code == 0
         got[argv] = hashlib.sha256(out.encode()).hexdigest()
     assert got == CHECK
+
+
+def test_check_report_does_not_depend_on_the_chunk_size(capsys, monkeypatch):
+    # 7 rows per chunk: both reports cross many chunk boundaries, and the
+    # last chunk of each is a partial one
+    monkeypatch.setattr(checks, "_CHUNK", 7)
+    test_check_report_matches_its_digest(capsys)
+
+
+def test_goldens_hold_at_the_numpy_cpu_baseline():
+    baseline = np._core._multiarray_umath.__cpu_baseline__
+    env = dict(os.environ,
+               NPY_ENABLE_CPU_FEATURES=",".join(baseline),
+               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
+    here = Path(__file__).resolve()
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(here), "-k", "not numpy_cpu_baseline"],
+        cwd=here.parent.parent, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert " passed" in out.stdout and "deselected" in out.stdout

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from septenary.algebra import mv_mul, mv_norm, plane_leg, quadric_defect
+from septenary import spin
+from septenary.algebra import (
+    E_VOL, E_X, Multivector, mv_mul, mv_norm, plane_leg, quadric_defect,
+)
 from septenary.errors import DegenerateInput
 from septenary.spin import (
     _reflect,
@@ -12,11 +15,14 @@ from septenary.spin import (
     ROLE_SIGNS,
     SQRT_HALF,
     detector,
+    detector_rows,
     make_pair_general,
     make_pair_ghz,
     make_pair_planar,
     measure,
+    measure_rows,
     recover_source_axis,
+    recover_source_axis_rows,
     spin_state,
 )
 
@@ -181,7 +187,7 @@ def test_measure_validates_inputs():
 
 def _reflected_axis(b, s):
     """Plane leg of the element recover_source_axis transports back."""
-    return plane_leg(_reflect(b, s)[1].coeffs)
+    return plane_leg(_reflect(np.array([b]), np.array([s]))[1][0])
 
 
 def test_reflection_formula():
@@ -221,3 +227,123 @@ def test_axis_helpers_reject_degenerate_vectors():
         recover_source_axis((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(DegenerateInput):
         recover_source_axis((1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# non-finite directions
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_non_finite_directions(bad):
+    for a in ((bad, 0.0, 0.0), (0.6, bad, 0.0)):
+        with pytest.raises(DegenerateInput):
+            make_pair_planar(a)
+    for a in ((bad, 0.0, 0.0), (0.0, 0.6, bad)):
+        with pytest.raises(DegenerateInput):
+            make_pair_general(a)
+        for role in "ABCD":
+            with pytest.raises(DegenerateInput):
+                make_pair_ghz(a, role)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_source_recovery_refuses_non_finite_axes(bad):
+    unit = (1.0, 0.0, 0.0)
+    with pytest.raises(DegenerateInput, match="detector axis"):
+        recover_source_axis((bad, 0.0, 0.0), unit)
+    with pytest.raises(DegenerateInput, match="source axis"):
+        recover_source_axis(unit, (0.0, bad, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# row forms
+
+def _planar_rows(rng, n):
+    t = rng.uniform(-math.pi, math.pi, n)
+    return detector_rows([make_pair_planar((math.cos(a), math.sin(a), 0.0))
+                          for a in t])
+
+
+def test_detector_rows_are_the_detectors():
+    rng = np.random.default_rng(51)
+    legs = [make_pair_general(a / np.linalg.norm(a))
+            for a in rng.standard_normal((20, 3))]
+    rows = detector_rows(legs)
+    for row, leg in zip(rows, legs):
+        assert row.tobytes() == detector(leg).coeffs.tobytes()
+
+
+def test_row_outcomes_are_measure():
+    rng = np.random.default_rng(52)
+    dets = _planar_rows(rng, 200)
+    lams = rng.choice([1, -1], size=200)
+    for side in ("first", "second"):
+        got = measure_rows(dets, lams, side)
+        want = [measure(Multivector(d), int(lam), side)
+                for d, lam in zip(dets, lams)]
+        assert got.tolist() == want
+
+
+def _transport_reference(b, s):
+    """The transport written element by element through mv_mul."""
+    xb = detector((b, (0.0, 0.0, 0.0)))
+    xs = detector((s, (0.0, 0.0, 0.0)))
+    y = mv_mul(-xb, mv_mul(xs, xb))
+    return plane_leg(mv_mul(xb, mv_mul(y, -xb)).coeffs)
+
+
+def test_row_transport_is_the_scalar_transport_bitwise():
+    rng = np.random.default_rng(53)
+    b, s = rng.standard_normal((2, 200, 3))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    s /= np.linalg.norm(s, axis=1)[:, None]
+    rows = recover_source_axis_rows(b, s)
+    for got, bi, si in zip(rows, b, s):
+        want = _transport_reference(bi, si)
+        assert got.tobytes() == want.tobytes()
+        assert recover_source_axis(bi, si).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_row_outcomes_refuse_one_bad_row(side):
+    rng = np.random.default_rng(54)
+    dets = _planar_rows(rng, 9)
+    lams = rng.choice([1, -1], size=9)
+    assert len(measure_rows(dets, lams, side)) == 9
+    scaled = dets.copy()
+    scaled[4] *= 1.001
+    with pytest.raises(DegenerateInput, match="unit-norm"):
+        measure_rows(scaled, lams, side)
+    # unit norm, but the volume blade squares to +1, so the outcome sits
+    # at the opposite sign of its limit
+    drifting = dets.copy()
+    drifting[6] = 0.0
+    drifting[6, E_VOL] = 1.0
+    with pytest.raises(DegenerateInput, match="drifted"):
+        measure_rows(drifting, lams, side)
+
+
+def test_row_transport_refuses_one_leaking_row(monkeypatch):
+    rng = np.random.default_rng(55)
+    b, s = rng.standard_normal((2, 9, 3))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    s /= np.linalg.norm(s, axis=1)[:, None]
+    assert recover_source_axis_rows(b, s).shape == (9, 3)
+    axis_rows = spin._axis_rows
+
+    def leaky(u, what):
+        rows = axis_rows(u, what)
+        if what == "source axis":
+            rows[5, E_X] = 0.25     # a leg outside the planes
+        return rows
+
+    monkeypatch.setattr(spin, "_axis_rows", leaky)
+    with pytest.raises(DegenerateInput, match="leaked"):
+        recover_source_axis_rows(b, s)
+
+
+def test_row_transport_refuses_one_non_unit_row():
+    b = np.array([[1.0, 0.0, 0.0]] * 5)
+    s = np.array([[0.0, 1.0, 0.0]] * 5)
+    s[3] = (0.0, 1.5, 0.0)
+    with pytest.raises(DegenerateInput, match="source axis"):
+        recover_source_axis_rows(b, s)
