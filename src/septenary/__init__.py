@@ -3,15 +3,14 @@
 The package splits into focused layers:
 
 ``algebra``
-    The eight-component product, orientation tags, norms and the closure
-    quadric.
+    The eight-component product of coefficient rows and stacks under an
+    orientation tag, norms and the closure quadric.
 ``conformal``
     Stereographic lifts of 3-space onto the unit sphere in four dimensions,
     returned as arrays of four coordinates.
 ``spin``
     Measurement settings as leg tuples (n_r, n_d), their one embedding as
-    algebra elements, source elements, measurement outcomes, source-axis
-    transport.
+    coefficient rows, measurement outcomes, source-axis transport.
 ``oracle``
     Closed-form expectations the simulations are judged against.
 ``engine``
@@ -23,12 +22,10 @@ The package splits into focused layers:
 
 from .algebra import (
     BLADE_NAMES,
-    Multivector,
     basis_product,
     mv_mul,
     mv_norm,
     quadric_defect,
-    scalar_part,
 )
 from .conformal import stereo_phi, stereo_psi
 from .engine import (
@@ -42,7 +39,6 @@ from .errors import (
     ConfigError,
     DegenerateInput,
     EmptyInput,
-    OrientationMismatch,
     SeptenaryError,
 )
 from .oracle import (
@@ -60,7 +56,6 @@ from .spin import (
     make_pair_planar,
     measure,
     recover_source_axis,
-    spin_state,
 )
 
 __version__ = "0.1.0"
@@ -71,8 +66,6 @@ __all__ = [
     "ConfigError",
     "DegenerateInput",
     "EmptyInput",
-    "Multivector",
-    "OrientationMismatch",
     "SeptenaryError",
     "TrialConfig",
     "basis_product",
@@ -93,8 +86,6 @@ __all__ = [
     "paired_product",
     "quadric_defect",
     "recover_source_axis",
-    "scalar_part",
-    "spin_state",
     "stereo_phi",
     "stereo_psi",
     "stream_trials",

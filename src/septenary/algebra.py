@@ -11,10 +11,12 @@ The algebra lives on eight basis blades, indexed 0..7:
     6: e34          z leg
     7: e1234        volume times the fourth direction
 
-Every element carries an orientation sign ``lam`` (+1 or -1). The sign fixes
-the handedness of the non-scalar basis blades: flipping it negates blades
-1..7 while leaving the products' scalar parts alone. Elements may only be
-multiplied when their tags agree.
+An element is its row of eight coefficients, an (8,) array; a stack of n
+elements is an (n, 8) array. Every product is taken under an orientation
+sign ``lam`` (+1 or -1), passed beside the coefficients: one int for every
+row, or an (n,) array of per-row tags. The sign fixes the handedness of the
+non-scalar basis blades: flipping it negates blades 1..7 while leaving the
+products' scalar parts alone. The scalar part of x is ``x[..., 0]``.
 
 Structurally this is a split dual quaternion algebra: slots 0..3 multiply as
 one quaternion, slots 4..7 as a second, and the two halves couple through a
@@ -32,8 +34,6 @@ import itertools
 import math
 
 import numpy as np
-
-from .errors import OrientationMismatch
 
 BLADE_NAMES = ("1", "e12", "e31", "e23", "e14", "e24", "e34", "e1234")
 
@@ -143,37 +143,6 @@ def _check_lam(lam) -> int:
     return int(lam)
 
 
-class Multivector:
-    """An element of the algebra: eight coefficients plus an orientation tag."""
-
-    __slots__ = ("coeffs", "lam")
-
-    def __init__(self, coeffs, lam: int = +1):
-        arr = np.array(coeffs, dtype=np.float64).reshape(8)
-        if not np.isfinite(arr).all():
-            raise ValueError("multivector coefficients must be finite")
-        self.coeffs = arr
-        self.lam = _check_lam(lam)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __neg__(self):
-        return Multivector(-self.coeffs, self.lam)
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.lam == other.lam and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c != 0.0:
-                terms.append("%+g %s" % (c, BLADE_NAMES[i]))
-        body = " ".join(terms) if terms else "0"
-        return "Multivector(%s | lam=%+d)" % (body, self.lam)
-
-
 def place_legs(out, n_r, n_d):
     """Write the legs of a direction pair into their slots of out; return out.
 
@@ -194,20 +163,21 @@ def plane_leg(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., list(R_SLOTS)]
 
 
-def basis_product(mu: int, nu: int, lam: int = +1) -> Multivector:
-    """Product of two basis blades, exact. At most one blade survives."""
+def basis_product(mu: int, nu: int, lam: int = +1) -> np.ndarray:
+    """Product of two basis blades under tag lam as an (8,) row, exact. At
+    most one blade survives."""
     lam = _check_lam(lam)
     if not (0 <= mu <= 7 and 0 <= nu <= 7):
         raise ValueError("basis indices must lie in 0..7")
-    return Multivector(PRODUCT_TENSOR[lam][:, mu, nu].astype(np.float64), lam)
+    return PRODUCT_TENSOR[lam][:, mu, nu].astype(np.float64)
 
 
 def _product(a, b, plan: tuple, out) -> None:
     """Write the rows that plan lists of the product of a and b into out.
 
     a, b and out are indexed by slot; each entry is a float or an array, so
-    ``mv_mul``, ``mv_mul_rows`` and the engine's batched chains run this
-    same kernel. The cross terms of every blade pair {mu, nu} are summed
+    ``mv_mul`` on rows and on stacks and the engine's batched chains run
+    this same kernel. The cross terms of every blade pair {mu, nu} are summed
     together before being folded into the row. A slot the plan counts as
     structurally zero may hold None; only the surviving terms are
     evaluated, so a pruned result can differ from the full one in the sign
@@ -230,75 +200,62 @@ def _product(a, b, plan: tuple, out) -> None:
         out[rho] = acc
 
 
-def mv_mul(x: Multivector, y: Multivector) -> Multivector:
-    """Geometric product. Both operands must carry the same orientation tag.
+def mv_mul(x, y, lam, scalar_only: bool = False):
+    """Geometric product of two elements under the orientation tag lam.
 
-    It runs ``_product`` under the full plan of the tag. Pair-grouped
-    summation makes the antisymmetric contributions of a product X * X
-    cancel exactly in floating point, so squares of pair-built elements
-    come out with a bitwise-zero non-scalar part.
+    x and y are (8,) coefficient rows, or (n, 8) stacks multiplied row by
+    row. lam is the tag of every row, or for a stack an (n,) array of
+    per-row tags. One tag runs ``_product`` once, on the per-slot columns,
+    under the full plan of the tag; per-row tags split the stack by tag and
+    run each part so, which gives every row the bits of its one-row
+    product. Pair-grouped summation makes the antisymmetric contributions
+    of a product X * X cancel exactly in floating point, so squares of
+    pair-built elements come out with a bitwise-zero non-scalar part. With
+    scalar_only only the scalar row is evaluated and the scalar part comes
+    back: a float for a row, an (n,) array for a stack.
     """
-    if x.lam != y.lam:
-        raise OrientationMismatch(
-            "product needs matching orientation tags, got %+d and %+d"
-            % (x.lam, y.lam)
-        )
-    out = [0.0] * 8
-    _product(x.coeffs.tolist(), y.coeffs.tolist(), term_plan(x.lam), out)
-    return Multivector(out, x.lam)
-
-
-def mv_mul_rows(x: np.ndarray, y: np.ndarray, lam,
-                scalar_only: bool = False) -> np.ndarray:
-    """Row-wise geometric products of two (n, 8) coefficient stacks.
-
-    lam is the tag of every row, or an (n,) array of per-row tags; row i is
-    multiplied under its own tag, so it is bitwise ``mv_mul`` of the two
-    rows under that tag. ``_product`` runs once per tag present, on the
-    per-slot columns of that tag's rows. With scalar_only it runs the
-    scalar row alone and the (n,) scalar parts come back.
-    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.shape[-1:] != (8,) or x.ndim > 2:
+        raise ValueError("operands must be two (8,) rows or two (n, 8) "
+                         "stacks, got shapes %s and %s" % (x.shape, y.shape))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("coefficients must be finite")
+    if np.ndim(lam) == 0:
+        out = [None] * 8
+        _product(list(x.T), list(y.T),
+                 term_plan(lam, scalar_only=scalar_only), out)
+        return out[SCALAR] if scalar_only else np.stack(out, axis=-1)
+    if x.ndim == 1:
+        raise ValueError("a row takes one orientation tag")
     lam = np.broadcast_to(lam, (len(x),))
     plus, minus = lam == 1, lam == -1
     if not (plus | minus).all():
         raise ValueError("orientation tags must be +1 or -1")
     out = np.empty(len(x) if scalar_only else (len(x), 8))
     for tag, rows in ((1, plus), (-1, minus)):
-        if not rows.any():
-            continue
-        cols = [None] * 8
-        _product(list(x[rows].T), list(y[rows].T),
-                 term_plan(tag, scalar_only=scalar_only), cols)
-        out[rows] = cols[SCALAR] if scalar_only else np.column_stack(cols)
+        if rows.any():
+            out[rows] = mv_mul(x[rows], y[rows], tag, scalar_only)
     return out
 
 
-def mv_norm(x: Multivector) -> float:
-    return row_norm(x.coeffs)
+def mv_norm(x):
+    """The Euclidean norm of an (8,) row as a float, or of each row of an
+    (..., 8) stack as an array of that shape; each row is summed by
+    ``np.dot``."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.array([math.sqrt(float(np.dot(c, c)))
+                      for c in x.reshape(-1, 8)])
+    return float(norms[0]) if x.ndim == 1 else norms.reshape(x.shape[:-1])
 
 
-def row_norm(c: np.ndarray) -> float:
-    """The norm of one (8,) coefficient row, summed by ``np.dot``; the row
-    paths call it row by row so their norms keep ``mv_norm``'s bits."""
-    return math.sqrt(float(np.dot(c, c)))
-
-
-def scalar_part(x: Multivector) -> float:
-    return float(x.coeffs[0])
-
-
-def quadric_defect(x: Multivector) -> float:
-    """The pairing X0*(-X7) + X1*X6 + X2*X5 + X3*X4.
+def quadric_defect(x):
+    """The pairing X0*(-X7) + X1*X6 + X2*X5 + X3*X4 of an (8,) row, or of
+    each row of an (..., 8) stack.
 
     Zero exactly on the subset of the unit sphere where the norm composes
     multiplicatively under the +1 orientation; products of such elements
     stay on it.
     """
-    return float(quadric_pairing(x.coeffs))
-
-
-def quadric_pairing(c):
-    """The pairing of ``quadric_defect`` on slot-indexed coefficients: an
-    (8,) row, or the (8, n) transpose of a stack for one value per row."""
+    c = np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
     return -c[0] * c[7] + c[1] * c[6] + c[2] * c[5] + c[3] * c[4]
-

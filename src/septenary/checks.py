@@ -8,12 +8,11 @@ random iteration counts; even at 1 every suite still executes.
 
 The draws stay per sample: one sample at a time, in the same order and
 through the same rejection loops as a scalar loop would take them. A suite
-stacks them into chunks of ``_CHUNK`` rows and runs each chunk's products
-on the batch kernel (``algebra.mv_mul_rows``: one ``_product`` call per
-tag present), through the row forms of the outcome map and of the
-similarity transport in ``spin``. Each row is bitwise what the scalar
-product gives, so the report does not depend on the chunk size, and memory
-does not grow with ``samples``. The closed forms of ``oracle`` and the
+stacks them into chunks of ``_CHUNK`` rows and runs each chunk through
+the stack forms of ``algebra.mv_mul`` (one ``_product`` call per tag
+present), of the outcome map and of the similarity transport in ``spin``.
+Each row is bitwise what the one-row call gives, so the report does not
+depend on the chunk size, and memory does not grow with ``samples``. The closed forms of ``oracle`` and the
 reference cosines stay per-sample scalar evaluations: they are the
 independent path.
 """
@@ -26,14 +25,12 @@ from collections import namedtuple
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .algebra import (
-    E_VOL, PRODUCT_TENSOR, mv_mul_rows, quadric_pairing, row_norm,
-)
+from .algebra import E_VOL, PRODUCT_TENSOR, mv_mul, mv_norm, quadric_defect
 from .conformal import stereo_phi, stereo_psi
 from .oracle import nfold_scalar_part
 from .spin import (
-    detector_rows, make_pair_general, make_pair_ghz, make_pair_planar,
-    measure_rows, recover_source_axis_rows,
+    detector, make_pair_general, make_pair_ghz, make_pair_planar, measure,
+    recover_source_axis,
 )
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
@@ -120,8 +117,8 @@ def _suite_associativity(tol, samples, gen) -> CheckResult:
             lams[i] = 1 if gen.random() > 0.5 else -1
             for f in factors:
                 f[i] = gen.standard_normal(8)
-        left = mv_mul_rows(mv_mul_rows(x, y, lams), z, lams)
-        right = mv_mul_rows(x, mv_mul_rows(y, z, lams), lams)
+        left = mv_mul(mv_mul(x, y, lams), z, lams)
+        right = mv_mul(x, mv_mul(y, z, lams), lams)
         worst = max(worst, float(np.abs(left - right).max()))
     return CheckResult("associativity", worst <= tol,
                        "max defect %.3e over %d random triples"
@@ -135,10 +132,9 @@ def _suite_norm_composition(tol, samples, gen) -> CheckResult:
         for i in range(n):
             x[i] = _quadric_unit(gen)
             y[i] = _quadric_unit(gen)
-        p = mv_mul_rows(x, y, 1)
-        norms = np.array([row_norm(r) for r in p])
-        worst = max(worst, float(np.abs(norms - 1.0).max()),
-                    float(np.abs(quadric_pairing(p.T)).max()))
+        p = mv_mul(x, y, 1)
+        worst = max(worst, float(np.abs(mv_norm(p) - 1.0).max()),
+                    float(np.abs(quadric_defect(p)).max()))
     return CheckResult(
         "norm-composition", worst <= tol,
         "max norm/closure defect %.3e over %d unit products"
@@ -158,15 +154,14 @@ def _suite_conservation(tol, samples, gen) -> CheckResult:
             legs += make_pair_planar(a), make_pair_planar(b)
             delta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
             minus_cos[i] = math.cos(delta)
-        da, db = detector_rows(legs).reshape(n, 2, 8).transpose(1, 0, 2)
+        da, db = detector(legs).reshape(n, 2, 8).transpose(1, 0, 2)
         # the pair product of engine.paired_product: detector a first under
         # a +1 coin, the order reversed under a -1 coin
         plus = (lams > 0)[:, None]
-        prod = mv_mul_rows(np.where(plus, da, db), np.where(plus, db, da),
-                           lams, scalar_only=True)
+        prod = mv_mul(np.where(plus, da, db), np.where(plus, db, da), lams,
+                      scalar_only=True)
         worst = max(worst, float(np.abs(prod + minus_cos).max()))
-        out = (measure_rows(da, lams, "first")
-               * measure_rows(db, lams, "second"))
+        out = measure(da, lams, "first") * measure(db, lams, "second")
         if (out != -1).any():
             return CheckResult("conservation", False,
                                "paired outcomes did not cancel")
@@ -182,7 +177,7 @@ def _suite_source_recovery(tol, samples, gen) -> CheckResult:
         for i in range(n):
             b[i] = _unit3(gen)
             s[i] = _unit3(gen)
-        got = recover_source_axis_rows(b, s)
+        got = recover_source_axis(b, s)
         worst = max(worst, float(np.abs(got - s).max()))
     return CheckResult("source-recovery", worst <= tol,
                        "max axis error %.3e over %d round trips"
@@ -217,10 +212,10 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
             legs += pairs
             closed[i] = [nfold_scalar_part(pairs[:k]) for k in (2, 3, 4)]
         # the sources lam D of the four settings of each row
-        elems = lams[:, None, None] * detector_rows(legs).reshape(n, 4, 8)
+        elems = lams[:, None, None] * detector(legs).reshape(n, 4, 8)
         acc = elems[:, 0]
         for k in (1, 2, 3):
-            acc = mv_mul_rows(acc, elems[:, k], lams)
+            acc = mv_mul(acc, elems[:, k], lams)
             gap = np.abs(closed[:, k - 1] - acc[:, 0])
             worst = max(worst, float(gap.max()))
     return CheckResult("chain-forms", worst <= tol,
@@ -236,11 +231,11 @@ def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
         for i in range(n):
             lams[i] = 1 if gen.random() > 0.5 else -1
             legs.append(make_pair_planar(_unit2(gen)))
-        det = detector_rows(legs)
-        if (measure_rows(det, lams, "first") != lams).any():
+        det = detector(legs)
+        if (measure(det, lams, "first") != lams).any():
             return CheckResult("outcome-maps", False,
                                "first-side outcome is not the coin")
-        if (measure_rows(det, lams, "second") != -lams).any():
+        if (measure(det, lams, "second") != -lams).any():
             return CheckResult("outcome-maps", False,
                                "second-side outcome is not the flipped coin")
     for role in "ABCD":

@@ -66,7 +66,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .algebra import (
-    SCALAR, Multivector, _check_lam, _product, mv_mul, place_legs, term_plan,
+    SCALAR, _check_lam, _product, mv_mul, place_legs, term_plan,
     zero_slots,
 )
 from .errors import ConfigError, EmptyInput
@@ -230,22 +230,22 @@ class _Tally:
 # ---------------------------------------------------------------------------
 # products
 
-def paired_product(detectors: Sequence[Multivector], lam: int) -> Multivector:
-    """Ordered product of detector elements under the trial orientation.
+def paired_product(detectors: Sequence[np.ndarray], lam: int) -> np.ndarray:
+    """Ordered product of (8,) detector rows under the trial orientation.
 
-    Each detector is re-tagged with lam, its coefficients unchanged. A +1
-    coin multiplies in the order given, a -1 coin in the fully reversed
-    order.
+    Every product is taken under the tag lam; the rows are left as they
+    are. A +1 coin multiplies in the order given, a -1 coin in the fully
+    reversed order. The product comes back as an (8,) row.
     """
     if len(detectors) < 2:
         raise EmptyInput("paired_product needs at least two detectors")
     lam = _check_lam(lam)
-    elems = [Multivector(d.coeffs, lam) for d in detectors]
+    elems = list(detectors)
     if lam == -1:
         elems.reverse()
     acc = elems[0]
     for e in elems[1:]:
-        acc = mv_mul(acc, e)
+        acc = mv_mul(acc, e, lam)
     return acc
 
 

@@ -5,14 +5,6 @@ class SeptenaryError(Exception):
     """Base class for errors raised by this package."""
 
 
-class OrientationMismatch(SeptenaryError):
-    """Two elements tagged with different orientation signs were multiplied.
-
-    Products are only defined between elements living in the same oriented
-    basis.
-    """
-
-
 class DegenerateInput(SeptenaryError):
     """Geometric input too degenerate to use (zero vector, off-plane, ...)."""
 

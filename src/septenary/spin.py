@@ -24,17 +24,17 @@ The planar and role constructors refuse a direction whose legs miss their
 squared norms by more than 1e-12, a tighter bound than the 1e-6 unit test
 every direction passes first.
 
-A detector D is the embedded setting, an element under the +1 tag. A trial
-re-tags it with its coin lam and leaves its coefficients alone. A source
-(spin state) is the element lam D under the tag lam, so the pair-product
-closed forms hold for either sign of the coin.
+A detector D is the embedded setting, an (8,) coefficient row. A trial
+multiplies it under the tag of its coin lam and leaves its coefficients
+alone. A source (spin state) is the row lam D under the tag lam, so the
+pair-product closed forms hold for either sign of the coin.
 
 The embedding, the outcome map and the similarity transport are each
-defined once, on stacks of rows (``detector_rows``, ``measure_rows``,
-``recover_source_axis_rows``), with their products on the batch kernel
-``algebra.mv_mul_rows``. ``detector``, ``measure`` and
-``recover_source_axis`` are their one-row views. Every row is held to the
-checks on its own, so one bad row in a stack raises DegenerateInput.
+defined once, by ``detector``, ``measure`` and ``recover_source_axis``.
+Each takes one setting or a stack of them and runs its products through
+``algebra.mv_mul``, so a one-row call gives the bits of the same row of a
+stack call. Every row of a stack is held to the checks on its own, so one
+bad row raises DegenerateInput.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ import math
 
 import numpy as np
 
-from .algebra import (
-    R_SLOTS, Multivector, _check_lam, mv_mul_rows, place_legs, plane_leg,
-    row_norm,
-)
+from .algebra import R_SLOTS, _check_lam, mv_mul, mv_norm, place_legs, plane_leg
 from .errors import DegenerateInput
 
 SQRT_HALF = math.sqrt(0.5)
@@ -151,84 +148,75 @@ def make_pair_general(a) -> tuple[tuple, tuple]:
     return tuple(ahat * SQRT_HALF), tuple(d * SQRT_HALF)
 
 
-def detector(legs) -> Multivector:
-    """The setting (n_r, n_d) embedded in the algebra, under the +1 tag: its
-    legs in their slots (see algebra.place_legs), scalar and volume zero."""
-    return Multivector(detector_rows([legs])[0], +1)
+def detector(legs) -> np.ndarray:
+    """The setting (n_r, n_d) embedded in the algebra: its legs in their
+    slots (see algebra.place_legs), scalar and volume zero, as an (8,) row.
 
-
-def detector_rows(legs) -> np.ndarray:
-    """The settings of a sequence of n legs (n_r, n_d), or of an (n, 2, 3)
-    array of them, as the rows of an (n, 8) coefficient stack: row i holds
-    the coefficients of ``detector(legs[i])``."""
-    stack = np.asarray(legs, dtype=np.float64).reshape(-1, 2, 3)
-    rows = np.zeros((len(stack), 8))
-    place_legs(rows.T, stack[:, 0].T, stack[:, 1].T)
+    A sequence of n settings, or an (n, 2, 3) array of them, gives the
+    (n, 8) stack of their rows. Legs that are not finite are refused.
+    """
+    legs = np.asarray(legs, dtype=np.float64)
+    if legs.shape[-2:] != (2, 3) or legs.ndim > 3:
+        raise ValueError("legs must be (n_r, n_d) or a sequence of them, "
+                         "got shape %s" % (legs.shape,))
+    if not np.isfinite(legs).all():
+        raise ValueError("detector legs must be finite")
+    rows = np.zeros(legs.shape[:-2] + (8,))
+    place_legs(rows.T, legs[..., 0, :].T, legs[..., 1, :].T)
     return rows
 
 
-def spin_state(det: Multivector, lam: int) -> Multivector:
-    """The source element for one trial: the detector scaled by the coin."""
-    lam = _check_lam(lam)
-    return Multivector(lam * det.coeffs, lam)
-
-
-def measure(det: Multivector, lam: int, side: str) -> int:
+def measure(det, lam, side: str):
     """Deterministic outcome of one wing at the source-aligned limit.
 
     side='first' evaluates the scalar of -D (lam D) and returns +lam;
     side='second' evaluates (lam D) D and returns -lam. The float product is
-    checked against the exact value before the integer is returned. This is
-    the one-row view of ``measure_rows``.
-    """
-    lam = _check_lam(lam)
-    return int(measure_rows(det.coeffs[None], np.array([lam]), side)[0])
+    checked against the exact value before the integer is returned.
 
-
-def measure_rows(dets: np.ndarray, lams: np.ndarray, side: str) -> np.ndarray:
-    """The outcomes of ``measure`` for an (n, 8) stack of detector
-    coefficients under the (n,) coins lams, as an (n,) int array.
-
-    Each row is held to measure's checks on its own: a row whose norm is not
-    1 to 1e-9, or whose product drifts from its limit by more than 1e-9,
-    raises DegenerateInput.
+    det is one (8,) detector row under the coin lam, which gives an int, or
+    an (n, 8) stack under one coin or an (n,) array of them, which gives an
+    (n,) int array. Each row is held to the checks on its own: a row whose
+    norm is not 1 to 1e-9, or whose product drifts from its limit by more
+    than 1e-9, raises DegenerateInput.
     """
     if side not in ("first", "second"):
         raise ValueError("side must be 'first' or 'second'")
-    lams = np.array(lams)
-    norms = np.array([row_norm(d) for d in dets])
-    if not (np.abs(norms - 1.0) <= 1e-9).all():
+    if np.ndim(lam) == 0:
+        lam = _check_lam(lam)
+    det = np.asarray(det, dtype=np.float64)
+    if not (np.abs(mv_norm(det) - 1.0) <= 1e-9).all():
         raise DegenerateInput(
             "outcome extraction needs a unit-norm detector element"
         )
-    sources = lams[:, None] * dets
+    lams = lam * np.ones(det.shape[:-1], dtype=np.int64)
+    source = lams[..., None] * det
     if side == "first":
-        value = mv_mul_rows(-dets, sources, lams, scalar_only=True)
+        value = mv_mul(-det, source, lams, scalar_only=True)
         expected = lams
     else:
-        value = mv_mul_rows(sources, dets, lams, scalar_only=True)
+        value = mv_mul(source, det, lams, scalar_only=True)
         expected = -lams
-    drift = ~(np.abs(value - expected) <= 1e-9)
-    if drift.any():
-        k = int(np.argmax(drift))
+    drift = np.flatnonzero(~(np.abs(value - expected) <= 1e-9))
+    if len(drift):
+        k = drift[0]
         raise DegenerateInput(
             "outcome drifted from its limit: got %.17g, wanted %+d"
-            % (value[k], expected[k])
+            % (np.ravel(value)[k], np.ravel(expected)[k])
         )
-    return expected
+    return expected if expected.ndim else int(expected)
 
 
 def _axis_rows(u: np.ndarray, what: str) -> np.ndarray:
     _check_unit(u, what)
-    return detector_rows(np.stack([u, np.zeros_like(u)], axis=1))
+    return detector(np.stack([u, np.zeros_like(u)], axis=-2))
 
 
 def _reflect(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For (n, 3) stacks of axes b and s: the detector planes xb and the
+    """For axes b and s, (3,) or (n, 3): the detector planes xb and the
     reflected elements -xb * xs * xb, whose plane legs are 2 (b.s) b - s."""
     xb = _axis_rows(b, "detector axis")
     xs = _axis_rows(s, "source axis")
-    return xb, mv_mul_rows(-xb, mv_mul_rows(xs, xb, 1), 1)
+    return xb, mv_mul(-xb, mv_mul(xs, xb, 1), 1)
 
 
 def recover_source_axis(b, s) -> np.ndarray:
@@ -237,20 +225,14 @@ def recover_source_axis(b, s) -> np.ndarray:
     Conjugating the reflected element by the detector plane undoes the
     reflection, so the returned axis equals s up to rounding. All four
     products run through the real algebra; nothing is symbolically
-    cancelled. This is the one-row view of ``recover_source_axis_rows``.
+    cancelled. b and s are unit (3,) axes, or (n, 3) stacks of them
+    transported row by row; any row that is not unit, or whose transport
+    leaks outside the planes by more than 1e-9, raises DegenerateInput.
     """
-    b = np.asarray(b, dtype=np.float64).reshape(1, 3)
-    s = np.asarray(s, dtype=np.float64).reshape(1, 3)
-    return recover_source_axis_rows(b, s)[0]
-
-
-def recover_source_axis_rows(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``recover_source_axis`` for each row of two (n, 3) stacks of unit
-    axes; any row that is not unit, or whose transport leaks outside the
-    planes by more than 1e-9, raises DegenerateInput."""
-    xb, y = _reflect(b, s)
-    z = mv_mul_rows(xb, mv_mul_rows(y, -xb, 1), 1)
-    leak = np.abs(np.delete(z, R_SLOTS, axis=1)).max(axis=1)
+    xb, y = _reflect(np.asarray(b, dtype=np.float64),
+                     np.asarray(s, dtype=np.float64))
+    z = mv_mul(xb, mv_mul(y, -xb, 1), 1)
+    leak = np.abs(np.delete(z, R_SLOTS, axis=-1)).max(axis=-1)
     if not (leak <= 1e-9).all():
         raise DegenerateInput("similarity transport leaked outside the planes")
     return plane_leg(z)

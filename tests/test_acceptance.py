@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from septenary.algebra import Multivector, basis_product, mv_mul
+from septenary.algebra import basis_product, mv_mul
 from septenary.conformal import stereo_phi, stereo_psi
 from septenary import engine
 from septenary.engine import TrialConfig, chsh_scan, stream_trials
@@ -23,7 +23,6 @@ from septenary.spin import (
     make_pair_planar,
     measure,
     recover_source_axis,
-    spin_state,
 )
 
 from frozen import PRODUCT_TABLE
@@ -38,12 +37,6 @@ def _unit(rng):
 
 def _dense(rng, n):
     return rng.standard_normal((n, 8))
-
-
-def _mul_rows(xs, ys, lam):
-    """Row-wise products of two (n, 8) coefficient arrays through mv_mul."""
-    return np.array([mv_mul(Multivector(x, lam), Multivector(y, lam)).coeffs
-                     for x, y in zip(xs, ys)])
 
 
 def _quadric_sample(rng, n):
@@ -68,13 +61,13 @@ def test_criterion_01_product_table_exact_both_orientations():
                 got = basis_product(mu, nu, lam)
                 want = np.zeros(8)
                 want[blade] = sign * lam ** lam_power
-                assert np.array_equal(got.coeffs, want), (mu, nu, lam)
+                assert np.array_equal(got, want), (mu, nu, lam)
         # identity row and column
         for k in range(8):
             e = np.zeros(8)
             e[k] = 1.0
-            assert np.array_equal(basis_product(0, k, lam).coeffs, e)
-            assert np.array_equal(basis_product(k, 0, lam).coeffs, e)
+            assert np.array_equal(basis_product(0, k, lam), e)
+            assert np.array_equal(basis_product(k, 0, lam), e)
     assert time.perf_counter() - start < 1.0
 
 
@@ -85,15 +78,15 @@ def test_criterion_02_associativity_exact_and_dense():
             for j in range(8):
                 for k in range(8):
                     a = basis_product(i, j, lam)
-                    left = mv_mul(a, Multivector(np.eye(8)[k], lam))
+                    left = mv_mul(a, np.eye(8)[k], lam)
                     b = basis_product(j, k, lam)
-                    right = mv_mul(Multivector(np.eye(8)[i], lam), b)
-                    assert np.array_equal(left.coeffs, right.coeffs), (i, j, k)
+                    right = mv_mul(np.eye(8)[i], b, lam)
+                    assert np.array_equal(left, right), (i, j, k)
     rng = np.random.default_rng(2020)
     for lam in (1, -1):
         x, y, z = (_dense(rng, 10000) for _ in range(3))
-        left = _mul_rows(_mul_rows(x, y, lam), z, lam)
-        right = _mul_rows(x, _mul_rows(y, z, lam), lam)
+        left = mv_mul(mv_mul(x, y, lam), z, lam)
+        right = mv_mul(x, mv_mul(y, z, lam), lam)
         scale = np.maximum(1.0, np.maximum(
             np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)))
         rel = np.linalg.norm(left - right, axis=1) / scale
@@ -105,7 +98,7 @@ def test_criterion_03_norm_composition_on_the_quadric():
     rng = np.random.default_rng(30)
     x = _quadric_sample(rng, 10000)
     y = _quadric_sample(rng, 10000)
-    prod = _mul_rows(x, y, 1)
+    prod = mv_mul(x, y, 1)
     defect = np.abs(np.linalg.norm(prod, axis=1)
                     - np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
     assert defect.max() <= 1e-10
@@ -183,10 +176,10 @@ def test_criterion_08_source_squares_and_similarity():
         t = rng.uniform(-math.pi, math.pi)
         det = detector(make_pair_planar((math.cos(t), math.sin(t), 0.0)))
         lam = 1 if rng.random() < 0.5 else -1
-        n = spin_state(det, lam)
-        sq = mv_mul(n, n)
-        assert np.all(sq.coeffs[1:] == 0.0)
-        assert abs(sq.coeffs[0] + 1.0) <= 1e-12
+        n = lam * det
+        sq = mv_mul(n, n, lam)
+        assert np.all(sq[1:] == 0.0)
+        assert abs(sq[0] + 1.0) <= 1e-12
     for _ in range(2000):
         detector_axis = _unit(rng)
         source_axis = _unit(rng)

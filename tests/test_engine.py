@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import septenary
 from septenary import cli, engine
-from septenary.algebra import Multivector, mv_mul, scalar_part
+from septenary.algebra import SCALAR, mv_mul
 from septenary.engine import (
     TrialConfig,
     batch_stream,
@@ -218,19 +218,19 @@ def _planar_detector(deg):
 def test_paired_product_of_equal_settings_is_minus_one():
     d = _planar_detector(30.0)
     out = paired_product([d, d], 1)
-    assert out.coeffs[0] == pytest.approx(-1.0, abs=1e-12)
-    assert np.all(out.coeffs[1:] == 0.0)
+    assert out.shape == (8,)
+    assert out[SCALAR] == pytest.approx(-1.0, abs=1e-12)
+    assert np.all(out[1:] == 0.0)
 
 
 def test_paired_product_reverses_under_the_coin():
     ds = [_planar_detector(a) for a in (10.0, 40.0, 75.0)]
+    copies = [d.copy() for d in ds]
     flipped = paired_product(ds, -1)
-    elems = [Multivector(d.coeffs, -1) for d in reversed(ds)]
-    want = mv_mul(mv_mul(elems[0], elems[1]), elems[2])
-    assert_allclose(flipped.coeffs, want.coeffs, rtol=0.0, atol=0.0)
-    # the coin re-tags the detectors without moving their coordinates
-    assert flipped.lam == -1
-    assert all(d.lam == 1 for d in ds)
+    want = mv_mul(mv_mul(ds[2], ds[1], -1), ds[0], -1)
+    assert_allclose(flipped, want, rtol=0.0, atol=0.0)
+    # the coin multiplies under its tag without moving the coordinates
+    assert all(np.array_equal(d, c) for d, c in zip(ds, copies))
 
 
 def test_paired_product_argument_errors():
@@ -264,7 +264,7 @@ def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
             k = batch.start + j
             dets = [detector(make_pair_planar((x, y, 0.0)))
                     for x, y in zip(xs[:, k], ys[:, k])]
-            assert corr == paired_product(dets, int(lam)).coeffs[0], k
+            assert corr == paired_product(dets, int(lam))[SCALAR], k
 
 
 @pytest.mark.parametrize("mode,parties", [("epr", 2), ("ghz", 4)])
@@ -308,9 +308,9 @@ def test_coin_average_leaves_a_pure_scalar():
     a, b = _planar_detector(20.0), _planar_detector(65.0)
     plus = paired_product([a, b], 1)
     # the -1 product re-expressed under the +1 tag: blades 1..7 flip sign
-    minus = paired_product([a, b], -1).coeffs.copy()
+    minus = paired_product([a, b], -1)
     minus[1:] = -minus[1:]
-    ave = 0.5 * (plus.coeffs + minus)
+    ave = 0.5 * (plus + minus)
     assert np.all(ave[1:] == 0.0)
     assert ave[0] == pytest.approx(-math.cos(math.radians(45.0)), abs=1e-12)
 
@@ -656,16 +656,16 @@ def test_every_exported_name_resolves():
     # the public surface is pinned: a name added or removed shows up here
     assert set(septenary.__all__) == {
         "ArityUnsupported", "BLADE_NAMES", "ConfigError", "DegenerateInput",
-        "EmptyInput", "Multivector", "OrientationMismatch",
-        "SeptenaryError", "TrialConfig", "basis_product", "chsh_bound",
+        "EmptyInput", "SeptenaryError", "TrialConfig", "basis_product", "chsh_bound",
         "chsh_scan",
         "detector", "epr_expectation", "ghz_direction_expectation",
         "ghz_expectation", "ghz_role_scalar_part", "make_pair_general",
         "make_pair_ghz", "make_pair_planar", "measure", "mv_mul", "mv_norm",
         "nfold_scalar_part", "paired_product",
-        "quadric_defect", "recover_source_axis", "scalar_part",
-        "spin_state", "stereo_phi", "stereo_psi", "stream_trials",
+        "quadric_defect", "recover_source_axis", "stereo_phi", "stereo_psi",
+        "stream_trials",
     }
+    assert len(septenary.__all__) == 28
     assert len(septenary.__all__) == len(set(septenary.__all__))
     for name in septenary.__all__:
         assert hasattr(septenary, name), name
@@ -736,7 +736,7 @@ def _simulated_expectations(deltas_deg, seed, trials):
             ys = [np.sin(np.radians(row)) for row in rows]
             dets = [detector(make_pair_planar((x[0], y[0], 0.0)))
                     for x, y in zip(xs, ys)]
-            plus, minus = (paired_product(dets, c).coeffs[0] + 0.0
+            plus, minus = (paired_product(dets, c)[SCALAR] + 0.0
                            for c in (1, -1))
             total += np.where(lam == 1, plus, minus).sum()
         out.append(total / trials)

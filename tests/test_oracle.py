@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from septenary.algebra import (
-    E_VOL, SCALAR, mv_mul, place_legs, scalar_part,
-)
+from septenary.algebra import E_VOL, SCALAR, mv_mul, place_legs
 from septenary.errors import ArityUnsupported, EmptyInput
 from septenary.oracle import (
     _cross,
@@ -26,7 +24,6 @@ from septenary.spin import (
     make_pair_general,
     make_pair_ghz,
     make_pair_planar,
-    spin_state,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -58,8 +55,8 @@ def _planar(rng):
 
 
 def _chain_scalar(pairs, lam):
-    elems = [spin_state(detector(p), lam) for p in pairs]
-    return scalar_part(reduce(mv_mul, elems))
+    elems = lam * detector(pairs)
+    return reduce(lambda x, y: mv_mul(x, y, lam), elems)[SCALAR]
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +133,16 @@ def test_pair_product_splits_into_the_closed_form_parts(lam):
     for _ in range(200):
         p1 = make_pair_general(_unit(rng))
         p2 = make_pair_general(_unit(rng))
-        n1 = spin_state(detector(p1), lam)
-        n2 = spin_state(detector(p2), lam)
+        n1, n2 = lam * detector([p1, p2])
         alpha, u, v, w = _pair_product_parts(p1, p2)
         want = -lam * place_legs(np.zeros(8), u, v)
         want[SCALAR], want[E_VOL] = -alpha, lam * w
-        assert_allclose(mv_mul(n1, n2).coeffs, want, rtol=0.0, atol=1e-12)
+        assert_allclose(mv_mul(n1, n2, lam), want, rtol=0.0, atol=1e-12)
     # perpendicular planar settings: the half commutator has norm
     # sin(90 deg) = 1, off the scalar and volume slots
-    n1, n2 = (spin_state(detector(make_pair_planar(d)), lam)
+    n1, n2 = (lam * detector(make_pair_planar(d))
               for d in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-    half = 0.5 * (mv_mul(n1, n2).coeffs - mv_mul(n2, n1).coeffs)
+    half = 0.5 * (mv_mul(n1, n2, lam) - mv_mul(n2, n1, lam))
     assert half[SCALAR] == 0.0 and half[E_VOL] == 0.0
     assert np.linalg.norm(half) == pytest.approx(1.0, abs=1e-12)
 
@@ -201,12 +197,12 @@ def test_raw_role_chain_cannot_reach_the_closed_form():
         dirs = [_unit(rng) for _ in range(4)]
         pairs = [make_pair_ghz(d, r) for d, r in zip(dirs, "ABCD")]
         elems = [detector(p) for p in pairs]
-        raw = scalar_part(reduce(mv_mul, elems))
+        raw = reduce(lambda x, y: mv_mul(x, y, 1), elems)[SCALAR]
         assert abs(raw) <= 0.5 + 1e-12
     pole = [np.array([0.0, 0.0, 1.0])] * 4
     pairs = [make_pair_ghz(d, r) for d, r in zip(pole, "ABCD")]
     elems = [detector(p) for p in pairs]
-    raw = scalar_part(reduce(mv_mul, elems))
+    raw = reduce(lambda x, y: mv_mul(x, y, 1), elems)[SCALAR]
     assert raw == pytest.approx(0.5, abs=1e-12)
     assert ghz_direction_expectation(*pole) == pytest.approx(1.0, abs=1e-15)
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from septenary import spin
 from septenary.algebra import (
-    E_VOL, E_X, Multivector, mv_mul, mv_norm, plane_leg, quadric_defect,
+    E_VOL, E_X, SCALAR, mv_mul, mv_norm, plane_leg, quadric_defect,
 )
 from septenary.errors import DegenerateInput
 from septenary.spin import (
@@ -15,15 +15,11 @@ from septenary.spin import (
     ROLE_SIGNS,
     SQRT_HALF,
     detector,
-    detector_rows,
     make_pair_general,
     make_pair_ghz,
     make_pair_planar,
     measure,
-    measure_rows,
     recover_source_axis,
-    recover_source_axis_rows,
-    spin_state,
 )
 
 
@@ -137,28 +133,39 @@ def test_general_pair_stays_orthonormal_near_the_x_axis(sign):
 def test_detector_element_layout_and_sphere_membership():
     legs = make_pair_planar((0.6, 0.8, 0.0))
     det = detector(legs)
-    c = det.coeffs
     (rx, ry, rz), (dx, dy, dz) = legs
-    assert np.array_equal(c, [0.0, rz, ry, rx, dx, dy, dz, 0.0])
-    assert det.lam == 1
+    assert det.shape == (8,)
+    assert np.array_equal(det, [0.0, rz, ry, rx, dx, dy, dz, 0.0])
     assert mv_norm(det) == pytest.approx(1.0, abs=1e-12)
     assert quadric_defect(det) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detector_refuses_non_finite_legs(bad):
+    legs = ((SQRT_HALF, 0.0, 0.0), (0.0, SQRT_HALF, bad))
+    with pytest.raises(ValueError, match="finite"):
+        detector(legs)
+    with pytest.raises(ValueError, match="finite"):
+        detector([make_pair_planar((1.0, 0.0, 0.0)), legs])
+
+
+def test_detector_refuses_legs_of_the_wrong_shape():
+    for legs in ((1.0, 0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), np.zeros((2, 2, 2, 3))):
+        with pytest.raises(ValueError, match="legs"):
+            detector(legs)
+
+
 def test_spin_state_scales_by_the_coin():
+    # the source of a trial is lam D, squared under the tag lam
     det = detector(make_pair_planar((1.0, 0.0, 0.0)))
-    up = spin_state(det, 1)
-    down = spin_state(det, -1)
-    assert np.array_equal(up.coeffs, det.coeffs)
-    assert np.array_equal(down.coeffs, -det.coeffs)
-    assert down.lam == -1
-    for st in (up, down):
-        sq = mv_mul(st, st)
-        assert np.all(sq.coeffs[1:] == 0.0)
-        assert sq.coeffs[0] == pytest.approx(-1.0, abs=1e-12)
+    for lam in (1, -1):
+        st = lam * det
+        sq = mv_mul(st, st, lam)
+        assert np.all(sq[1:] == 0.0)
+        assert sq[SCALAR] == pytest.approx(-1.0, abs=1e-12)
     for bad in (0, 1.5):
         with pytest.raises(ValueError):
-            spin_state(det, bad)
+            mv_mul(bad * det, bad * det, bad)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
@@ -173,9 +180,12 @@ def test_measure_validates_inputs():
     det = detector(make_pair_planar((1.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         measure(det, 1, "left")
-    for bad in (2, -1.9):
+    for bad in (2, -1.9, "1"):
         with pytest.raises(ValueError):
             measure(det, bad, "first")
+    # per-row coins belong to a stack
+    with pytest.raises(ValueError):
+        measure(det, np.array([1]), "first")
     role_det = detector(make_pair_ghz((0.0, 0.0, 1.0), "A"))
     # role elements are scaled for the four-party identities, not unit norm
     assert mv_norm(role_det) != pytest.approx(1.0, abs=1e-6)
@@ -255,21 +265,24 @@ def test_source_recovery_refuses_non_finite_axes(bad):
 
 
 # ---------------------------------------------------------------------------
-# row forms
+# stacks
 
 def _planar_rows(rng, n):
     t = rng.uniform(-math.pi, math.pi, n)
-    return detector_rows([make_pair_planar((math.cos(a), math.sin(a), 0.0))
-                          for a in t])
+    return detector([make_pair_planar((math.cos(a), math.sin(a), 0.0))
+                     for a in t])
 
 
 def test_detector_rows_are_the_detectors():
+    # a stack of settings gives each row the bits of its one-row call
     rng = np.random.default_rng(51)
     legs = [make_pair_general(a / np.linalg.norm(a))
             for a in rng.standard_normal((20, 3))]
-    rows = detector_rows(legs)
+    rows = detector(legs)
+    assert rows.shape == (20, 8)
+    assert rows.tobytes() == detector(np.array(legs)).tobytes()
     for row, leg in zip(rows, legs):
-        assert row.tobytes() == detector(leg).coeffs.tobytes()
+        assert row.tobytes() == detector(leg).tobytes()
 
 
 def test_row_outcomes_are_measure():
@@ -277,18 +290,23 @@ def test_row_outcomes_are_measure():
     dets = _planar_rows(rng, 200)
     lams = rng.choice([1, -1], size=200)
     for side in ("first", "second"):
-        got = measure_rows(dets, lams, side)
-        want = [measure(Multivector(d), int(lam), side)
-                for d, lam in zip(dets, lams)]
+        got = measure(dets, lams, side)
+        want = [measure(d, int(lam), side) for d, lam in zip(dets, lams)]
+        assert all(type(w) is int for w in want)
+        assert got.shape == (200,)
         assert got.tolist() == want
+        # one coin for every row is the array of that coin
+        for lam in (1, -1):
+            assert measure(dets, lam, side).tolist() == [
+                measure(d, lam, side) for d in dets]
 
 
 def _transport_reference(b, s):
     """The transport written element by element through mv_mul."""
     xb = detector((b, (0.0, 0.0, 0.0)))
     xs = detector((s, (0.0, 0.0, 0.0)))
-    y = mv_mul(-xb, mv_mul(xs, xb))
-    return plane_leg(mv_mul(xb, mv_mul(y, -xb)).coeffs)
+    y = mv_mul(-xb, mv_mul(xs, xb, 1), 1)
+    return plane_leg(mv_mul(xb, mv_mul(y, -xb, 1), 1))
 
 
 def test_row_transport_is_the_scalar_transport_bitwise():
@@ -296,7 +314,8 @@ def test_row_transport_is_the_scalar_transport_bitwise():
     b, s = rng.standard_normal((2, 200, 3))
     b /= np.linalg.norm(b, axis=1)[:, None]
     s /= np.linalg.norm(s, axis=1)[:, None]
-    rows = recover_source_axis_rows(b, s)
+    rows = recover_source_axis(b, s)
+    assert rows.shape == (200, 3)
     for got, bi, si in zip(rows, b, s):
         want = _transport_reference(bi, si)
         assert got.tobytes() == want.tobytes()
@@ -308,18 +327,18 @@ def test_row_outcomes_refuse_one_bad_row(side):
     rng = np.random.default_rng(54)
     dets = _planar_rows(rng, 9)
     lams = rng.choice([1, -1], size=9)
-    assert len(measure_rows(dets, lams, side)) == 9
+    assert len(measure(dets, lams, side)) == 9
     scaled = dets.copy()
     scaled[4] *= 1.001
     with pytest.raises(DegenerateInput, match="unit-norm"):
-        measure_rows(scaled, lams, side)
+        measure(scaled, lams, side)
     # unit norm, but the volume blade squares to +1, so the outcome sits
     # at the opposite sign of its limit
     drifting = dets.copy()
     drifting[6] = 0.0
     drifting[6, E_VOL] = 1.0
     with pytest.raises(DegenerateInput, match="drifted"):
-        measure_rows(drifting, lams, side)
+        measure(drifting, lams, side)
 
 
 def test_row_transport_refuses_one_leaking_row(monkeypatch):
@@ -327,7 +346,7 @@ def test_row_transport_refuses_one_leaking_row(monkeypatch):
     b, s = rng.standard_normal((2, 9, 3))
     b /= np.linalg.norm(b, axis=1)[:, None]
     s /= np.linalg.norm(s, axis=1)[:, None]
-    assert recover_source_axis_rows(b, s).shape == (9, 3)
+    assert recover_source_axis(b, s).shape == (9, 3)
     axis_rows = spin._axis_rows
 
     def leaky(u, what):
@@ -338,7 +357,7 @@ def test_row_transport_refuses_one_leaking_row(monkeypatch):
 
     monkeypatch.setattr(spin, "_axis_rows", leaky)
     with pytest.raises(DegenerateInput, match="leaked"):
-        recover_source_axis_rows(b, s)
+        recover_source_axis(b, s)
 
 
 def test_row_transport_refuses_one_non_unit_row():
@@ -346,4 +365,4 @@ def test_row_transport_refuses_one_non_unit_row():
     s = np.array([[0.0, 1.0, 0.0]] * 5)
     s[3] = (0.0, 1.5, 0.0)
     with pytest.raises(DegenerateInput, match="source axis"):
-        recover_source_axis_rows(b, s)
+        recover_source_axis(b, s)
