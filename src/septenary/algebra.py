@@ -224,7 +224,7 @@ def mv_mul(x, y, lam, scalar_only: bool = False):
     if np.ndim(lam) == 0:
         out = [None] * 8
         _product(list(x.T), list(y.T),
-                 term_plan(lam, scalar_only=scalar_only), out)
+                 term_plan(_check_lam(lam), scalar_only=scalar_only), out)
         return out[SCALAR] if scalar_only else np.stack(out, axis=-1)
     if x.ndim == 1:
         raise ValueError("a row takes one orientation tag")
@@ -241,11 +241,15 @@ def mv_mul(x, y, lam, scalar_only: bool = False):
 
 def mv_norm(x):
     """The Euclidean norm of an (8,) row as a float, or of each row of an
-    (..., 8) stack as an array of that shape; each row is summed by
-    ``np.dot``."""
+    (..., 8) stack as an array of that shape.
+
+    Each row's squares are summed by ``math.fsum``, which rounds once, so
+    the norm does not depend on the order a BLAS kernel picked for the
+    host CPU would add them in.
+    """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.array([math.sqrt(float(np.dot(c, c)))
-                      for c in x.reshape(-1, 8)])
+    norms = np.array([math.sqrt(math.fsum(sq))
+                      for sq in (x * x).reshape(-1, 8).tolist()])
     return float(norms[0]) if x.ndim == 1 else norms.reshape(x.shape[:-1])
 
 

@@ -12,9 +12,11 @@ stacks them into chunks of ``_CHUNK`` rows and runs each chunk through
 the stack forms of ``algebra.mv_mul`` (one ``_product`` call per tag
 present), of the outcome map and of the similarity transport in ``spin``.
 Each row is bitwise what the one-row call gives, so the report does not
-depend on the chunk size, and memory does not grow with ``samples``. The closed forms of ``oracle`` and the
-reference cosines stay per-sample scalar evaluations: they are the
-independent path.
+depend on the chunk size, and memory does not grow with ``samples``. Norms
+go through ``algebra.mv_norm``, whose exactly rounded sum keeps the report
+independent of the BLAS kernels the host CPU selects. The closed forms of
+``oracle`` and the reference cosines stay per-sample scalar evaluations:
+they are the independent path.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _quadric_unit(gen: Generator) -> np.ndarray:
         if abs(c[7]) < 0.1:
             continue
         c[0] = (c[1] * c[6] + c[2] * c[5] + c[3] * c[4]) / c[7]
-        c /= np.linalg.norm(c)
+        c /= mv_norm(c)
         return c
 
 

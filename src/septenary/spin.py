@@ -43,7 +43,9 @@ import math
 
 import numpy as np
 
-from .algebra import R_SLOTS, _check_lam, mv_mul, mv_norm, place_legs, plane_leg
+from .algebra import (
+    R_SLOTS, _check_lam, mv_mul, mv_norm, place_legs, plane_leg,
+)
 from .errors import DegenerateInput
 
 SQRT_HALF = math.sqrt(0.5)

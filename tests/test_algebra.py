@@ -225,25 +225,27 @@ def test_orientation_tag_validation():
             mv_mul(x, x, bad)
         with pytest.raises(ValueError):
             basis_product(1, 2, bad)
-    # per-row tags belong to a stack; a row takes one tag
+    # per-row tags belong to a stack; a row takes one tag, which may be a
+    # numpy scalar or a 0-d array
     with pytest.raises(ValueError):
         mv_mul(x, x, np.array([1]))
+    for tag in (np.int64(-1), np.array(-1)):
+        assert _bits(mv_mul(x, x, tag)) == _bits(mv_mul(x, x, -1))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_rejects_non_finite_coefficients(bad):
-    row = np.zeros(8)
-    row[3] = bad
-    stack = np.ones((4, 8))
-    stack[2, 5] = bad
-    for x, y in ((row, np.ones(8)), (stack, np.ones((4, 8)))):
-        for lam in (1, -1, -np.ones(len(x), dtype=np.int64)):
-            if x.ndim == 1 and np.ndim(lam):
-                continue
-            with pytest.raises(ValueError, match="finite"):
-                mv_mul(x, y, lam)
-            with pytest.raises(ValueError, match="finite"):
-                mv_mul(y, x, lam, scalar_only=True)
+def test_rejects_non_finite_coefficients():
+    for bad in (math.nan, math.inf, -math.inf):
+        row = np.zeros(8)
+        row[3] = bad
+        stack = np.ones((4, 8))
+        stack[2, 5] = bad
+        for x, tags in ((row, (1, -1)),
+                        (stack, (1, -1, np.array([1, -1, -1, 1])))):
+            for lam in tags:
+                with pytest.raises(ValueError, match="finite"):
+                    mv_mul(x, np.ones_like(x), lam)
+                with pytest.raises(ValueError, match="finite"):
+                    mv_mul(np.ones_like(x), x, lam, scalar_only=True)
 
 
 def test_products_refuse_operands_that_are_not_rows_or_stacks():
@@ -337,6 +339,16 @@ def test_row_norms_and_pairings_are_the_scalar_ones():
     cube = rows.reshape(5, 10, 8)
     assert _bits(mv_norm(cube)) == _bits(norms)
     assert _bits(quadric_defect(cube)) == _bits(pairing)
+
+
+def test_norm_rounds_each_row_once_in_any_slot_order():
+    # the squares 1 and six times 2**-54 sum exactly to 1 + 1.5 * 2**-52,
+    # which rounds to 1 + 2**-51 and has the root 1 + 2**-52; a sum
+    # rounded term by term from the left stays at 1
+    row = np.array([1.0] + [2.0 ** -27] * 6 + [0.0])
+    stack = np.array([np.roll(row, k) for k in range(8)])
+    assert mv_norm(row) == 1.0 + 2.0 ** -52
+    assert (mv_norm(stack) == 1.0 + 2.0 ** -52).all()
 
 
 def test_planar_factors_alternate_between_two_slot_sets():

@@ -5,9 +5,11 @@ purpose re-pins the affected digests and says why in CHANGES.md.
 
 The digests hold for the platform the suite is maintained on (x86-64,
 numpy 2.4); a different numpy or libm may round the trigonometry
-differently and then needs its own re-pin. They must not depend on which
-SIMD kernels numpy dispatches to on the host CPU, so the goldens are also
-rerun in a child process with dispatch cut down to numpy's baseline.
+differently and then needs its own re-pin, which the trigonometry digest
+below reports. They must not depend on which SIMD kernels numpy or
+OpenBLAS pick for the host CPU, so the goldens are also rerun in a child
+process with numpy's dispatch cut down to its baseline and OpenBLAS held
+to its AVX2 kernels.
 """
 
 import hashlib
@@ -82,6 +84,19 @@ CHECK = {
 }
 
 
+# the bits of np.cos, then of np.sin, at k / 1024 rad for |k| <= 2**15
+TRIG = "21c3ca354dfb7d6573bcf4a1b2a7c2cd4ec147882cef3fa05a6f33e065d3c166"
+
+
+def test_the_trigonometry_rounds_as_where_the_goldens_were_pinned():
+    x = np.arange(-2**15, 2**15 + 1) / 1024.0
+    got = hashlib.sha256(np.cos(x).tobytes() + np.sin(x).tobytes())
+    assert got.hexdigest() == TRIG, (
+        "this platform rounds np.cos and np.sin differently from the one the "
+        "goldens were pinned on, so the run and scan digests may differ for "
+        "that reason alone")
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_outputs_match_their_digests(tmp_path, capsys, name):
     argv, want = RUNS[name]
@@ -126,9 +141,12 @@ def test_check_report_does_not_depend_on_the_chunk_size(capsys, monkeypatch):
 
 
 def test_goldens_hold_at_the_numpy_cpu_baseline():
+    # NPY_ENABLE_CPU_FEATURES does not reach OpenBLAS; its core type is set
+    # apart, to the kernels of an x86 CPU without AVX-512
     baseline = np._core._multiarray_umath.__cpu_baseline__
     env = dict(os.environ,
                NPY_ENABLE_CPU_FEATURES=",".join(baseline),
+               OPENBLAS_CORETYPE="Haswell",
                PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
     here = Path(__file__).resolve()
     out = subprocess.run(

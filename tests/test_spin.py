@@ -150,7 +150,8 @@ def test_detector_refuses_non_finite_legs(bad):
 
 
 def test_detector_refuses_legs_of_the_wrong_shape():
-    for legs in ((1.0, 0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), np.zeros((2, 2, 2, 3))):
+    for legs in ((1.0, 0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)),
+                 np.zeros((2, 2, 2, 3))):
         with pytest.raises(ValueError, match="legs"):
             detector(legs)
 
