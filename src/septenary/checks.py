@@ -6,17 +6,18 @@ integers and must pass at any tolerance including zero; the rest compare
 floating defects against the requested tolerance. ``samples`` scales the
 random iteration counts; even at 1 every suite still executes.
 
-The draws stay per sample: one sample at a time, in the same order and
-through the same rejection loops as a scalar loop would take them. A suite
-stacks them into chunks of ``_CHUNK`` rows and runs each chunk through
-the stack forms of ``algebra.mv_mul`` (one ``_product`` call per tag
-present), of the outcome map and of the similarity transport in ``spin``.
-Each row is bitwise what the one-row call gives, so the report does not
-depend on the chunk size, and memory does not grow with ``samples``. Norms
-go through ``algebra.mv_norm``, whose exactly rounded sum keeps the report
+A stacked suite is a per-sample ``draw(gen)`` and one evaluation per
+chunk. The draw takes one sample, in the order and through the rejection
+loops of a scalar loop, and returns a tuple of fields; ``_stacked`` stacks
+each field over chunks of ``_CHUNK`` samples. The evaluation runs the
+stack forms of ``algebra.mv_mul`` (one ``_product`` call per tag present),
+of the outcome map and of the similarity transport in ``spin``. Each row
+is bitwise what the one-row call gives, so the report does not depend on
+the chunk size, and memory does not grow with ``samples``. Norms go
+through ``algebra.mv_norm``, whose exactly rounded sum keeps the report
 independent of the BLAS kernels the host CPU selects. The closed forms of
-``oracle`` and the reference cosines stay per-sample scalar evaluations:
-they are the independent path.
+``oracle`` and the reference cosines are per-sample scalar evaluations in
+the draw: they are the independent path.
 """
 
 from __future__ import annotations
@@ -45,10 +46,16 @@ _SUITE_SEED = 20260814
 _CHUNK = 128
 
 
-def _chunks(samples: int):
-    """The sizes of the consecutive chunks that cover samples rows."""
+def _stacked(gen: Generator, samples: int, draw):
+    """Chunks of up to ``_CHUNK`` samples of ``draw(gen)``: each chunk is
+    the tuple of the draw's fields, every field stacked over the chunk."""
     for start in range(0, samples, _CHUNK):
-        yield min(_CHUNK, samples - start)
+        rows = [draw(gen) for _ in range(min(_CHUNK, samples - start))]
+        yield tuple(np.array(field) for field in zip(*rows))
+
+
+def _coin(gen: Generator) -> int:
+    return 1 if gen.random() > 0.5 else -1
 
 
 def _unit3(gen: Generator) -> np.ndarray:
@@ -112,13 +119,8 @@ def _suite_product_table(tol, samples, gen) -> CheckResult:
 
 def _suite_associativity(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for n in _chunks(samples):
-        lams = np.empty(n, dtype=np.int64)
-        x, y, z = factors = np.empty((3, n, 8))
-        for i in range(n):
-            lams[i] = 1 if gen.random() > 0.5 else -1
-            for f in factors:
-                f[i] = gen.standard_normal(8)
+    for lams, x, y, z in _stacked(gen, samples, lambda g: (
+            _coin(g), *(g.standard_normal(8) for _ in range(3)))):
         left = mv_mul(mv_mul(x, y, lams), z, lams)
         right = mv_mul(x, mv_mul(y, z, lams), lams)
         worst = max(worst, float(np.abs(left - right).max()))
@@ -129,11 +131,8 @@ def _suite_associativity(tol, samples, gen) -> CheckResult:
 
 def _suite_norm_composition(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for n in _chunks(samples):
-        x, y = np.empty((2, n, 8))
-        for i in range(n):
-            x[i] = _quadric_unit(gen)
-            y[i] = _quadric_unit(gen)
+    for x, y in _stacked(gen, samples,
+                         lambda g: (_quadric_unit(g), _quadric_unit(g))):
         p = mv_mul(x, y, 1)
         worst = max(worst, float(np.abs(mv_norm(p) - 1.0).max()),
                     float(np.abs(quadric_defect(p)).max()))
@@ -144,24 +143,17 @@ def _suite_norm_composition(tol, samples, gen) -> CheckResult:
 
 
 def _suite_conservation(tol, samples, gen) -> CheckResult:
+    def draw(g):
+        a, b = _unit2(g), _unit2(g)
+        delta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
+        return (_coin(g), make_pair_planar(a), make_pair_planar(b),
+                math.cos(delta))
     worst = 0.0
-    for n in _chunks(samples):
-        lams = np.empty(n, dtype=np.int64)
-        minus_cos = np.empty(n)
-        legs = []
-        for i in range(n):
-            a = _unit2(gen)
-            b = _unit2(gen)
-            lams[i] = 1 if gen.random() > 0.5 else -1
-            legs += make_pair_planar(a), make_pair_planar(b)
-            delta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
-            minus_cos[i] = math.cos(delta)
-        da, db = detector(legs).reshape(n, 2, 8).transpose(1, 0, 2)
-        # the pair product of engine.paired_product: detector a first under
-        # a +1 coin, the order reversed under a -1 coin
-        plus = (lams > 0)[:, None]
-        prod = mv_mul(np.where(plus, da, db), np.where(plus, db, da), lams,
-                      scalar_only=True)
+    for lams, legs_a, legs_b, minus_cos in _stacked(gen, samples, draw):
+        da, db = detector(legs_a), detector(legs_b)
+        # the pair product of engine.paired_product; its scalar row does not
+        # depend on the order of the factors, so the coin's order is left out
+        prod = mv_mul(da, db, lams, scalar_only=True)
         worst = max(worst, float(np.abs(prod + minus_cos).max()))
         out = measure(da, lams, "first") * measure(db, lams, "second")
         if (out != -1).any():
@@ -174,13 +166,8 @@ def _suite_conservation(tol, samples, gen) -> CheckResult:
 
 def _suite_source_recovery(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for n in _chunks(samples):
-        b, s = np.empty((2, n, 3))
-        for i in range(n):
-            b[i] = _unit3(gen)
-            s[i] = _unit3(gen)
-        got = recover_source_axis(b, s)
-        worst = max(worst, float(np.abs(got - s).max()))
+    for b, s in _stacked(gen, samples, lambda g: (_unit3(g), _unit3(g))):
+        worst = max(worst, float(np.abs(recover_source_axis(b, s) - s).max()))
     return CheckResult("source-recovery", worst <= tol,
                        "max axis error %.3e over %d round trips"
                        % (worst, samples))
@@ -203,18 +190,15 @@ def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
 
 
 def _suite_chain_forms(tol, samples, gen) -> CheckResult:
+    def draw(g):
+        lam = _coin(g)
+        pairs = [make_pair_general(_unit3(g)) for _ in range(4)]
+        return lam, pairs, [nfold_scalar_part(pairs[:k]) for k in (2, 3, 4)]
     worst = 0.0
-    for n in _chunks(samples):
-        lams = np.empty(n, dtype=np.int64)
-        closed = np.empty((n, 3))
-        legs = []
-        for i in range(n):
-            lams[i] = 1 if gen.random() > 0.5 else -1
-            pairs = [make_pair_general(_unit3(gen)) for _ in range(4)]
-            legs += pairs
-            closed[i] = [nfold_scalar_part(pairs[:k]) for k in (2, 3, 4)]
+    for lams, legs, closed in _stacked(gen, samples, draw):
         # the sources lam D of the four settings of each row
-        elems = lams[:, None, None] * detector(legs).reshape(n, 4, 8)
+        elems = lams[:, None, None] * detector(
+            legs.reshape(-1, 2, 3)).reshape(-1, 4, 8)
         acc = elems[:, 0]
         for k in (1, 2, 3):
             acc = mv_mul(acc, elems[:, k], lams)
@@ -227,12 +211,8 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
 def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
     target = 2.0 ** -0.5
-    for n in _chunks(samples):
-        lams = np.empty(n, dtype=np.int64)
-        legs = []
-        for i in range(n):
-            lams[i] = 1 if gen.random() > 0.5 else -1
-            legs.append(make_pair_planar(_unit2(gen)))
+    for lams, legs in _stacked(
+            gen, samples, lambda g: (_coin(g), make_pair_planar(_unit2(g)))):
         det = detector(legs)
         if (measure(det, lams, "first") != lams).any():
             return CheckResult("outcome-maps", False,

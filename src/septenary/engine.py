@@ -3,12 +3,12 @@
 Randomness
 ----------
 All draws come from numpy's PCG64 bit generator. Trials are processed in
-fixed-size batches; batch ``i`` of a run seeded with ``s`` uses the stream
-``PCG64(SeedSequence(s, spawn_key=(i,)))``, so results depend only on the
-seed, the batch size and the trial count. Every draw is a uniform from
-``Generator.random``: the fair coin is ``+1 if u > 0.5 else -1``, and a
-random setting is the requested azimuth ``360 u`` degrees, one uniform per
-party and trial.
+batches of a fixed ``BATCH_SIZE`` = 8192 trials; batch ``i`` of a run
+seeded with ``s`` uses the stream ``PCG64(SeedSequence(s, spawn_key=(i,)))``,
+so results depend only on the seed and the trial count. Every draw is a
+uniform from ``Generator.random``: the fair coin is
+``+1 if u > 0.5 else -1``, and a random setting is the requested azimuth
+``360 u`` degrees, one uniform per party and trial.
 
 Within one batch of n trials the draw order is: n uniforms for the coin,
 then ``gen.random((parties, n))``, whose row j holds party j's uniforms.
@@ -118,12 +118,11 @@ class TrialConfig:
     mode: str = "epr"
     fixed_settings: tuple = ()
     bin_width_deg: float = 5.0
-    batch_size: int = BATCH_SIZE
 
     def __post_init__(self):
         if not isinstance(self.mode, str) or self.mode not in _PARTIES:
             raise ConfigError("mode must be 'epr' or 'ghz'")
-        for name in ("trials", "seed", "batch_size"):
+        for name in ("trials", "seed"):
             value = getattr(self, name)
             _check_kind(value, numbers.Integral, name)
             # numpy integers are stored as int, so summaries stay JSON
@@ -155,8 +154,6 @@ class TrialConfig:
         # the summary holds ceil(360 / width) bins; 0.01 caps it at 36000
         if not (0.01 <= float(self.bin_width_deg) <= 360.0):
             raise ConfigError("bin width must be in [0.01, 360] degrees")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be positive")
 
 
 def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
@@ -314,8 +311,8 @@ class _Batch(NamedTuple):
 
 
 def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
-    start = batch_index * cfg.batch_size
-    n = min(cfg.batch_size, cfg.trials - start)
+    start = batch_index * BATCH_SIZE
+    n = min(BATCH_SIZE, cfg.trials - start)
     gen = batch_stream(cfg.seed, batch_index)
     lam = _flip_batch(gen, n)
     parties = len(_PARTIES[cfg.mode])
@@ -349,7 +346,7 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
 
 def _batches(cfg: TrialConfig) -> Iterator[_Batch]:
     """Every batch of the run, computed one at a time in order."""
-    nbatches = (cfg.trials + cfg.batch_size - 1) // cfg.batch_size
+    nbatches = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
     return (_run_batch(cfg, i) for i in range(nbatches))
 
 

@@ -1,11 +1,11 @@
 import csv
 import dataclasses
-import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,7 +99,7 @@ def test_partial_batches_are_handled(trials):
     for batch in engine._batches(cfg):
         n = len(batch.corr)
         assert batch.start == start
-        assert n == min(cfg.batch_size, trials - start)
+        assert n == min(engine.BATCH_SIZE, trials - start)
         assert batch.lam.shape == (n,)
         assert batch.phis.shape == (n, 2)
         start += n
@@ -161,8 +161,9 @@ def test_fixed_epr_settings_are_echoed():
         assert_allclose(batch.corr, -math.cos(math.radians(45.0)), atol=1e-12)
 
 
-def test_fixed_lists_cycle_across_batches():
-    cfg = TrialConfig(trials=10, seed=0, mode="epr", batch_size=4,
+def test_fixed_lists_cycle_across_batches(monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 4)
+    cfg = TrialConfig(trials=10, seed=0, mode="epr",
                       fixed_settings=((0.0, 45.0), (0.0, 90.0)))
     phi_b = np.concatenate([b.phis[:, 1] for b in engine._batches(cfg)])
     assert np.array_equal(phi_b, np.where(np.arange(10) % 2 == 0, 45.0, 90.0))
@@ -248,9 +249,10 @@ def test_paired_product_argument_errors():
     ("ghz", ((10.0, 20.0, 30.0, 40.0), (0.0, 90.0, 45.0, 135.0),
              (-33.3, 181.0, 7.5, 270.0), (359.9, -0.1, 100.2, 12.34))),
 ])
-def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
-    cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256,
-                      fixed_settings=tuples)
+def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples,
+                                                           monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 256)
+    cfg = TrialConfig(trials=2000, seed=5, mode=mode, fixed_settings=tuples)
     # requested azimuths as party rows, then the written four-party map
     rows = np.array(tuples).T[:, np.arange(cfg.trials) % len(tuples)]
     if mode == "ghz":
@@ -268,14 +270,16 @@ def test_engine_is_the_bitwise_twin_of_the_scalar_products(mode, tuples):
 
 
 @pytest.mark.parametrize("mode,parties", [("epr", 2), ("ghz", 4)])
-def test_random_run_is_the_fixed_list_run_of_its_own_draws(mode, parties):
+def test_random_run_is_the_fixed_list_run_of_its_own_draws(mode, parties,
+                                                           monkeypatch):
     # a drawn setting is the requested azimuth 360 u, so a run over the
     # same azimuths as a fixed list gives the same bits
-    cfg = TrialConfig(trials=2000, seed=5, mode=mode, batch_size=256)
+    monkeypatch.setattr(engine, "BATCH_SIZE", 256)
+    cfg = TrialConfig(trials=2000, seed=5, mode=mode)
     drawn = []
-    for i in range(0, cfg.trials, cfg.batch_size):
-        n = min(cfg.batch_size, cfg.trials - i)
-        gen = batch_stream(cfg.seed, i // cfg.batch_size)
+    for i in range(0, cfg.trials, engine.BATCH_SIZE):
+        n = min(engine.BATCH_SIZE, cfg.trials - i)
+        gen = batch_stream(cfg.seed, i // engine.BATCH_SIZE)
         gen.random(n)                       # the coin
         drawn.extend((360.0 * gen.random((parties, n)).T).tolist())
     fixed = dataclasses.replace(cfg, fixed_settings=tuple(map(tuple, drawn)))
@@ -479,9 +483,10 @@ def _csv_writer_reference(cfg) -> bytes:
     {"mode": "ghz",
      "fixed_settings": ((10.0, 20.0, 30.0, 40.0), (0.0, 90.0, 45.0, 135.0))},
 ])
-def test_chunked_csv_matches_a_row_writer(tmp_path, kwargs):
+def test_chunked_csv_matches_a_row_writer(tmp_path, monkeypatch, kwargs):
     # 1000 trials in batches of 64: sixteen chunks, the last one partial
-    cfg = TrialConfig(trials=1000, seed=47, batch_size=64, **kwargs)
+    monkeypatch.setattr(engine, "BATCH_SIZE", 64)
+    cfg = TrialConfig(trials=1000, seed=47, **kwargs)
     path = tmp_path / "run.csv"
     _stream_csv(cfg, path)
     assert path.read_bytes() == _csv_writer_reference(cfg)
@@ -512,8 +517,7 @@ def test_streamed_outputs_equal_the_collected_run(tmp_path, capsys,
                                                   argv):
     # 10000 trials: the last batch is partial at both batch sizes
     monkeypatch.delenv("SEPTENARY_SEED", raising=False)
-    monkeypatch.setattr(cli, "TrialConfig",
-                        functools.partial(TrialConfig, batch_size=batch_size))
+    monkeypatch.setattr(engine, "BATCH_SIZE", batch_size)
     csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
     code = cli.main([*argv, "--trials", "10000", "--seed", "53",
                      "--out", str(csv_path), "--summary", str(json_path)])
@@ -521,7 +525,7 @@ def test_streamed_outputs_equal_the_collected_run(tmp_path, capsys,
     assert code == 0
     fixed = tuple(tuple(map(float, a.split(","))) for a in argv[2::2])
     cfg = TrialConfig(trials=10000, seed=53, mode=argv[0],
-                      batch_size=batch_size, fixed_settings=fixed)
+                      fixed_settings=fixed)
     assert csv_path.read_bytes() == _csv_writer_reference(cfg)
     text = json_path.read_text()
     data = json.loads(text)
@@ -552,8 +556,7 @@ def test_configs_are_refused_or_stream_like_they_collect(
         mode, trials, width, batch_size, data):
     parties = 2 if mode == "epr" else 4
     fixed = data.draw(st.none() | _setting_lists(parties), label="fixed")
-    kwargs = dict(trials=trials, seed=61, mode=mode, bin_width_deg=width,
-                  batch_size=batch_size)
+    kwargs = dict(trials=trials, seed=61, mode=mode, bin_width_deg=width)
     if fixed is not None:
         kwargs.update(fixed_settings=fixed)
     valid = (trials >= 1 and 0.01 <= width <= 360.0
@@ -565,13 +568,15 @@ def test_configs_are_refused_or_stream_like_they_collect(
         return
     cfg = TrialConfig(**kwargs)
     buf = io.StringIO(newline="")
-    summary = stream_trials(cfg, buf)
-    cli._json_text(summary)                 # strict: NaN would raise
-    occupied = _assert_summary_is_one_bincount(cfg, summary)
-    assert sum(b["count"] for b in summary["bins"]) == trials
-    assert buf.getvalue().encode() == _csv_writer_reference(cfg)
-    assert all(bool((np.abs(b.phis) <= 180.0).all())
-               for b in engine._batches(cfg))
+    # a Hypothesis test cannot take the function-scoped monkeypatch
+    with mock.patch.object(engine, "BATCH_SIZE", batch_size):
+        summary = stream_trials(cfg, buf)
+        cli._json_text(summary)             # strict: NaN would raise
+        occupied = _assert_summary_is_one_bincount(cfg, summary)
+        assert sum(b["count"] for b in summary["bins"]) == trials
+        assert buf.getvalue().encode() == _csv_writer_reference(cfg)
+        assert all(bool((np.abs(b.phis) <= 180.0).all())
+                   for b in engine._batches(cfg))
     # every bin is reported inside its key range, the last one cut at 360
     w = float(width)
     for i, b in zip(occupied.tolist(), summary["bins"], strict=True):
@@ -599,13 +604,11 @@ def test_configs_are_refused_or_stream_like_they_collect(
     {"trials": 10, "seed": 0, "bin_width_deg": 0.005},
     {"trials": 10, "seed": 0, "bin_width_deg": float("nan")},
     {"trials": 10, "seed": 0, "bin_width_deg": 400.0},
-    {"trials": 10, "seed": 0, "batch_size": 0},
     {"trials": 10, "seed": 1.5},
     {"trials": 10, "seed": "3"},
     {"trials": 10, "seed": True},
     {"trials": True, "seed": 0},
     {"trials": 10.0, "seed": 0},
-    {"trials": 10, "seed": 0, "batch_size": 2.5},
     {"trials": 10, "seed": 0, "bin_width_deg": True},
     {"trials": 10, "seed": 0, "bin_width_deg": "5"},
     {"trials": 10, "seed": 0, "fixed_settings": (("30", "45"),)},
@@ -642,12 +645,10 @@ def test_finest_bin_width_is_accepted():
 
 
 def test_numpy_integer_fields_are_accepted():
-    cfg = TrialConfig(trials=np.int64(100), seed=np.uint64(5), mode="ghz",
-                      batch_size=np.int32(16))
-    want = TrialConfig(trials=100, seed=5, mode="ghz", batch_size=16)
+    cfg = TrialConfig(trials=np.int64(100), seed=np.uint64(5), mode="ghz")
+    want = TrialConfig(trials=100, seed=5, mode="ghz")
     assert cfg == want
-    assert all(type(getattr(cfg, f)) is int
-               for f in ("trials", "seed", "batch_size"))
+    assert all(type(getattr(cfg, f)) is int for f in ("trials", "seed"))
     assert (json.dumps(stream_trials(cfg))
             == json.dumps(stream_trials(want)))
 

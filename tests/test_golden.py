@@ -133,10 +133,12 @@ def test_check_report_matches_its_digest(capsys):
     assert got == CHECK
 
 
-def test_check_report_does_not_depend_on_the_chunk_size(capsys, monkeypatch):
-    # 7 rows per chunk: both reports cross many chunk boundaries, and the
-    # last chunk of each is a partial one
-    monkeypatch.setattr(checks, "_CHUNK", 7)
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_check_report_does_not_depend_on_the_chunk_size(capsys, monkeypatch,
+                                                        chunk):
+    # one-row chunks, and 7 rows per chunk: both reports cross many chunk
+    # boundaries, and at 7 the last chunk of each is a partial one
+    monkeypatch.setattr(checks, "_CHUNK", chunk)
     test_check_report_matches_its_digest(capsys)
 
 
