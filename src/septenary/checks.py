@@ -7,17 +7,20 @@ floating defects against the requested tolerance. ``samples`` scales the
 random iteration counts; even at 1 every suite still executes.
 
 A stacked suite is a per-sample ``draw(gen)`` and one evaluation per
-chunk. The draw takes one sample, in the order and through the rejection
-loops of a scalar loop, and returns a tuple of fields; ``_stacked`` stacks
-each field over chunks of ``_CHUNK`` samples. The evaluation runs the
-stack forms of ``algebra.mv_mul`` (one ``_product`` call per tag present),
-of the outcome map and of the similarity transport in ``spin``. Each row
-is bitwise what the one-row call gives, so the report does not depend on
-the chunk size, and memory does not grow with ``samples``. Norms go
-through ``algebra.mv_norm``, whose exactly rounded sum keeps the report
-independent of the BLAS kernels the host CPU selects. The closed forms of
-``oracle`` and the reference cosines are per-sample scalar evaluations in
-the draw: they are the independent path.
+chunk. The draw takes one sample's random numbers, in the order and
+through the rejection loops of a scalar loop, its rejection tests on
+Python floats, and returns a tuple of fields; ``_stacked`` stacks each
+field over chunks of ``_CHUNK`` samples. The evaluation does everything
+else on the stack: it normalises the draws, builds the settings with the
+stack forms of the ``spin`` constructors, and runs ``algebra.mv_mul`` (one
+``_product`` call per tag present), the outcome map, the similarity
+transport, the sphere charts and the closed forms of ``oracle``, which
+stay the independent path. Each row is bitwise what the one-row call
+gives, so the report does not depend on the chunk size, and memory does
+not grow with ``samples``. Every norm and dot on the way is written out
+component by component, and element norms go through ``algebra.mv_norm``,
+whose sum is exactly rounded; so no BLAS or SIMD kernel that the host CPU
+selects reaches the report's bits.
 """
 
 from __future__ import annotations
@@ -58,32 +61,38 @@ def _coin(gen: Generator) -> int:
     return 1 if gen.random() > 0.5 else -1
 
 
-def _unit3(gen: Generator) -> np.ndarray:
+def _normal(gen: Generator, k: int) -> np.ndarray:
+    """k normal draws whose norm is above 1e-6, so that they have a
+    direction; the rejection test runs on Python floats."""
     while True:
-        v = gen.standard_normal(3)
-        r = np.linalg.norm(v)
-        if r > 1e-6:
-            return v / r
+        v = gen.standard_normal(k)
+        if math.hypot(*v.tolist()) > 1e-6:
+            return v
 
 
-def _unit2(gen: Generator) -> np.ndarray:
-    while True:
-        v = gen.standard_normal(2)
-        r = np.linalg.norm(v)
-        if r > 1e-6:
-            return np.array([v[0] / r, v[1] / r, 0.0])
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The directions of the rows of an (n, 2) or (n, 3) stack, as an
+    (n, 3) stack with z zero for (n, 2). Each norm is written out."""
+    x, y, z = list(v.T) + [np.zeros(len(v))] * (3 - v.shape[1])
+    r = np.sqrt((x * x + y * y) + z * z)
+    return np.stack([x / r, y / r, z / r], axis=1)
 
 
-def _quadric_unit(gen: Generator) -> np.ndarray:
-    """Coefficients of a random unit element on the orientation +1
-    product-closed quadric."""
+def _quadric_draw(gen: Generator) -> np.ndarray:
+    """Eight normal draws whose volume slot is at least 0.1 in size."""
     while True:
         c = gen.standard_normal(8)
-        if abs(c[7]) < 0.1:
-            continue
-        c[0] = (c[1] * c[6] + c[2] * c[5] + c[3] * c[4]) / c[7]
-        c /= mv_norm(c)
-        return c
+        if abs(float(c[7])) >= 0.1:
+            return c
+
+
+def _quadric_rows(c: np.ndarray) -> np.ndarray:
+    """Random unit elements on the orientation +1 product-closed quadric,
+    one per row of an (n, 8) stack of ``_quadric_draw``."""
+    c = c.copy()
+    c[:, 0] = (c[:, 1] * c[:, 6] + c[:, 2] * c[:, 5]
+               + c[:, 3] * c[:, 4]) / c[:, 7]
+    return c / mv_norm(c)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +141,8 @@ def _suite_associativity(tol, samples, gen) -> CheckResult:
 def _suite_norm_composition(tol, samples, gen) -> CheckResult:
     worst = 0.0
     for x, y in _stacked(gen, samples,
-                         lambda g: (_quadric_unit(g), _quadric_unit(g))):
-        p = mv_mul(x, y, 1)
+                         lambda g: (_quadric_draw(g), _quadric_draw(g))):
+        p = mv_mul(_quadric_rows(x), _quadric_rows(y), 1)
         worst = max(worst, float(np.abs(mv_norm(p) - 1.0).max()),
                     float(np.abs(quadric_defect(p)).max()))
     return CheckResult(
@@ -143,14 +152,14 @@ def _suite_norm_composition(tol, samples, gen) -> CheckResult:
 
 
 def _suite_conservation(tol, samples, gen) -> CheckResult:
-    def draw(g):
-        a, b = _unit2(g), _unit2(g)
-        delta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
-        return (_coin(g), make_pair_planar(a), make_pair_planar(b),
-                math.cos(delta))
     worst = 0.0
-    for lams, legs_a, legs_b, minus_cos in _stacked(gen, samples, draw):
-        da, db = detector(legs_a), detector(legs_b)
+    for lams, a, b in _stacked(gen, samples, lambda g: (
+            _coin(g), _normal(g, 2), _normal(g, 2))):
+        a, b = _unit_rows(a), _unit_rows(b)
+        minus_cos = np.array([
+            math.cos(math.atan2(by, bx) - math.atan2(ay, ax))
+            for (ax, ay, _), (bx, by, _) in zip(a.tolist(), b.tolist())])
+        da, db = detector(make_pair_planar(a)), detector(make_pair_planar(b))
         # the pair product of engine.paired_product; its scalar row does not
         # depend on the order of the factors, so the coin's order is left out
         prod = mv_mul(da, db, lams, scalar_only=True)
@@ -166,7 +175,9 @@ def _suite_conservation(tol, samples, gen) -> CheckResult:
 
 def _suite_source_recovery(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for b, s in _stacked(gen, samples, lambda g: (_unit3(g), _unit3(g))):
+    for b, s in _stacked(gen, samples,
+                         lambda g: (_normal(g, 3), _normal(g, 3))):
+        b, s = _unit_rows(b), _unit_rows(s)
         worst = max(worst, float(np.abs(recover_source_axis(b, s) - s).max()))
     return CheckResult("source-recovery", worst <= tol,
                        "max axis error %.3e over %d round trips"
@@ -176,13 +187,15 @@ def _suite_source_recovery(tol, samples, gen) -> CheckResult:
 def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
     exact0 = stereo_psi(np.zeros(3)).tolist() == [0.0, 0.0, 0.0, -1.0]
-    for _ in range(samples):
-        x = gen.standard_normal(3) * 10.0 ** gen.uniform(-3, 3)
-        up = stereo_phi(x)
-        down = stereo_psi(x)
-        worst = max(worst, abs(np.linalg.norm(down) - 1.0))
-        worst = max(worst, float(np.max(np.abs(up[:3] - down[:3]))))
-        worst = max(worst, abs((up[3] - 1.0) - down[3]))
+    for v, scale in _stacked(gen, samples, lambda g: (
+            g.standard_normal(3), 10.0 ** g.uniform(-3, 3))):
+        x = v * scale[:, None]
+        up, down = stereo_phi(x), stereo_psi(x)
+        d0, d1, d2, d3 = down.T
+        norm = np.sqrt(((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3)
+        worst = max(worst, float(np.abs(norm - 1.0).max()),
+                    float(np.abs(up[:, :3] - down[:, :3]).max()),
+                    float(np.abs((up[:, 3] - 1.0) - d3).max()))
     ok = exact0 and worst <= tol
     return CheckResult("sphere-maps", ok,
                        "unit norm and shifted-pole agreement within %.3e"
@@ -190,19 +203,17 @@ def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
 
 
 def _suite_chain_forms(tol, samples, gen) -> CheckResult:
-    def draw(g):
-        lam = _coin(g)
-        pairs = [make_pair_general(_unit3(g)) for _ in range(4)]
-        return lam, pairs, [nfold_scalar_part(pairs[:k]) for k in (2, 3, 4)]
     worst = 0.0
-    for lams, legs, closed in _stacked(gen, samples, draw):
+    for lams, dirs in _stacked(gen, samples, lambda g: (
+            _coin(g), [_normal(g, 3) for _ in range(4)])):
+        legs = make_pair_general(_unit_rows(dirs.reshape(-1, 3)))
         # the sources lam D of the four settings of each row
-        elems = lams[:, None, None] * detector(
-            legs.reshape(-1, 2, 3)).reshape(-1, 4, 8)
+        elems = lams[:, None, None] * detector(legs).reshape(-1, 4, 8)
+        legs = legs.reshape(-1, 4, 2, 3)
         acc = elems[:, 0]
         for k in (1, 2, 3):
             acc = mv_mul(acc, elems[:, k], lams)
-            gap = np.abs(closed[:, k - 1] - acc[:, 0])
+            gap = np.abs(nfold_scalar_part(legs[:, :k + 1]) - acc[:, 0])
             worst = max(worst, float(gap.max()))
     return CheckResult("chain-forms", worst <= tol,
                        "closed forms match chains within %.3e" % worst)
@@ -211,9 +222,9 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
 def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
     target = 2.0 ** -0.5
-    for lams, legs in _stacked(
-            gen, samples, lambda g: (_coin(g), make_pair_planar(_unit2(g)))):
-        det = detector(legs)
+    for lams, a in _stacked(gen, samples,
+                            lambda g: (_coin(g), _normal(g, 2))):
+        det = detector(make_pair_planar(_unit_rows(a)))
         if (measure(det, lams, "first") != lams).any():
             return CheckResult("outcome-maps", False,
                                "first-side outcome is not the coin")
@@ -221,11 +232,13 @@ def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
             return CheckResult("outcome-maps", False,
                                "second-side outcome is not the flipped coin")
     for role in "ABCD":
-        for _ in range(max(1, samples // 4)):
-            n_r, n_d = make_pair_ghz(_unit3(gen), role)
-            rr = sum(v * v for v in n_r)
-            dd = sum(v * v for v in n_d)
-            worst = max(worst, abs(rr + dd - target))
+        for (a,) in _stacked(gen, max(1, samples // 4),
+                             lambda g: (_normal(g, 3),)):
+            (rx, ry, rz), (dx, dy, dz) = np.moveaxis(
+                make_pair_ghz(_unit_rows(a), role), 0, -1)
+            rr = (rx * rx + ry * ry) + rz * rz
+            dd = (dx * dx + dy * dy) + dz * dz
+            worst = max(worst, float(np.abs(rr + dd - target).max()))
     return CheckResult("outcome-maps", worst <= tol,
                        "outcomes exact, role norms within %.3e" % worst)
 

@@ -8,7 +8,10 @@ expressions, so no separate reference is needed.
 
 A setting arrives as its legs (n_r, n_d) and is unpacked here. The module
 imports nothing from the package but its errors, so the reference shares
-no code with the algebra and the embedding it checks.
+no code with the algebra and the embedding it checks. The chain closed
+forms take one chain of settings or an (n, k, 2, 3) stack of chains; dots
+and crosses are written out component by component, so a row's value is
+bitwise that of its one-chain call whatever the stack and the BLAS kernel.
 
 Notation used throughout: for two pairs (a_r, a_d), (b_r, b_d) define
 
@@ -28,14 +31,28 @@ import numpy as np
 
 from .errors import ArityUnsupported, EmptyInput
 
-Vec = np.ndarray
 Legs = tuple  # a setting (n_r, n_d): two 3-vectors
 
 
-def _legs(pair: Legs) -> tuple[Vec, Vec]:
-    n_r, n_d = pair
-    return (np.asarray(n_r, dtype=np.float64),
-            np.asarray(n_d, dtype=np.float64))
+def _legs(pair) -> tuple[np.ndarray, np.ndarray]:
+    """The legs of one setting (2, 3) or of an (n, 2, 3) stack, each held
+    component first: a (3,) vector or a (3, n) stack of them."""
+    p = np.asarray(pair, dtype=np.float64)
+    return p[..., 0, :].T, p[..., 1, :].T
+
+
+def _dot(a, b):
+    """a.b of component-first 3-vectors, written out so that a row's bits
+    depend neither on the stack nor on the BLAS kernel."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _cross(a, b) -> np.ndarray:
+    """np.cross of component-first 3-vectors: the same products and
+    differences in the same order, so bitwise equal."""
+    return np.array((a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]))
 
 
 def epr_expectation(theta: float) -> float:
@@ -88,36 +105,31 @@ def ghz_role_scalar_part(pairs: Sequence[Legs]) -> float:
         raise ArityUnsupported("role evaluation is defined for four pairs")
     (ar, ad), (br, bd), (cr, cd), (dr, dd) = (_legs(p) for p in pairs)
     return float(2.0 * (
-        (ar @ br) * (cr @ dr) + (ad @ bd) * (cd @ dd)
-        - (ar @ cr) * (br @ dr) + (br @ cr) * (ar @ dr)
-        + (bd @ cd) * (ad @ dd) - (ad @ cd) * (bd @ dd)
+        _dot(ar, br) * _dot(cr, dr) + _dot(ad, bd) * _dot(cd, dd)
+        - _dot(ar, cr) * _dot(br, dr) + _dot(br, cr) * _dot(ar, dr)
+        + _dot(bd, cd) * _dot(ad, dd) - _dot(ad, cd) * _dot(bd, dd)
     ))
 
 
-def _cross(a: Vec, b: Vec) -> Vec:
-    """np.cross of two 3-vectors without its dispatch cost.
-
-    The same products and differences in the same order, so bitwise equal.
-    """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
-
-
-def _pair_product_parts(p1: Legs, p2: Legs):
+def _pair_product_parts(p1, p2):
+    """alpha, u, v and w of two settings, or of two (n, 2, 3) stacks of
+    them row by row; u and v are held component first."""
     ar, ad = _legs(p1)
     br, bd = _legs(p2)
-    alpha = float(ar @ br + ad @ bd)
+    alpha = _dot(ar, br) + _dot(ad, bd)
     u = _cross(ar, br) + _cross(ad, bd)
     v = _cross(ar, bd) + _cross(ad, br)
-    w = float(ar @ bd + ad @ br)
+    w = _dot(ar, bd) + _dot(ad, br)
     return alpha, u, v, w
 
 
-def nfold_scalar_part(pairs: Sequence[Legs]) -> float:
+def nfold_scalar_part(pairs):
     """Scalar part of the source-element chain over the given pairs.
 
-    Closed forms cover two, three and four factors; the value matches the
+    pairs is a sequence of k settings, which gives a float, or an
+    (n, k, 2, 3) stack of n chains, which gives the (n,) array of their
+    scalars, each row bitwise what its one-chain call gives. Closed forms
+    cover two, three and four factors; the value matches the
     direct product chain in the written order for either coin sign (the
     orientation enters the coefficients and the structure constants once
     each, so it drops out of every chain scalar and no sign is taken).
@@ -126,33 +138,43 @@ def nfold_scalar_part(pairs: Sequence[Legs]) -> float:
     pairs but not for general ones, and without it the chain equality would
     break there.
     """
-    n = len(pairs)
-    if n == 0:
+    if len(pairs) == 0:
         raise EmptyInput("no pairs given")
+    p = np.asarray(pairs, dtype=np.float64)
+    if p.ndim not in (3, 4) or p.shape[-2:] != (2, 3):
+        raise ValueError("pairs must be k settings (n_r, n_d) or an "
+                         "(n, k, 2, 3) stack, got shape %s" % (p.shape,))
+    n = p.shape[-3]
     if not 2 <= n <= 4:
         raise ArityUnsupported("chain scalars are defined for two to four pairs")
+    factors = [p[..., i, :, :] for i in range(n)]
     if n == 2:
-        alpha, _, _, _ = _pair_product_parts(pairs[0], pairs[1])
-        return -alpha
-    if n == 3:
-        (ar, ad), (br, bd), (cr, cd) = (_legs(p) for p in pairs)
-        return float(ar @ (_cross(br, cr) + _cross(bd, cd))
-                     + ad @ (_cross(br, cd) + _cross(bd, cr)))
-    a1, u1, v1, w1 = _pair_product_parts(pairs[0], pairs[1])
-    a2, u2, v2, w2 = _pair_product_parts(pairs[2], pairs[3])
-    return float(a1 * a2 - u1 @ u2 - v1 @ v2 + w1 * w2)
+        alpha, _, _, _ = _pair_product_parts(*factors)
+        value = -alpha
+    elif n == 3:
+        (ar, ad), (br, bd), (cr, cd) = (_legs(f) for f in factors)
+        value = (_dot(ar, _cross(br, cr) + _cross(bd, cd))
+                 + _dot(ad, _cross(br, cd) + _cross(bd, cr)))
+    else:
+        a1, u1, v1, w1 = _pair_product_parts(factors[0], factors[1])
+        a2, u2, v2, w2 = _pair_product_parts(factors[2], factors[3])
+        value = a1 * a2 - _dot(u1, u2) - _dot(v1, v2) + w1 * w2
+    return float(value) if p.ndim == 3 else value
 
 
 def chsh_bound(x, xp, y, yp) -> float:
     """Upper envelope of the four-term combination for unit settings.
 
-    2 * sqrt(1 - (x cross xp).(yp cross y)); ranges over [0, 2*sqrt(2)].
-    The inner term is a dot of two cross products of unit vectors, so it
-    lies in [-1, 1] analytically; the radicand is clamped to [0, 2] to keep
-    rounding dust from ever pushing the result past the ceiling.
+    2 * sqrt(1 - (x cross xp).(y cross yp)) bounds |S| for
+    S = E(x,y) + E(x,yp) + E(xp,y) - E(xp,yp), E the singlet correlation
+    -x.y, which is the combination chsh_scan reports; it ranges over
+    [0, 2*sqrt(2)]. The inner term is a dot of two cross products of unit
+    vectors, so it lies in [-1, 1] analytically; the radicand is clamped to
+    [0, 2] to keep rounding dust from ever pushing the result past the
+    ceiling.
     """
     x, xp, y, yp = (np.asarray(v, dtype=np.float64).reshape(3)
                     for v in (x, xp, y, yp))
-    inner = float(_cross(x, xp) @ _cross(yp, y))
+    inner = float(_dot(_cross(x, xp), _cross(y, yp)))
     return 2.0 * math.sqrt(min(2.0, max(0.0, 1.0 - inner)))
 

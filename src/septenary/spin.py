@@ -20,9 +20,14 @@ return legs:
   orthogonal to 1e-12. The trial engine uses the planar constructor; the
   ``check`` chain-forms suite draws its settings through this one.
 
-The planar and role constructors refuse a direction whose legs miss their
-squared norms by more than 1e-12, a tighter bound than the 1e-6 unit test
-every direction passes first.
+Each constructor takes one direction, which gives the plain tuple of two
+3-tuples, or an (n, 3) stack of them, which gives the (n, 2, 3) array of
+their legs. Norms and dots are written out component by component, so a
+row's legs are bitwise those of its one-row call whatever the stack and
+the BLAS kernel. Every row is held to the checks on its own: the planar
+and role constructors refuse a direction whose legs miss their squared
+norms by more than 1e-12, a tighter bound than the 1e-6 unit test every
+direction passes first, and the planar one a direction off the xy plane.
 
 A detector D is the embedded setting, an (8,) coefficient row. A trial
 multiplies it under the tag of its coin lam and leaves its coefficients
@@ -60,19 +65,63 @@ ROLE_SIGNS = {
 }
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) stack, written out so that
+    a row's bits depend neither on the stack nor on the BLAS kernel."""
+    x, y, z = a[:, 0], a[:, 1], a[:, 2]
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+def _first_bad(ok: np.ndarray):
+    """Index of the first row that is not ok, or None."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if len(bad) else None
+
+
 def _check_unit(a: np.ndarray, what: str) -> None:
-    """Refuse a direction that is not unit length, or any row of an (n, 3)
-    stack of them. The bounds are written so that nan and inf fail them."""
-    if a.ndim == 1:
-        norms = [float(np.linalg.norm(a))]
-    else:
-        norms = np.linalg.norm(a, axis=1).tolist()
-    for n in norms:
-        if n < 1e-9:
-            raise DegenerateInput("%s is numerically zero" % what)
-        if not abs(n - 1.0) <= 1e-6:
-            raise DegenerateInput("%s must be unit length, got norm %.3g"
-                                  % (what, n))
+    """Refuse an (n, 3) stack of directions with a row that is not unit
+    length. The bounds are written so that nan and inf fail them."""
+    n = _norms(a)
+    k = _first_bad(np.abs(n - 1.0) <= 1e-6)
+    if k is None:
+        return
+    if n[k] < 1e-9:
+        raise DegenerateInput("%s is numerically zero" % what)
+    raise DegenerateInput("%s must be unit length, got norm %.3g"
+                          % (what, n[k]))
+
+
+def _check_square(sq: np.ndarray, want: float, a: np.ndarray,
+                  what: str) -> None:
+    # _check_unit allows 1e-6; the legs of a setting are held to 1e-12
+    k = _first_bad(np.abs(sq - want) <= 1e-12)
+    if k is not None:
+        raise DegenerateInput("%s %r is not unit length to 1e-12"
+                              % (what, tuple(a[k].tolist())))
+
+
+def _directions(a) -> tuple[np.ndarray, bool]:
+    """A direction (3,) or an (n, 3) stack of them as an (n, 3) stack, and
+    whether one row was given."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[-1:] != (3,) or a.ndim > 2:
+        raise ValueError("a direction must be a 3-vector or an (n, 3) stack, "
+                         "got shape %s" % (a.shape,))
+    return a.reshape(-1, 3), a.ndim == 1
+
+
+def _setting(n_r, n_d, one: bool):
+    """The legs as an (n, 2, 3) stack, or as the plain tuple (n_r, n_d) of
+    3-tuples for one row. Each component of n_r and n_d is an (n,) column
+    or a float, and n_r's first is a column."""
+    legs = np.empty((len(n_r[0]), 2, 3))
+    for i, leg in enumerate((n_r, n_d)):
+        for j, v in enumerate(leg):
+            legs[:, i, j] = v
+    if one:
+        n_r, n_d = legs[0].tolist()
+        return tuple(n_r), tuple(n_d)
+    return legs
 
 
 def planar_legs(x, y) -> tuple[tuple, tuple]:
@@ -87,67 +136,69 @@ def planar_legs(x, y) -> tuple[tuple, tuple]:
     return (rx, ry, 0.0), (-ry, rx, 0.0)
 
 
-def _check_square(sq: float, want: float, a: np.ndarray, what: str) -> None:
-    # _check_unit allows 1e-6; the legs of a setting are held to 1e-12
-    if not abs(sq - want) <= 1e-12:
-        raise DegenerateInput("%s %r is not unit length to 1e-12"
-                              % (what, tuple(a.tolist())))
-
-
-def make_pair_planar(a) -> tuple[tuple, tuple]:
+def make_pair_planar(a):
     """Legs of the setting for a unit direction in the xy plane (see
-    planar_legs)."""
-    a = np.asarray(a, dtype=np.float64).reshape(3)
-    if a[2] != 0.0:
+    planar_legs), or the (n, 2, 3) legs of an (n, 3) stack of them."""
+    a, one = _directions(a)
+    if not (a[:, 2] == 0.0).all():
         raise DegenerateInput("planar pair needs a z-free direction")
     _check_unit(a, "planar direction")
-    legs = planar_legs(a[0], a[1])
-    for leg in legs:
-        _check_square(float(np.dot(leg, leg)), 0.5, a, "planar direction")
-    return legs
+    n_r, n_d = planar_legs(a[:, 0], a[:, 1])
+    for x, y, _ in (n_r, n_d):
+        _check_square(x * x + y * y, 0.5, a, "planar direction")
+    return _setting(n_r, n_d, one)
 
 
-def make_pair_ghz(a, role: str) -> tuple[tuple, tuple]:
+def make_pair_ghz(a, role: str):
     """Role-mapped legs for the four-party identities.
 
     The xy part of the direction lands in n_r and the z part in n_d, each
     component multiplied by the role's sign and by 2**-0.25. Role A with
-    a = (0,0,1) gives n_r = 0 and n_d = (0, 0, -2**-0.25).
+    a = (0,0,1) gives n_r = 0 and n_d = (0, 0, -2**-0.25). An (n, 3) stack
+    of directions gives the (n, 2, 3) legs, all under the one role.
     """
     if role not in ROLE_SIGNS:
         raise ValueError("role must be one of A, B, C, D")
-    a = np.asarray(a, dtype=np.float64).reshape(3)
+    a, one = _directions(a)
     _check_unit(a, "ghz direction")
     sx, sy, sz = ROLE_SIGNS[role]
-    n_r = (sx * a[0] * GHZ_SCALE, sy * a[1] * GHZ_SCALE, 0.0)
-    n_d = (0.0, 0.0, sz * a[2] * GHZ_SCALE)
-    _check_square(float(np.dot(n_r, n_r)) + float(np.dot(n_d, n_d)),
-                  SQRT_HALF, a, "ghz direction")
-    return n_r, n_d
+    rx, ry = sx * a[:, 0] * GHZ_SCALE, sy * a[:, 1] * GHZ_SCALE
+    dz = sz * a[:, 2] * GHZ_SCALE
+    _check_square((rx * rx + ry * ry) + dz * dz, SQRT_HALF, a,
+                  "ghz direction")
+    return _setting((rx, ry, 0.0), (0.0, 0.0, dz), one)
 
 
-_X_AXIS = np.array([1.0, 0.0, 0.0])
-_Y_AXIS = np.array([0.0, 1.0, 0.0])
+def _residual(ahat: np.ndarray, axis: int) -> tuple[tuple, np.ndarray]:
+    """The Gram-Schmidt residual of a unit axis against each row of ahat,
+    as a tuple of three columns, and the residuals' norms."""
+    c = ahat[:, axis]
+    d = [float(i == axis) - c * ahat[:, i] for i in range(3)]
+    x, y, z = d
+    return d, np.sqrt((x * x + y * y) + z * z)
 
 
-def make_pair_general(a) -> tuple[tuple, tuple]:
-    """Legs of the setting for an arbitrary unit direction.
+def make_pair_general(a):
+    """Legs of the setting for an arbitrary unit direction, or the
+    (n, 2, 3) legs of an (n, 3) stack of them.
 
     n_d comes from Gram-Schmidt of the x axis against a. Its orthogonality
     to a degrades as eps / n, n the norm of the residual, so where n is not
     above 1e-2 (a within about 0.01 rad of +-x) the y axis is used instead,
-    whose residual there is near 1. The construction is deterministic.
+    whose residual there is near 1. The construction is deterministic and
+    runs row by row.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(3)
+    a, one = _directions(a)
     _check_unit(a, "direction")
-    ahat = a / np.linalg.norm(a)
-    d = _X_AXIS - (_X_AXIS @ ahat) * ahat
-    n = float(np.linalg.norm(d))
-    if n <= 1e-2:
-        d = _Y_AXIS - (_Y_AXIS @ ahat) * ahat
-        n = float(np.linalg.norm(d))
-    d = d / n
-    return tuple(ahat * SQRT_HALF), tuple(d * SQRT_HALF)
+    ahat = a / _norms(a)[:, None]
+    d, n = _residual(ahat, 0)
+    near_x = n <= 1e-2
+    if near_x.any():
+        dy, ny = _residual(ahat, 1)
+        d = [np.where(near_x, v, u) for u, v in zip(d, dy)]
+        n = np.where(near_x, ny, n)
+    return _setting([v * SQRT_HALF for v in ahat.T],
+                    [v / n * SQRT_HALF for v in d], one)
 
 
 def detector(legs) -> np.ndarray:
@@ -209,7 +260,7 @@ def measure(det, lam, side: str):
 
 
 def _axis_rows(u: np.ndarray, what: str) -> np.ndarray:
-    _check_unit(u, what)
+    _check_unit(_directions(u)[0], what)
     return detector(np.stack([u, np.zeros_like(u)], axis=-2))
 
 

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
@@ -666,6 +667,36 @@ def test_check_suite_filter(capsys):
     report = json.loads(out)
     assert [s["name"] for s in report["suites"]] == ["product-table",
                                                      "sphere-maps"]
+
+
+_CHECK_REPORTS = """
+import sys
+from septenary.cli import main
+for n in ("2", "3", "7"):
+    main(["check", "--samples", n])
+"""
+
+
+def test_unpinned_check_reports_do_not_depend_on_the_cpu_kernels():
+    # the two pinned counts are rerun under these kernels with the goldens;
+    # counts between them must hold as well: every norm and dot of the
+    # report is written out, so no BLAS or SIMD kernel reaches its bits
+    baseline = np._core._multiarray_umath.__cpu_baseline__
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
+    env.pop("SEPTENARY_SEED", None)
+    env.pop("OPENBLAS_CORETYPE", None)
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    reports = [
+        subprocess.run([sys.executable, "-c", _CHECK_REPORTS],
+                       env=dict(env, **extra), capture_output=True,
+                       text=True, timeout=120, check=True).stdout
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                      {"OPENBLAS_CORETYPE": "Haswell",
+                       "NPY_ENABLE_CPU_FEATURES": ",".join(baseline)})]
+    assert reports[0].count('"all_pass": true') == 3
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 def test_check_rejects_zero_samples(capsys):

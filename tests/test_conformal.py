@@ -47,3 +47,21 @@ def test_phi_fixed_unit_circle():
 def test_non_finite_input_refuses():
     with pytest.raises(ValueError):
         stereo_psi(np.array([np.inf, 0.0, 0.0]))
+
+
+def test_stacked_images_are_the_one_point_images():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+    for chart in (stereo_phi, stereo_psi):
+        images = chart(x)
+        assert images.shape == (50, 4)
+        for image, point in zip(images, x):
+            assert image.tobytes() == chart(point).tobytes()
+
+
+def test_a_stack_with_one_non_finite_point_refuses():
+    x = np.zeros((6, 3))
+    x[4, 2] = np.nan
+    for chart in (stereo_phi, stereo_psi):
+        with pytest.raises(ValueError, match="finite"):
+            chart(x)

@@ -586,36 +586,55 @@ def test_configs_are_refused_or_stream_like_they_collect(
 # ---------------------------------------------------------------------------
 # configuration validation
 
+# each case keeps an explicit id, so deleting one renames no other;
+# the ids are the positional names the cases first had
 @pytest.mark.parametrize("kwargs", [
-    {"trials": 0, "seed": 0},
-    {"trials": -5, "seed": 0},
-    {"trials": 10, "seed": -1},
-    {"trials": 10, "seed": 2 ** 64},
-    {"trials": 10, "seed": 0, "mode": "what"},
-    {"trials": 10, "seed": 0, "fixed_settings": ((1.0, 2.0, 3.0),)},
-    {"trials": 10, "seed": 0,
-     "fixed_settings": ((0.0, 0.0), (float("nan"), 0.0))},
-    {"trials": 10, "seed": 0, "mode": "ghz",
-     "fixed_settings": ((0.0, float("inf"), 0.0, 0.0),)},
-    {"trials": 10, "seed": 0, "mode": "ghz", "fixed_settings": ((0.0, 45.0),)},
-    {"trials": 10, "seed": 0,
-     "fixed_settings": ((0.0, 45.0), (0.0, 45.0, 90.0))},
-    {"trials": 10, "seed": 0, "bin_width_deg": 0.0},
-    {"trials": 10, "seed": 0, "bin_width_deg": 0.005},
-    {"trials": 10, "seed": 0, "bin_width_deg": float("nan")},
-    {"trials": 10, "seed": 0, "bin_width_deg": 400.0},
-    {"trials": 10, "seed": 1.5},
-    {"trials": 10, "seed": "3"},
-    {"trials": 10, "seed": True},
-    {"trials": True, "seed": 0},
-    {"trials": 10.0, "seed": 0},
-    {"trials": 10, "seed": 0, "bin_width_deg": True},
-    {"trials": 10, "seed": 0, "bin_width_deg": "5"},
-    {"trials": 10, "seed": 0, "fixed_settings": (("30", "45"),)},
-    {"trials": 10, "seed": 0, "fixed_settings": ((True, 45.0),)},
-    {"trials": 10, "seed": 0, "mode": ["epr"]},
-    {"trials": 10, "seed": 0, "fixed_settings": 5},
-    {"trials": 10, "seed": 0, "fixed_settings": (5,)},
+    pytest.param({"trials": 0, "seed": 0}, id="kwargs0"),
+    pytest.param({"trials": -5, "seed": 0}, id="kwargs1"),
+    pytest.param({"trials": 10, "seed": -1}, id="kwargs2"),
+    pytest.param({"trials": 10, "seed": 2 ** 64}, id="kwargs3"),
+    pytest.param({"trials": 10, "seed": 0, "mode": "what"}, id="kwargs4"),
+    pytest.param({"trials": 10, "seed": 0,
+                  "fixed_settings": ((1.0, 2.0, 3.0),)},
+                 id="kwargs5"),
+    pytest.param({"trials": 10, "seed": 0,
+                  "fixed_settings": ((0.0, 0.0), (float("nan"), 0.0))},
+                 id="kwargs6"),
+    pytest.param({"trials": 10, "seed": 0, "mode": "ghz",
+                  "fixed_settings": ((0.0, float("inf"), 0.0, 0.0),)},
+                 id="kwargs7"),
+    pytest.param({"trials": 10, "seed": 0, "mode": "ghz",
+                  "fixed_settings": ((0.0, 45.0),)},
+                 id="kwargs8"),
+    pytest.param({"trials": 10, "seed": 0,
+                  "fixed_settings": ((0.0, 45.0), (0.0, 45.0, 90.0))},
+                 id="kwargs9"),
+    pytest.param({"trials": 10, "seed": 0, "bin_width_deg": 0.0},
+                 id="kwargs10"),
+    pytest.param({"trials": 10, "seed": 0, "bin_width_deg": 0.005},
+                 id="kwargs11"),
+    pytest.param({"trials": 10, "seed": 0, "bin_width_deg": float("nan")},
+                 id="kwargs12"),
+    pytest.param({"trials": 10, "seed": 0, "bin_width_deg": 400.0},
+                 id="kwargs13"),
+    pytest.param({"trials": 10, "seed": 1.5}, id="kwargs14"),
+    pytest.param({"trials": 10, "seed": "3"}, id="kwargs15"),
+    pytest.param({"trials": 10, "seed": True}, id="kwargs16"),
+    pytest.param({"trials": True, "seed": 0}, id="kwargs17"),
+    pytest.param({"trials": 10.0, "seed": 0}, id="kwargs18"),
+    pytest.param({"trials": 10, "seed": 0, "bin_width_deg": True},
+                 id="kwargs19"),
+    pytest.param({"trials": 10, "seed": 0, "bin_width_deg": "5"},
+                 id="kwargs20"),
+    pytest.param({"trials": 10, "seed": 0, "fixed_settings": (("30", "45"),)},
+                 id="kwargs21"),
+    pytest.param({"trials": 10, "seed": 0, "fixed_settings": ((True, 45.0),)},
+                 id="kwargs22"),
+    pytest.param({"trials": 10, "seed": 0, "mode": ["epr"]}, id="kwargs23"),
+    pytest.param({"trials": 10, "seed": 0, "fixed_settings": 5},
+                 id="kwargs24"),
+    pytest.param({"trials": 10, "seed": 0, "fixed_settings": (5,)},
+                 id="kwargs25"),
 ])
 def test_config_rejections(kwargs):
     with pytest.raises(ConfigError):

@@ -77,10 +77,10 @@ CHSH = {
 
 CHECK = {
     ("--samples", "20"):
-        "8c8ab9c9f694b1ab2282d9121163a494b05b88bb7c77e631b26197a41d402ad9",
+        "85e175f907ce11e295db7714aa0c8153a32a73f266e17dcf6a569346f01dd98d",
     # the default report, --samples 300
     ():
-        "20acace4b9f2cd04fa2133a53e6c58adb6fe472a27f698525ca3855799ed76a9",
+        "54ddbb48b14575dd3a9594d1fb70dd2fca2947a8f8ddd8a4a018f9992024189c",
 }
 
 

@@ -121,6 +121,45 @@ def test_chain_arity_errors():
             nfold_scalar_part(pairs)
 
 
+def _mixed_chains(rng, n):
+    """(n, 4, 2, 3) legs of four settings per row, one of each constructor
+    and one more general setting."""
+    t = rng.uniform(-math.pi, math.pi, n)
+    planar = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+    dirs = rng.standard_normal((3, n, 3))
+    dirs /= np.linalg.norm(dirs, axis=2)[..., None]
+    return np.stack([make_pair_planar(planar), make_pair_general(dirs[0]),
+                     make_pair_ghz(dirs[1], "B"), make_pair_general(dirs[2])],
+                    axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_closed_forms_are_the_one_chain_forms(n):
+    chains = _mixed_chains(np.random.default_rng(110 + n), 80)[:, :n]
+    got = nfold_scalar_part(chains)
+    assert got.shape == (80,)
+    for value, pairs in zip(got, chains):
+        one = nfold_scalar_part([tuple(map(tuple, p)) for p in pairs.tolist()])
+        assert type(one) is float
+        assert np.float64(one).tobytes() == value.tobytes()
+
+
+def test_stacked_pair_parts_are_the_one_pair_parts():
+    chains = _mixed_chains(np.random.default_rng(114), 40)
+    alpha, u, v, w = _pair_product_parts(chains[:, 1], chains[:, 3])
+    for i, (p1, p2) in enumerate(zip(chains[:, 1], chains[:, 3])):
+        one = _pair_product_parts(p1, p2)
+        for got, want in zip((alpha[i], u[:, i], v[:, i], w[i]), one):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_closed_forms_refuse_legs_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="stack"):
+        nfold_scalar_part(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="stack"):
+        nfold_scalar_part(np.zeros((1, 2, 2, 2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # pair products
 
@@ -210,6 +249,13 @@ def test_raw_role_chain_cannot_reach_the_closed_form():
 # ---------------------------------------------------------------------------
 # four-term combination
 
+def _four_term(x, xp, y, yp):
+    """S = E(x,y) + E(x,y') + E(x',y) - E(x',y'), each E the singlet
+    correlation at the angle between the two settings."""
+    e = lambda p, q: epr_expectation(math.acos(max(-1.0, min(1.0, p @ q))))
+    return e(x, y) + e(x, yp) + e(xp, y) - e(xp, yp)
+
+
 def test_chsh_bound_reference_configurations():
     x = np.array([1.0, 0.0, 0.0])
     assert chsh_bound(x, x, _unit(np.random.default_rng(1)), x) == pytest.approx(
@@ -218,8 +264,17 @@ def test_chsh_bound_reference_configurations():
     a = np.array([1.0, 0.0, 0.0])
     ap = np.array([math.cos(deg(90)), math.sin(deg(90)), 0.0])
     b = np.array([math.cos(deg(45)), math.sin(deg(45)), 0.0])
-    bp = np.array([math.cos(deg(135)), math.sin(deg(135)), 0.0])
+    bp = np.array([math.cos(deg(-45)), math.sin(deg(-45)), 0.0])
     assert chsh_bound(a, ap, b, bp) == pytest.approx(2.0 * ROOT2, abs=1e-12)
+    # b' a quarter turn the other way: the combination vanishes, and so
+    # does its envelope
+    bp = np.array([math.cos(deg(135)), math.sin(deg(135)), 0.0])
+    assert chsh_bound(a, ap, b, bp) == pytest.approx(0.0, abs=1e-6)
+    # the quadruple that exposed the order of the crosses: S = -2, where
+    # crossing (y', y) gave an envelope of 0
+    x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    assert _four_term(x, y, y, x) == pytest.approx(-2.0, abs=1e-12)
+    assert chsh_bound(x, y, y, x) == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
 
 def test_chsh_bound_range_on_random_settings():
@@ -231,9 +286,9 @@ def test_chsh_bound_range_on_random_settings():
 
 
 def test_matched_value_never_beats_the_bound_on_planar_grids():
-    # combination with the minus on the (x, y') pair; the cross-product
-    # bound majorises this pairing pointwise and touches it on a dense
-    # subset of the grid
+    # the combination chsh_scan reports, with the minus on the (x', y')
+    # pair; the cross-product bound majorises it pointwise and touches it
+    # on a dense subset of the grid
     e = lambda d: -math.cos(math.radians(d))
     vec = lambda d: np.array([math.cos(math.radians(d)),
                               math.sin(math.radians(d)), 0.0])
@@ -242,7 +297,7 @@ def test_matched_value_never_beats_the_bound_on_planar_grids():
         for ap in range(0, 360, 30):
             for b in range(0, 360, 30):
                 for bp in range(0, 360, 30):
-                    s = e(b - a) + e(b - ap) + e(bp - ap) - e(bp - a)
+                    s = e(b - a) + e(bp - a) + e(b - ap) - e(bp - ap)
                     bound = chsh_bound(vec(a), vec(ap), vec(b), vec(bp))
                     assert abs(s) <= bound + 1e-9
                     if abs(abs(s) - bound) < 1e-9:
@@ -251,11 +306,12 @@ def test_matched_value_never_beats_the_bound_on_planar_grids():
 
 
 def test_matched_value_never_beats_the_bound_off_plane():
+    # with the crosses in the order (y', y) about one in six of these
+    # quadruples broke the envelope
     rng = np.random.default_rng(107)
     for _ in range(5000):
         x, xp, y, yp = (_unit(rng) for _ in range(4))
-        s = -x @ y - xp @ y - xp @ yp + x @ yp
-        assert abs(s) <= chsh_bound(x, xp, y, yp) + 1e-9
+        assert abs(_four_term(x, xp, y, yp)) <= chsh_bound(x, xp, y, yp) + 1e-9
 
 
 # ---------------------------------------------------------------------------

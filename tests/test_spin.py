@@ -367,3 +367,72 @@ def test_row_transport_refuses_one_non_unit_row():
     s[3] = (0.0, 1.5, 0.0)
     with pytest.raises(DegenerateInput, match="source axis"):
         recover_source_axis(b, s)
+
+
+def _unit_directions(rng, n):
+    a = rng.standard_normal((n, 3))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    # rows near +-x take the y-axis fallback of the general constructor
+    a[:4] = [(1.0, 0.0, 0.0), (-math.cos(1e-5), math.sin(1e-5), 0.0),
+             (0.9999999996253763, 2.2002019329397417e-05,
+              1.6283697568285344e-05), (0.0, 0.0, 1.0)]
+    return a
+
+
+def _planar_directions(rng, n):
+    t = rng.uniform(-math.pi, math.pi, n)
+    return np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+
+
+def _assert_rows_are_the_one_row_calls(make, dirs):
+    legs = make(dirs)
+    assert isinstance(legs, np.ndarray) and legs.shape == (len(dirs), 2, 3)
+    for row, a in zip(legs, dirs):
+        one = make(a)
+        assert type(one) is tuple and all(type(leg) is tuple for leg in one)
+        assert row.tobytes() == np.array(one).tobytes()
+
+
+def test_constructor_rows_are_the_one_row_constructions():
+    rng = np.random.default_rng(56)
+    dirs = _unit_directions(rng, 60)
+    _assert_rows_are_the_one_row_calls(make_pair_general, dirs)
+    for role in "ABCD":
+        _assert_rows_are_the_one_row_calls(
+            lambda a: make_pair_ghz(a, role), dirs)
+    _assert_rows_are_the_one_row_calls(make_pair_planar,
+                                       _planar_directions(rng, 60))
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.6, 0.0), (math.nan, 0.0, 0.0),
+                                 (0.0, 0.0, 0.0), (0.6, 0.8000001, 0.0)])
+def test_constructor_stacks_refuse_one_bad_row(bad):
+    rng = np.random.default_rng(57)
+    dirs = _unit_directions(rng, 9)
+    planar = _planar_directions(rng, 9)
+    dirs[5] = planar[5] = bad
+    with pytest.raises(DegenerateInput):
+        make_pair_planar(planar)
+    for role in "ABCD":
+        with pytest.raises(DegenerateInput):
+            make_pair_ghz(dirs, role)
+    if bad != (0.6, 0.8000001, 0.0):
+        # the general constructor normalises a direction unit to 1e-6
+        with pytest.raises(DegenerateInput):
+            make_pair_general(dirs)
+
+
+def test_planar_stack_refuses_one_row_off_the_plane():
+    dirs = _planar_directions(np.random.default_rng(58), 9)
+    make_pair_planar(dirs)
+    dirs[7] = (0.6, 0.8, 1e-300)
+    with pytest.raises(DegenerateInput, match="z-free"):
+        make_pair_planar(dirs)
+
+
+def test_constructors_refuse_directions_of_the_wrong_shape():
+    for a in ((1.0, 0.0), np.zeros((2, 2, 3))):
+        for make in (make_pair_planar, make_pair_general,
+                     lambda a: make_pair_ghz(a, "A")):
+            with pytest.raises(ValueError, match="direction"):
+                make(a)
