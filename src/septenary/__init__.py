@@ -21,8 +21,6 @@ The package splits into focused layers:
 """
 
 from .algebra import (
-    BLADE_NAMES,
-    basis_product,
     mv_mul,
     mv_norm,
     quadric_defect,
@@ -62,13 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityUnsupported",
-    "BLADE_NAMES",
     "ConfigError",
     "DegenerateInput",
     "EmptyInput",
     "SeptenaryError",
     "TrialConfig",
-    "basis_product",
     "chsh_bound",
     "chsh_scan",
     "detector",

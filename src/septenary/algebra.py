@@ -15,16 +15,18 @@ An element is its row of eight coefficients, an (8,) array; a stack of n
 elements is an (n, 8) array. Every product is taken under an orientation
 sign ``lam`` (+1 or -1), passed beside the coefficients: one int for every
 row, or an (n,) array of per-row tags. The sign fixes the handedness of the
-non-scalar basis blades: flipping it negates blades 1..7 while leaving the
-products' scalar parts alone. The scalar part of x is ``x[..., 0]``.
+non-scalar basis blades: the -1 basis is the +1 basis with blades 1..7
+negated. So there is one product table, that of +1, and the -1 product is
+its mirror, x *_{-1} y = M (M x *_{+1} M y) with M = diag(1, -1, ..., -1);
+M leaves the scalar part alone. The scalar part of x is ``x[..., 0]``.
 
 Structurally this is a split dual quaternion algebra: slots 0..3 multiply as
 one quaternion, slots 4..7 as a second, and the two halves couple through a
 unit that squares to +1 (slot 7 alone squares to +1, slots 1..6 to -1).
 
-Products are driven by two integer tensors: an antisymmetric one on the
-rotation-type triples and a symmetric one coupling each plane to its opposite
-leg through slot 7. Both enter the product scaled by ``lam``.
+The +1 product is driven by two integer tensors: an antisymmetric one on
+the rotation-type triples and a symmetric one coupling each plane to its
+opposite leg through slot 7.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import itertools
 import math
 
 import numpy as np
-
-BLADE_NAMES = ("1", "e12", "e31", "e23", "e14", "e24", "e34", "e1234")
 
 SCALAR, B_XY, B_ZX, B_YZ, E_X, E_Y, E_Z, E_VOL = range(8)
 
@@ -66,7 +66,7 @@ def _build_structure():
     return f, l
 
 
-def _build_tensor(lam: int) -> np.ndarray:
+def _build_tensor() -> np.ndarray:
     """T[rho, mu, nu] = coefficient of blade rho in (blade mu * blade nu)."""
     f, l = _build_structure()
     t = np.zeros((8, 8, 8), dtype=np.int8)
@@ -80,18 +80,24 @@ def _build_tensor(lam: int) -> np.ndarray:
             for rho in range(1, 8):
                 c = f[mu, nu, rho] + (-1 if rho == 7 else 1) * l[mu, nu, rho]
                 if c:
-                    t[rho, mu, nu] += lam * c
+                    t[rho, mu, nu] += c
     return t
 
 
-PRODUCT_TENSOR = {+1: _build_tensor(+1), -1: _build_tensor(-1)}
+# M, the mirror signs of the -1 orientation, negates blades 1..7; the -1
+# table is the +1 table with M on all three indices
+_MIRROR = np.array([1] + [-1] * 7, dtype=np.int8)
+PRODUCT_TENSOR = {+1: _build_tensor()}
+PRODUCT_TENSOR[-1] = (PRODUCT_TENSOR[+1] * _MIRROR[:, None, None]
+                      * _MIRROR[:, None] * _MIRROR)
 
 
 @functools.cache
-def term_plan(lam: int, zeros_a=(), zeros_b=(),
-              scalar_only: bool = False) -> tuple:
-    """Plan of the product under tag lam when the slots in zeros_a of the
-    left factor and those in zeros_b of the right one are structurally zero.
+def term_plan(zeros_a=(), zeros_b=(), scalar_only: bool = False) -> tuple:
+    """Plan of the +1 product when the slots in zeros_a of the left factor
+    and those in zeros_b of the right one are structurally zero. The -1
+    product runs it on mirrored operands (see ``mv_mul``); mirroring moves
+    no zero, so one plan serves both tags.
 
     The plan is a tuple of rows (rho, groups), one per wanted row rho, its
     surviving groups (sign, i, j, inner, k, l) in the written term order. A
@@ -104,8 +110,7 @@ def term_plan(lam: int, zeros_a=(), zeros_b=(),
     With scalar_only the plan lists the scalar row alone. Plans are cached,
     so a caller fetches one per pattern and passes it to every product.
     """
-    lam = _check_lam(lam)
-    t = PRODUCT_TENSOR[lam]
+    t = PRODUCT_TENSOR[+1]
     # the written groups of each row as ((s, mu, nu), ...) terms: the
     # scalar row term by term, every other row pair by pair, so that the
     # antisymmetric cross terms of a product X * X cancel bitwise instead
@@ -163,15 +168,6 @@ def plane_leg(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., list(R_SLOTS)]
 
 
-def basis_product(mu: int, nu: int, lam: int = +1) -> np.ndarray:
-    """Product of two basis blades under tag lam as an (8,) row, exact. At
-    most one blade survives."""
-    lam = _check_lam(lam)
-    if not (0 <= mu <= 7 and 0 <= nu <= 7):
-        raise ValueError("basis indices must lie in 0..7")
-    return PRODUCT_TENSOR[lam][:, mu, nu].astype(np.float64)
-
-
 def _product(a, b, plan: tuple, out) -> None:
     """Write the rows that plan lists of the product of a and b into out.
 
@@ -205,14 +201,15 @@ def mv_mul(x, y, lam, scalar_only: bool = False):
 
     x and y are (8,) coefficient rows, or (n, 8) stacks multiplied row by
     row. lam is the tag of every row, or for a stack an (n,) array of
-    per-row tags. One tag runs ``_product`` once, on the per-slot columns,
-    under the full plan of the tag; per-row tags split the stack by tag and
-    run each part so, which gives every row the bits of its one-row
-    product. Pair-grouped summation makes the antisymmetric contributions
-    of a product X * X cancel exactly in floating point, so squares of
-    pair-built elements come out with a bitwise-zero non-scalar part. With
-    scalar_only only the scalar row is evaluated and the scalar part comes
-    back: a float for a row, an (n,) array for a stack.
+    per-row tags. Every call is the mirror product m * (m x *_{+1} m y),
+    with m each row's mirror signs (1 under +1, ``_MIRROR`` under -1):
+    ``_product`` runs once on the per-slot columns under the full +1 plan.
+    Sign flips are exact, so each row of a stack gets the bits of its
+    one-row product. Pair-grouped summation makes the antisymmetric
+    contributions of a product X * X cancel exactly in floating point, so
+    squares of pair-built elements have a bitwise-zero non-scalar part.
+    With scalar_only only the scalar row, which needs no sign, is evaluated
+    and comes back: a float for a row, an (n,) array for a stack.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -222,21 +219,18 @@ def mv_mul(x, y, lam, scalar_only: bool = False):
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("coefficients must be finite")
     if np.ndim(lam) == 0:
-        out = [None] * 8
-        _product(list(x.T), list(y.T),
-                 term_plan(_check_lam(lam), scalar_only=scalar_only), out)
-        return out[SCALAR] if scalar_only else np.stack(out, axis=-1)
-    if x.ndim == 1:
+        lam = _check_lam(lam)
+    elif x.ndim == 1:
         raise ValueError("a row takes one orientation tag")
-    lam = np.broadcast_to(lam, (len(x),))
-    plus, minus = lam == 1, lam == -1
-    if not (plus | minus).all():
-        raise ValueError("orientation tags must be +1 or -1")
-    out = np.empty(len(x) if scalar_only else (len(x), 8))
-    for tag, rows in ((1, plus), (-1, minus)):
-        if rows.any():
-            out[rows] = mv_mul(x[rows], y[rows], tag, scalar_only)
-    return out
+    else:
+        lam = np.broadcast_to(lam, (len(x),))[:, None]
+        if not ((lam == 1) | (lam == -1)).all():
+            raise ValueError("orientation tags must be +1 or -1")
+    m = np.where(lam == 1, 1.0, _MIRROR)
+    out = [None] * 8
+    _product(list((m * x).T), list((m * y).T),
+             term_plan(scalar_only=scalar_only), out)
+    return out[SCALAR] if scalar_only else m * np.stack(out, axis=-1)
 
 
 def mv_norm(x):

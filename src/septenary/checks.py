@@ -13,7 +13,7 @@ Python floats, and returns a tuple of fields; ``_stacked`` stacks each
 field over chunks of ``_CHUNK`` samples. The evaluation does everything
 else on the stack: it normalises the draws, builds the settings with the
 stack forms of the ``spin`` constructors, and runs ``algebra.mv_mul`` (one
-``_product`` call per tag present), the outcome map, the similarity
+``_product`` call, per-row tags included), the outcome map, the similarity
 transport, the sphere charts and the closed forms of ``oracle``, which
 stay the independent path. Each row is bitwise what the one-row call
 gives, so the report does not depend on the chunk size, and memory does

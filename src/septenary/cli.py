@@ -159,14 +159,12 @@ def _add_run_options(sub: argparse.ArgumentParser, parties: int) -> None:
                      help="PRNG seed (default 0; %s overrides)" % _ENV_SEED)
     sub.add_argument("--bin-deg", type=float, default=5.0, metavar="W",
                      help="summary bin width in degrees (default 5)")
-    src = sub.add_mutually_exclusive_group()
-    src.add_argument("--random", action="store_true",
-                     help="draw settings uniformly in the xy plane (default)")
-    src.add_argument("--fixed-angles", action="append", metavar="ANGLES",
+    sub.add_argument("--fixed-angles", action="append", metavar="ANGLES",
                      help="setting tuple of %d comma-separated degrees; "
                           "repeat the flag to cycle through a list; join a "
                           "tuple that starts with a negative angle with '=', "
-                          "as in --fixed-angles=%s"
+                          "as in --fixed-angles=%s (default: draw settings "
+                          "uniformly in the xy plane)"
                           % (parties, "-30,45" if parties == 2
                              else "-30,45,0,90"))
     sub.add_argument("--out", metavar="CSV",

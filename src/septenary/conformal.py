@@ -22,17 +22,19 @@ def stereo_phi(x) -> np.ndarray:
     phi(x) = (2 x / (|x|^2 + 1),  2 |x|^2 / (|x|^2 + 1)). phi(0) is the
     origin and the limit for |x| -> inf is (0,0,0,2). x is a point (3,),
     which gives a (4,) image, or an (n, 3) stack of them, which gives the
-    (n, 4) stack of their images; a stack with a row that is not finite is
-    refused.
+    (n, 4) stack of their images. A point with a component or an |x|^2
+    that is not finite is refused, and so is a stack holding one.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (3,) or x.ndim > 2:
         raise ValueError("a point must be a 3-vector or an (n, 3) stack, "
                          "got shape %s" % (x.shape,))
-    if not np.isfinite(x).all():
-        raise ValueError("vector components must be finite")
     x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    r2 = (x0 * x0 + x1 * x1) + x2 * x2
+    # |x|^2 is not finite for a non-finite point or one whose image is NaN
+    with np.errstate(over="ignore"):
+        r2 = (x0 * x0 + x1 * x1) + x2 * x2
+    if not np.isfinite(r2).all():
+        raise ValueError("point components and |x|^2 must be finite")
     s = 2.0 / (r2 + 1.0)
     return np.stack([s * x0, s * x1, s * x2, s * r2], axis=-1)
 

@@ -40,6 +40,12 @@ be nonzero. A skipped term can turn an exact-zero correlation into -0.0
 where the written expression gives 0.0, so ``corr`` is normalised by
 adding 0.0, which makes every exact zero +0.0.
 
+The coin sets only the order; every chain runs under the +1 table. The -1
+product mirrors its factors, which negates a detector (slots 1..6), and
+mirrors the result back, which keeps the scalar (see ``algebra``). A chain
+of 2 or 4 negated factors has the same scalar term by term, up to the sign
+of an exact zero, which the normalisation above settles.
+
 Runs
 ----
 ``_batches`` is the one batch generator: it computes a run's batches one
@@ -232,7 +238,8 @@ def paired_product(detectors: Sequence[np.ndarray], lam: int) -> np.ndarray:
 
     Every product is taken under the tag lam; the rows are left as they
     are. A +1 coin multiplies in the order given, a -1 coin in the fully
-    reversed order. The product comes back as an (8,) row.
+    reversed order. The product comes back as an (8,) row, whose scalar
+    the engine's untagged chains give bit for bit.
     """
     if len(detectors) < 2:
         raise EmptyInput("paired_product needs at least two detectors")
@@ -246,15 +253,16 @@ def paired_product(detectors: Sequence[np.ndarray], lam: int) -> np.ndarray:
     return acc
 
 
-def _chain_scalar(factors: list[list], lam: int) -> np.ndarray:
-    """Scalar of the ordered product of per-slot factors under tag lam.
+def _chain_scalar(factors: list[list]) -> np.ndarray:
+    """Scalar of the ordered +1 product of per-slot factors, which for an
+    even number of detectors is the -1 scalar too (see the module docstring).
 
     Each product runs the plan of its operands' structurally zero slots,
     and the last one evaluates only the scalar row.
     """
     acc = factors[0]
     for k, nxt in enumerate(factors[1:], 2):
-        plan = term_plan(lam, zero_slots(acc), zero_slots(nxt),
+        plan = term_plan(zero_slots(acc), zero_slots(nxt),
                          scalar_only=k == len(factors))
         out = [None] * len(acc)
         _product(acc, nxt, plan, out)
@@ -336,7 +344,7 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
         if idx.size:
             factors = [_planar_slots(x[idx], y[idx]) for x, y in comps]
             # a -1 coin multiplies last to first
-            corr[idx] = _chain_scalar(factors[::sign], sign)
+            corr[idx] = _chain_scalar(factors[::sign])
     # a pruned term can leave -0.0 where the written expression gives 0.0
     corr += 0.0
     if ghz:

@@ -7,13 +7,11 @@ from numpy.testing import assert_allclose
 
 from septenary.algebra import (
     B_XY,
-    BLADE_NAMES,
     E_VOL,
     E_Z,
     PRODUCT_TENSOR,
     SCALAR,
     _product,
-    basis_product,
     mv_mul,
     mv_norm,
     place_legs,
@@ -52,22 +50,26 @@ def _expected_blade(mu, nu, lam):
 # ---------------------------------------------------------------------------
 # the table itself
 
+def _blade_product(mu, nu, lam):
+    """The shipped product of two basis blades, rows of the identity."""
+    return mv_mul(np.eye(8)[mu], np.eye(8)[nu], lam)
+
+
 def test_all_64_products_match_frozen_table_both_orientations():
     for lam in (1, -1):
         for mu in range(8):
             for nu in range(8):
-                got = basis_product(mu, nu, lam)
+                got = _blade_product(mu, nu, lam)
                 want = _expected_blade(mu, nu, lam)
                 assert got.shape == (8,)
-                assert np.array_equal(got, want), (
-                    "%s * %s at %+d" % (BLADE_NAMES[mu], BLADE_NAMES[nu], lam))
+                assert np.array_equal(got, want), (mu, nu, lam)
 
 
 def test_products_of_blades_stay_single_blades():
     for lam in (1, -1):
         for mu in range(8):
             for nu in range(8):
-                c = basis_product(mu, nu, lam)
+                c = _blade_product(mu, nu, lam)
                 assert np.count_nonzero(c) == 1
                 assert abs(c[np.nonzero(c)][0]) == 1.0
 
@@ -75,18 +77,9 @@ def test_products_of_blades_stay_single_blades():
 def test_blade_squares():
     for lam in (1, -1):
         for k in range(1, 7):
-            assert basis_product(k, k, lam)[SCALAR] == -1.0
-        assert basis_product(7, 7, lam)[SCALAR] == 1.0
-        assert basis_product(0, 0, lam)[SCALAR] == 1.0
-
-
-def test_basis_product_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        basis_product(8, 0)
-    with pytest.raises(ValueError):
-        basis_product(0, -1)
-    with pytest.raises(ValueError):
-        basis_product(0, 0, lam=2)
+            assert _blade_product(k, k, lam)[SCALAR] == -1.0
+        assert _blade_product(7, 7, lam)[SCALAR] == 1.0
+        assert _blade_product(0, 0, lam)[SCALAR] == 1.0
 
 
 def test_all_basis_triples_associate_exactly():
@@ -223,8 +216,6 @@ def test_orientation_tag_validation():
     for bad in (1.5, -1.9, "1"):
         with pytest.raises(ValueError):
             mv_mul(x, x, bad)
-        with pytest.raises(ValueError):
-            basis_product(1, 2, bad)
     # per-row tags belong to a stack; a row takes one tag, which may be a
     # numpy scalar or a 0-d array
     with pytest.raises(ValueError):
@@ -262,8 +253,9 @@ def test_products_refuse_operands_that_are_not_rows_or_stacks():
 
 def test_products_equal_the_exact_tensor_contraction():
     # on small integers every product and sum is exact, so the kernel must
-    # give the contraction with the product tensor bit for bit, up to the
-    # sign of a zero; rows cancel to exact zeros of either sign
+    # give the contraction with the +1 tensor bit for bit, up to the sign
+    # of a zero, and the mirror product that with the -1 tensor; rows
+    # cancel to exact zeros of either sign
     rng = np.random.default_rng(7)
     for _ in range(400):
         lam = int(rng.choice([1, -1]))
@@ -272,15 +264,17 @@ def test_products_equal_the_exact_tensor_contraction():
         xs, ys = rng.integers(-2, 3, size=(2, 8, 16)).astype(np.float64)
         xs[list(za)] = 0.0
         ys[list(zb)] = 0.0
-        want = np.einsum("rmn,mk,nk->rk", PRODUCT_TENSOR[lam], xs, ys)
+        tagged = np.einsum("rmn,mk,nk->rk", PRODUCT_TENSOR[lam], xs, ys)
+        assert np.array_equal(mv_mul(xs.T, ys.T, lam), tagged.T)
+        want = np.einsum("rmn,mk,nk->rk", PRODUCT_TENSOR[1], xs, ys)
         full = np.empty((8, 16))
-        _product(xs, ys, term_plan(lam), full)
+        _product(xs, ys, term_plan(), full)
         assert np.array_equal(full, want)
         a = [None if i in za else xs[i] for i in range(8)]
         b = [None if i in zb else ys[i] for i in range(8)]
         for scalar_only in (False, True):
             out = ["unwritten"] * 8
-            _product(a, b, term_plan(lam, za, zb, scalar_only), out)
+            _product(a, b, term_plan(za, zb, scalar_only), out)
             for rho in range(8):
                 if scalar_only and rho != SCALAR:
                     assert out[rho] == "unwritten"
@@ -320,7 +314,10 @@ def test_row_products_are_bitwise_mv_mul(tags):
 
 def test_row_products_refuse_a_bad_tag():
     x = np.ones((3, 8))
-    for bad in (0, 2, np.array([1, -1, 0]), np.array([1, -1])):
+    # a (3, 1) column of good tags is refused too: mirror signs built from
+    # it would broadcast the stack to a (3, 3, 8) result without an error
+    for bad in (0, 2, np.array([1, -1, 0]), np.array([1, -1]),
+                np.array([[1], [-1], [1]])):
         with pytest.raises(ValueError):
             mv_mul(x, x, bad)
 
@@ -356,11 +353,10 @@ def test_planar_factors_alternate_between_two_slot_sets():
     rng = np.random.default_rng(3)
     a, b = ([None if i in planar_zeros else v for i, v in enumerate(r)]
             for r in rng.standard_normal((2, 8)))
-    for lam in (1, -1):
-        out = [0.0] * 8
-        _product(a, b, term_plan(lam, planar_zeros, planar_zeros), out)
-        survivors = tuple(i for i, v in enumerate(out) if v is not None)
-        assert survivors == planar_zeros
+    out = [0.0] * 8
+    _product(a, b, term_plan(planar_zeros, planar_zeros), out)
+    survivors = tuple(i for i, v in enumerate(out) if v is not None)
+    assert survivors == planar_zeros
 
 
 def test_squares_of_middle_slot_elements_cancel_the_rotation_slots():

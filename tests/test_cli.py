@@ -238,10 +238,13 @@ def test_thread_flag_is_a_usage_error(capsys, mode):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_random_and_fixed_angles_conflict(capsys):
+def test_random_flag_is_a_usage_error(capsys):
+    # a run without --fixed-angles draws its settings; there is no flag
+    # that asks for the default
     with pytest.raises(SystemExit) as exc:
-        main(["epr", "--random", "--fixed-angles", "0,0"])
+        main(["epr", "--trials", "10", "--random"])
     assert exc.value.code == 2
+    assert "--random" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["10", "1,2,3", "a,b"])

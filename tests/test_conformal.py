@@ -47,6 +47,11 @@ def test_phi_fixed_unit_circle():
 def test_non_finite_input_refuses():
     with pytest.raises(ValueError):
         stereo_psi(np.array([np.inf, 0.0, 0.0]))
+    # a finite point whose |x|^2 overflows would have the image
+    # (0, 0, 0, 0 * inf) = NaN; it is refused, with no overflow warning
+    for chart, far in ((stereo_phi, 1e200), (stereo_psi, 1e160)):
+        with pytest.raises(ValueError, match="finite"):
+            chart(np.array([far, 0.0, 0.0]))
 
 
 def test_stacked_images_are_the_one_point_images():
@@ -60,8 +65,9 @@ def test_stacked_images_are_the_one_point_images():
 
 
 def test_a_stack_with_one_non_finite_point_refuses():
-    x = np.zeros((6, 3))
-    x[4, 2] = np.nan
-    for chart in (stereo_phi, stereo_psi):
-        with pytest.raises(ValueError, match="finite"):
-            chart(x)
+    for bad in (np.nan, -1e160):
+        x = np.zeros((6, 3))
+        x[4, 2] = bad
+        for chart in (stereo_phi, stereo_psi):
+            with pytest.raises(ValueError, match="finite"):
+                chart(x)
