@@ -20,6 +20,13 @@ The package splits into focused layers:
     The self-test suites behind ``septenary check``.
 """
 
+import os
+
+# No command makes a BLAS call, so OpenBLAS's idle worker threads would
+# only burn CPU; this must run before numpy is first imported. A setting
+# of the user's own wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .algebra import (
     mv_mul,
     mv_norm,

@@ -6,13 +6,14 @@ integers and must pass at any tolerance including zero; the rest compare
 floating defects against the requested tolerance. ``samples`` scales the
 random iteration counts; even at 1 every suite still executes.
 
-A stacked suite is a per-sample ``draw(gen)`` and one evaluation per
-chunk. The draw takes one sample's random numbers, in the order and
-through the rejection loops of a scalar loop, its rejection tests on
-Python floats, and returns a tuple of fields; ``_stacked`` stacks each
-field over chunks of ``_CHUNK`` samples. The evaluation does everything
-else on the stack: it normalises the draws, builds the settings with the
-stack forms of the ``spin`` constructors, and runs ``algebra.mv_mul`` (one
+A stacked suite draws each chunk of up to ``_CHUNK`` samples with one
+``standard_normal`` call, one row per sample, and evaluates the chunk at
+once. Every random number is a normal: a coin is the sign of one column,
+a direction is its row normalised, a sphere-map scale is ``10 ** (2 z)``.
+No draw is rejected and redrawn, and the generator fills the stream row
+by row, so the rows a suite sees do not depend on the chunk size. The
+evaluation normalises the draws, builds the settings with the stack forms
+of the ``spin`` constructors, and runs ``algebra.mv_mul`` (one
 ``_product`` call, per-row tags included), the outcome map, the similarity
 transport, the sphere charts and the closed forms of ``oracle``, which
 stay the independent path. Each row is bitwise what the one-row call
@@ -49,25 +50,12 @@ _SUITE_SEED = 20260814
 _CHUNK = 128
 
 
-def _stacked(gen: Generator, samples: int, draw):
-    """Chunks of up to ``_CHUNK`` samples of ``draw(gen)``: each chunk is
-    the tuple of the draw's fields, every field stacked over the chunk."""
+def _draws(gen: Generator, samples: int, width: int):
+    """Chunks of up to ``_CHUNK`` rows of ``width`` standard normals, one
+    generator call each; the stream fills them row by row, so the rows do
+    not depend on the chunk size."""
     for start in range(0, samples, _CHUNK):
-        rows = [draw(gen) for _ in range(min(_CHUNK, samples - start))]
-        yield tuple(np.array(field) for field in zip(*rows))
-
-
-def _coin(gen: Generator) -> int:
-    return 1 if gen.random() > 0.5 else -1
-
-
-def _normal(gen: Generator, k: int) -> np.ndarray:
-    """k normal draws whose norm is above 1e-6, so that they have a
-    direction; the rejection test runs on Python floats."""
-    while True:
-        v = gen.standard_normal(k)
-        if math.hypot(*v.tolist()) > 1e-6:
-            return v
+        yield gen.standard_normal((min(_CHUNK, samples - start), width))
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -78,18 +66,12 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return np.stack([x / r, y / r, z / r], axis=1)
 
 
-def _quadric_draw(gen: Generator) -> np.ndarray:
-    """Eight normal draws whose volume slot is at least 0.1 in size."""
-    while True:
-        c = gen.standard_normal(8)
-        if abs(float(c[7])) >= 0.1:
-            return c
-
-
 def _quadric_rows(c: np.ndarray) -> np.ndarray:
     """Random unit elements on the orientation +1 product-closed quadric,
-    one per row of an (n, 8) stack of ``_quadric_draw``."""
+    one per row of an (n, 8) stack of normals. The volume slot is pushed
+    0.1 away from zero, so that the scalar slot solved from it is finite."""
     c = c.copy()
+    c[:, 7] += np.copysign(0.1, c[:, 7])
     c[:, 0] = (c[:, 1] * c[:, 6] + c[:, 2] * c[:, 5]
                + c[:, 3] * c[:, 4]) / c[:, 7]
     return c / mv_norm(c)[:, None]
@@ -128,8 +110,9 @@ def _suite_product_table(tol, samples, gen) -> CheckResult:
 
 def _suite_associativity(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for lams, x, y, z in _stacked(gen, samples, lambda g: (
-            _coin(g), *(g.standard_normal(8) for _ in range(3)))):
+    for r in _draws(gen, samples, 25):
+        lams = np.where(r[:, 0] > 0, 1, -1)
+        x, y, z = r[:, 1:9], r[:, 9:17], r[:, 17:]
         left = mv_mul(mv_mul(x, y, lams), z, lams)
         right = mv_mul(x, mv_mul(y, z, lams), lams)
         worst = max(worst, float(np.abs(left - right).max()))
@@ -140,9 +123,8 @@ def _suite_associativity(tol, samples, gen) -> CheckResult:
 
 def _suite_norm_composition(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for x, y in _stacked(gen, samples,
-                         lambda g: (_quadric_draw(g), _quadric_draw(g))):
-        p = mv_mul(_quadric_rows(x), _quadric_rows(y), 1)
+    for r in _draws(gen, samples, 16):
+        p = mv_mul(_quadric_rows(r[:, :8]), _quadric_rows(r[:, 8:]), 1)
         worst = max(worst, float(np.abs(mv_norm(p) - 1.0).max()),
                     float(np.abs(quadric_defect(p)).max()))
     return CheckResult(
@@ -153,9 +135,9 @@ def _suite_norm_composition(tol, samples, gen) -> CheckResult:
 
 def _suite_conservation(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for lams, a, b in _stacked(gen, samples, lambda g: (
-            _coin(g), _normal(g, 2), _normal(g, 2))):
-        a, b = _unit_rows(a), _unit_rows(b)
+    for r in _draws(gen, samples, 5):
+        lams = np.where(r[:, 0] > 0, 1, -1)
+        a, b = _unit_rows(r[:, 1:3]), _unit_rows(r[:, 3:])
         minus_cos = np.array([
             math.cos(math.atan2(by, bx) - math.atan2(ay, ax))
             for (ax, ay, _), (bx, by, _) in zip(a.tolist(), b.tolist())])
@@ -175,9 +157,8 @@ def _suite_conservation(tol, samples, gen) -> CheckResult:
 
 def _suite_source_recovery(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for b, s in _stacked(gen, samples,
-                         lambda g: (_normal(g, 3), _normal(g, 3))):
-        b, s = _unit_rows(b), _unit_rows(s)
+    for r in _draws(gen, samples, 6):
+        b, s = _unit_rows(r[:, :3]), _unit_rows(r[:, 3:])
         worst = max(worst, float(np.abs(recover_source_axis(b, s) - s).max()))
     return CheckResult("source-recovery", worst <= tol,
                        "max axis error %.3e over %d round trips"
@@ -187,9 +168,8 @@ def _suite_source_recovery(tol, samples, gen) -> CheckResult:
 def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
     exact0 = stereo_psi(np.zeros(3)).tolist() == [0.0, 0.0, 0.0, -1.0]
-    for v, scale in _stacked(gen, samples, lambda g: (
-            g.standard_normal(3), 10.0 ** g.uniform(-3, 3))):
-        x = v * scale[:, None]
+    for r in _draws(gen, samples, 4):
+        x = r[:, :3] * 10.0 ** (2.0 * r[:, 3:])
         up, down = stereo_phi(x), stereo_psi(x)
         d0, d1, d2, d3 = down.T
         norm = np.sqrt(((d0 * d0 + d1 * d1) + d2 * d2) + d3 * d3)
@@ -204,9 +184,9 @@ def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
 
 def _suite_chain_forms(tol, samples, gen) -> CheckResult:
     worst = 0.0
-    for lams, dirs in _stacked(gen, samples, lambda g: (
-            _coin(g), [_normal(g, 3) for _ in range(4)])):
-        legs = make_pair_general(_unit_rows(dirs.reshape(-1, 3)))
+    for r in _draws(gen, samples, 13):
+        lams = np.where(r[:, 0] > 0, 1, -1)
+        legs = make_pair_general(_unit_rows(r[:, 1:].reshape(-1, 3)))
         # the sources lam D of the four settings of each row
         elems = lams[:, None, None] * detector(legs).reshape(-1, 4, 8)
         legs = legs.reshape(-1, 4, 2, 3)
@@ -222,9 +202,9 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
 def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
     worst = 0.0
     target = 2.0 ** -0.5
-    for lams, a in _stacked(gen, samples,
-                            lambda g: (_coin(g), _normal(g, 2))):
-        det = detector(make_pair_planar(_unit_rows(a)))
+    for r in _draws(gen, samples, 3):
+        lams = np.where(r[:, 0] > 0, 1, -1)
+        det = detector(make_pair_planar(_unit_rows(r[:, 1:])))
         if (measure(det, lams, "first") != lams).any():
             return CheckResult("outcome-maps", False,
                                "first-side outcome is not the coin")
@@ -232,10 +212,9 @@ def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
             return CheckResult("outcome-maps", False,
                                "second-side outcome is not the flipped coin")
     for role in "ABCD":
-        for (a,) in _stacked(gen, max(1, samples // 4),
-                             lambda g: (_normal(g, 3),)):
+        for r in _draws(gen, max(1, samples // 4), 3):
             (rx, ry, rz), (dx, dy, dz) = np.moveaxis(
-                make_pair_ghz(_unit_rows(a), role), 0, -1)
+                make_pair_ghz(_unit_rows(r), role), 0, -1)
             rr = (rx * rx + ry * ry) + rz * rz
             dd = (dx * dx + dy * dy) + dz * dz
             worst = max(worst, float(np.abs(rr + dd - target).max()))

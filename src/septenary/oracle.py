@@ -171,10 +171,13 @@ def chsh_bound(x, xp, y, yp) -> float:
     [0, 2*sqrt(2)]. The inner term is a dot of two cross products of unit
     vectors, so it lies in [-1, 1] analytically; the radicand is clamped to
     [0, 2] to keep rounding dust from ever pushing the result past the
-    ceiling.
+    ceiling. A setting with a non-finite component raises ValueError, where
+    the clamp would turn its NaN into a finite bound.
     """
     x, xp, y, yp = (np.asarray(v, dtype=np.float64).reshape(3)
                     for v in (x, xp, y, yp))
+    if not np.isfinite((x, xp, y, yp)).all():
+        raise ValueError("settings must be finite")
     inner = float(_dot(_cross(x, xp), _cross(y, yp)))
     return 2.0 * math.sqrt(min(2.0, max(0.0, 1.0 - inner)))
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import septenary
 from septenary import cli, engine
-from septenary.checks import SUITE_NAMES
+from septenary.checks import SUITE_NAMES, run_checks
 from septenary.cli import main
 
 from frozen import CHI2_CRITICAL_70DOF
@@ -672,6 +672,15 @@ def test_check_suite_filter(capsys):
                                                      "sphere-maps"]
 
 
+def test_each_suite_reports_alone_what_it_reports_in_the_full_run():
+    # every suite draws its own stream, so no suite's result depends on
+    # which other suites run
+    full = run_checks(samples=20)
+    assert [r.name for r in full] == list(SUITE_NAMES)
+    for result in full:
+        assert run_checks([result.name], samples=20) == [result]
+
+
 _CHECK_REPORTS = """
 import sys
 from septenary.cli import main
@@ -700,6 +709,32 @@ def test_unpinned_check_reports_do_not_depend_on_the_cpu_kernels():
     assert reports[0].count('"all_pass": true') == 3
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+_THREADS = """
+import os
+import septenary
+print(os.environ["OPENBLAS_NUM_THREADS"])
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task")
+      else "")
+"""
+
+
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_importing_the_package_holds_openblas_to_one_thread(setting):
+    # no command makes a BLAS call, so idle OpenBLAS workers would only
+    # burn CPU; a setting of the user's own wins
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    value, threads = subprocess.run(
+        [sys.executable, "-c", _THREADS], env=env, capture_output=True,
+        text=True, timeout=120, check=True).stdout.split("\n")[:2]
+    assert value == (setting or "1")
+    if setting is None and threads:
+        assert threads == "1"
 
 
 def test_check_rejects_zero_samples(capsys):

@@ -77,10 +77,10 @@ CHSH = {
 
 CHECK = {
     ("--samples", "20"):
-        "85e175f907ce11e295db7714aa0c8153a32a73f266e17dcf6a569346f01dd98d",
+        "cf4755d35d8a0bc8db14edcd45d62b6603b8edbb9dbe5a33c9d2bbbe7698b118",
     # the default report, --samples 300
     ():
-        "54ddbb48b14575dd3a9594d1fb70dd2fca2947a8f8ddd8a4a018f9992024189c",
+        "08f94a755e2bcf634e356df8a5a01509394d14ab42f049d3d5d5d60d93faa273",
 }
 
 

@@ -285,6 +285,17 @@ def test_chsh_bound_range_on_random_settings():
         assert 0.0 <= got <= 2.0 * ROOT2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_chsh_bound_refuses_a_non_finite_setting(slot, bad):
+    # the radicand clamp would turn a NaN into a finite bound
+    settings = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])]
+    settings[slot] = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        chsh_bound(*settings)
+
+
 def test_matched_value_never_beats_the_bound_on_planar_grids():
     # the combination chsh_scan reports, with the minus on the (x', y')
     # pair; the cross-product bound majorises it pointwise and touches it
