@@ -48,12 +48,24 @@ of an exact zero, which the normalisation above settles.
 
 Runs
 ----
-``_batches`` is the one batch generator: it computes a run's batches one
-at a time, in order, on the calling thread, so memory stays bounded however
-many trials the run has. Two consumers share it. ``stream_trials`` feeds
-each batch to the summary tally (``_Tally``) and, given a file, appends the
-batch's CSV rows as the batch arrives; it keeps no trial column. The
-simulated four-term scan adds up each grid point's batch sums as they come.
+``_batches`` computes a run's batches one at a time, in order; the
+simulated four-term scan adds up each grid point's batch sums as they
+come. ``stream_trials`` takes one ``_Record`` per batch, in batch order:
+the coin sum, each trial's bin, the correlations and, given a file, the
+CSV rows, which it appends as they arrive. It keeps no trial column, so
+memory stays bounded however many trials the run has.
+
+With a file, float ``repr`` is nearly all of the run, and every batch is
+a pure function of the seed and its index. So a run of two or more
+batches forks one worker per usable CPU, at most one per batch, if the
+process has a single thread (a fork copies no other thread, so a lock one
+held would stay held). Worker w computes batches w, w + W, ... and sends
+each record down its own pipe, pickled behind its length; it is sent
+nothing and leaves through ``os._exit``. Only the parent tallies and
+writes, reading the records in batch order, so every byte is that of one
+process. Without a file the records come from ``_run_batch`` in process:
+there workers bought wall time at about the same cost in CPU.
+
 The tally adds each correlation into its bin with ``np.add.at`` in trial
 order, which gives the same bits as one ``bincount`` over the whole run,
 and takes the outcome means from the exact integer sum of the coins.
@@ -63,8 +75,11 @@ written once, in ``_Tally.summary``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
+import pickle
 from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -135,6 +150,9 @@ class TrialConfig:
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError("trials must be a positive integer")
+        # the bin counts and the cycled setting index are int64
+        if self.trials >= 2 ** 63:
+            raise ConfigError("trials must be below 2**63")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed must fit in 64 bits")
         try:
@@ -174,8 +192,17 @@ def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
     return _mod360(s)
 
 
+def _bin_index(cfg: TrialConfig, phis: np.ndarray) -> np.ndarray:
+    """The summary bin of each trial. A key lies in [0, 360], so key / width
+    is at most 36000 and the index fits a uint16."""
+    width = float(cfg.bin_width_deg)
+    last = math.ceil(360.0 / width) - 1
+    return np.minimum((_angle_keys(cfg.mode, phis) / width).astype(np.uint16),
+                      last)
+
+
 class _Tally:
-    """The summary of a run, fed its trials batch by batch in order.
+    """The summary of a run, fed its batch records in order.
 
     It keeps the binned correlation sums and counts and the coin sum.
     ``np.add.at`` adds each correlation into its bin in trial order, as one
@@ -192,14 +219,10 @@ class _Tally:
         self.sums = np.zeros(nbins)
         self.lam_sum = 0
 
-    def add(self, lam: np.ndarray, phis: np.ndarray,
-            corr: np.ndarray) -> None:
-        nbins = len(self.counts)
-        keys = _angle_keys(self.cfg.mode, phis)
-        idx = np.minimum((keys / self.width).astype(np.int64), nbins - 1)
-        self.counts += np.bincount(idx, minlength=nbins)
-        np.add.at(self.sums, idx, corr)
-        self.lam_sum += int(lam.sum())
+    def add(self, rec: _Record) -> None:
+        self.counts += np.bincount(rec.idx, minlength=len(self.counts))
+        np.add.at(self.sums, rec.idx, rec.corr)
+        self.lam_sum += rec.lam_sum
 
     def centre(self, i: int) -> float:
         """The angle bin i is reported at: the middle of its key range,
@@ -352,10 +375,13 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
     return _Batch(start, lam, _wrap_deg(angles).T, corr)
 
 
+def _batch_count(cfg: TrialConfig) -> int:
+    return (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
+
+
 def _batches(cfg: TrialConfig) -> Iterator[_Batch]:
     """Every batch of the run, computed one at a time in order."""
-    nbatches = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
-    return (_run_batch(cfg, i) for i in range(nbatches))
+    return (_run_batch(cfg, i) for i in range(_batch_count(cfg)))
 
 
 def _csv_header(mode: str) -> str:
@@ -367,19 +393,143 @@ def _csv_header(mode: str) -> str:
 def _csv_rows(mode: str, batch: _Batch) -> str:
     """One CRLF-terminated CSV row per trial of the batch.
 
-    Integers print with ``str`` and floats with ``repr`` (shortest
-    round-trip text). Each column is converted once; an outcome is the
+    Integers print with ``%d`` (their ``str``) and floats with ``%r``
+    (their ``repr``, the shortest round-trip text). An outcome is the
     party's sign times the coin, so every outcome column is the coin column
-    or its negation.
+    or its negation. The columns are interleaved into one argument tuple by
+    slice assignment, and one ``%`` over the repeated row format writes the
+    batch with no string per field or row.
     """
-    stop = batch.start + len(batch.corr)
-    plus = list(map(str, batch.lam.tolist()))
-    minus = list(map(str, (-batch.lam).tolist()))
-    cols = [map(str, range(batch.start, stop)), plus]
-    cols += [map(repr, c.tolist()) for c in batch.phis.T]
-    cols += [plus if s > 0 else minus for s in _OUTCOME_SIGNS[mode]]
-    cols.append(map(repr, batch.corr.tolist()))
-    return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
+    n = len(batch.corr)
+    parties = len(_PARTIES[mode])
+    coin, flipped = batch.lam.tolist(), (-batch.lam).tolist()
+    cols = [range(batch.start, batch.start + n), coin]
+    cols += [c.tolist() for c in batch.phis.T]
+    cols += [coin if s > 0 else flipped for s in _OUTCOME_SIGNS[mode]]
+    cols.append(batch.corr.tolist())
+    args = [None] * (len(cols) * n)
+    for j, col in enumerate(cols):
+        args[j::len(cols)] = col
+    row = ",".join(["%d", "%d"] + ["%r"] * parties + ["%d"] * parties
+                   + ["%r"]) + "\r\n"
+    return (row * n) % tuple(args)
+
+
+class _Record(NamedTuple):
+    """What the summary and the CSV take from one batch."""
+    lam_sum: int            # exact sum of the coins
+    idx: np.ndarray         # (n,) uint16 summary bins, from _bin_index
+    corr: np.ndarray        # (n,) trial correlations
+    rows: str | None        # the batch's CSV rows, if the run writes them
+
+
+def _record(cfg: TrialConfig, batch: _Batch, csv: bool) -> _Record:
+    return _Record(int(batch.lam.sum()), _bin_index(cfg, batch.phis),
+                   batch.corr, _csv_rows(cfg.mode, batch) if csv else None)
+
+
+def _workers(nbatches: int) -> int:
+    """How many batch workers a CSV run forks: one per usable CPU, at most
+    one per batch, and none if that is fewer than two. A process with more
+    than one thread forks none, since a lock another thread holds would
+    stay held in the worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):        # not Linux
+        return 0
+    n = min(cpus, nbatches) if threads == 1 else 0
+    return n if n >= 2 else 0
+
+
+def _send(pipe: IO[bytes], obj) -> None:
+    payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(payload).to_bytes(8, "little"))
+    pipe.write(payload)
+    pipe.flush()
+
+
+def _receive(pipe: IO[bytes]):
+    """The next object sent down ``pipe``, or None if the sender ended
+    before sending it whole."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    payload = pipe.read(size)
+    return pickle.loads(payload) if len(payload) == size else None
+
+
+def _work(cfg: TrialConfig, batch_indices: range, fd: int,
+          inherited: list) -> None:
+    """A forked worker: send the record of each batch down ``fd``, or the
+    exception that stopped it, then leave through ``os._exit``, so nothing
+    the parent set up (temp cleanup, buffered files) runs twice. The read
+    ends it inherited are closed first, so it gets a broken pipe instead of
+    blocking if the parent dies."""
+    code = 1
+    try:
+        for r in inherited:
+            os.close(r)
+        with open(fd, "wb") as pipe:
+            try:
+                for i in batch_indices:
+                    batch = _run_batch(cfg, i)      # held as in stream_trials
+                    _send(pipe, _record(cfg, batch, True))
+                code = 0
+            except Exception as exc:
+                _send(pipe, exc)
+    finally:
+        os._exit(code)
+
+
+def _forked(cfg: TrialConfig, nbatches: int,
+            nworkers: int) -> Iterator[_Record]:
+    """The run's records in batch order, computed by ``nworkers`` workers.
+
+    Worker w computes batches w, w + nworkers, ... and a full pipe holds it
+    back, so about one record per worker waits at a time. A worker's
+    exception is raised here; a worker that ends before sending its batches
+    raises ChildProcessError. Every worker is killed and reaped before this
+    returns or raises: one that sent its last record has nothing left to do.
+    """
+    import signal
+    workers = []                            # (pid, read end of its pipe)
+    dead = None
+    try:
+        for w in range(nworkers):
+            r, fd = os.pipe()
+            inherited = [r] + [pipe.fileno() for _, pipe in workers]
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(fd)
+                raise
+            if pid == 0:
+                _work(cfg, range(w, nbatches, nworkers), fd, inherited)
+            os.close(fd)
+            workers.append((pid, open(r, "rb")))
+        for i in range(nbatches):
+            pid, pipe = workers[i % nworkers]
+            rec = _receive(pipe)
+            if rec is None:
+                dead = pid
+                break
+            if isinstance(rec, BaseException):
+                raise rec
+            yield rec
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        status = {pid: os.waitpid(pid, 0)[1] for pid, _ in workers}
+    if dead is not None:
+        code = os.waitstatus_to_exitcode(status[dead])
+        raise ChildProcessError(
+            "batch worker %d %s before sending its batches" % (
+                dead, "was killed by %s" % signal.Signals(-code).name
+                if code < 0 else "exited with status %d" % code))
 
 
 def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
@@ -387,17 +537,26 @@ def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
     ``_Tally.summary`` that the CLI writes as JSON.
 
     When ``csv_file`` is an open text file (opened with ``newline=""``),
-    the header and then each batch's rows are written to it as the batch
-    arrives. No trial column is kept, so memory does not grow with the
-    trial count.
+    the header and then each batch's rows are written to it in batch
+    order; forked workers compute the batches where ``_workers`` allows
+    them. No trial column is kept, so memory does not grow with the trial
+    count.
     """
     tally = _Tally(cfg)
-    if csv_file is not None:
+    csv = csv_file is not None
+    if csv:
         csv_file.write(_csv_header(cfg.mode))
-    for batch in _batches(cfg):
-        tally.add(batch.lam, batch.phis, batch.corr)
-        if csv_file is not None:
-            csv_file.write(_csv_rows(cfg.mode, batch))
+    nbatches = _batch_count(cfg)
+    nworkers = _workers(nbatches) if csv else 0
+    # the loop variable holds each batch until the next one is made, which
+    # keeps glibc from trimming the heap and growing it again every batch
+    records = (_forked(cfg, nbatches, nworkers) if nworkers
+               else (_record(cfg, b, csv) for b in _batches(cfg)))
+    with contextlib.closing(records):
+        for rec in records:
+            tally.add(rec)
+            if csv:
+                csv_file.write(rec.rows)
     return tally.summary()
 
 

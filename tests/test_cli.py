@@ -223,6 +223,14 @@ def test_zero_trials_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_trial_count_past_int64_is_a_value_error(capsys):
+    code = main(["epr", "--trials", str(2 ** 63)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "trials must be below 2**63" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["entangle"])
@@ -231,7 +239,7 @@ def test_unknown_command_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("mode", ["epr", "ghz"])
 def test_thread_flag_is_a_usage_error(capsys, mode):
-    # runs compute their batches in order on one thread; there is no pool
+    # a CSV run sizes its batch workers from the usable CPUs; no flag does
     with pytest.raises(SystemExit) as exc:
         main([mode, "--trials", "10", "--threads", "2"])
     assert exc.value.code == 2
@@ -374,6 +382,157 @@ def test_mid_stream_failure_leaves_no_partial_output(tmp_path, capsys,
     assert csv_path.read_text() == "old csv"
 
 
+def _child_env():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
+    env.pop("SEPTENARY_SEED", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_needs_two_cpus = pytest.mark.skipif(
+    _CPUS < 2 or not os.path.isdir("/proc/self/task"),
+    reason="batch workers need two usable CPUs and /proc/self/task")
+
+# The test process imported numpy before the package, so OpenBLAS holds a
+# thread there and a run in it never forks. These drivers import the
+# package first and count the forks of each run.
+_FORK_COUNTER = """
+import hashlib, json, os, pathlib, sys
+import septenary
+from septenary import cli, engine
+forks = []
+_fork = os.fork
+def _counted_fork():
+    forks.append(os.getpid())
+    return _fork()
+os.fork = _counted_fork
+"""
+
+_SAME_BYTES = _FORK_COUNTER + """
+def run(argv, d):
+    os.mkdir(d)
+    paths = [os.path.join(d, "run." + e) for e in ("csv", "json", "svg")]
+    code = cli.main([*argv, "--out", paths[0], "--summary", paths[1],
+                     "--plot", paths[2]])
+    assert code == 0, code
+    return [pathlib.Path(p).read_bytes() for p in paths]
+
+tmp, argv = sys.argv[1], sys.argv[2:]
+cpus = os.sched_getaffinity(0)
+report = []
+for trials in ("1", "8192", "8193", str(3 * 8192 + 5)):
+    case = [*argv, "--trials", trials]
+    before = len(forks)
+    pooled = run(case, os.path.join(tmp, trials + "-pooled"))
+    pooled_forks = len(forks) - before
+    os.sched_setaffinity(0, {min(cpus)})
+    single = run(case, os.path.join(tmp, trials + "-single"))
+    os.sched_setaffinity(0, cpus)
+    report.append({"trials": trials, "forks": pooled_forks,
+                   "single_forks": len(forks) - before - pooled_forks,
+                   "same": pooled == single,
+                   "digest": hashlib.sha256(b"".join(pooled)).hexdigest()})
+print(json.dumps(report))
+"""
+
+
+def _same_bytes(tmp_path, argv, **env):
+    tmp_path.mkdir(exist_ok=True)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SAME_BYTES, str(tmp_path),
+         *argv], env=dict(_child_env(), **env), capture_output=True,
+        text=True, timeout=120, check=True)
+    assert out.stderr == ""
+    return json.loads(out.stdout)
+
+
+_RUNS = [
+    pytest.param(("epr",), id="epr"),
+    pytest.param(("ghz",), id="ghz"),
+    # three tuples cycle across the batch boundaries at a different offset
+    # in every batch
+    pytest.param(("ghz", "--fixed-angles", "0,45,90,135",
+                  "--fixed-angles", "30,60,0,10", "--fixed-angles=-15,0,0,5"),
+                 id="ghz-fixed"),
+]
+
+
+@_needs_two_cpus
+@pytest.mark.parametrize("argv", _RUNS)
+def test_worker_runs_write_the_bytes_of_a_single_cpu_run(tmp_path, argv):
+    for case in _same_bytes(tmp_path, argv):
+        nbatches = -(-int(case["trials"]) // 8192)
+        # one worker per usable CPU, at most one per batch, none for one
+        want = min(_CPUS, nbatches) if nbatches >= 2 else 0
+        assert case["forks"] == want, case
+        assert case["single_forks"] == 0, case
+        assert case["same"], case
+
+
+@_needs_two_cpus
+def test_a_process_with_threads_runs_in_process_and_warns_nothing(tmp_path):
+    # OpenBLAS holds a second thread here, so a fork could copy a held
+    # lock (and Python 3.12 would warn); the run must not fork
+    threaded = _same_bytes(tmp_path / "threaded", ("epr",),
+                           OPENBLAS_NUM_THREADS="2")
+    pooled = _same_bytes(tmp_path / "pooled", ("epr",))
+    assert [c["forks"] for c in threaded] == [0, 0, 0, 0]
+    assert [c["forks"] for c in pooled][2:] == [2, min(_CPUS, 4)]
+    assert [c["digest"] for c in threaded] == [c["digest"] for c in pooled]
+    assert all(c["same"] for c in threaded)
+
+
+_WORKER_FAILURE = _FORK_COUNTER + """
+import signal
+tmp, how = sys.argv[1], sys.argv[2]
+target = "_csv_rows" if how == "raise" else "_run_batch"
+real = getattr(engine, target)
+
+def failing(*args):
+    # the third batch fails in whichever process computes it
+    start = args[1].start if target == "_csv_rows" else args[1] * 8192
+    if start == 2 * 8192:
+        if how == "raise":
+            raise OSError("disk full")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args)
+
+setattr(engine, target, failing)
+csv_path = os.path.join(tmp, "run.csv")
+code = cli.main(["epr", "--trials", "50000", "--out", csv_path,
+                 "--summary", os.path.join(tmp, "run.json")])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child is left"
+except ChildProcessError:
+    left = "no child left"
+print(code, len(forks), left)
+"""
+
+
+@_needs_two_cpus
+@pytest.mark.parametrize("how,message", [
+    ("raise", "io error: disk full"),
+    ("kill", "was killed by SIGKILL before sending its batches"),
+])
+def test_worker_failure_leaves_no_partial_output(tmp_path, how, message):
+    # the twin of the in-process case above, with the workers engaged
+    csv_path = tmp_path / "run.csv"
+    csv_path.write_text("old csv")
+    out = subprocess.run(
+        [sys.executable, "-c", _WORKER_FAILURE, str(tmp_path), how],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    code, forks, left = out.stdout.split(maxsplit=2)
+    assert (int(code), int(forks)) == (3, min(_CPUS, 7))
+    assert left.strip() == "no child left"
+    assert message in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert csv_path.read_text() == "old csv"
+
+
 # On Linux exec keeps the larger of the new process's peak RSS and that of
 # the process it was spawned from, so a run spawned straight from the test
 # process would report the test process's peak. A small intermediate
@@ -396,6 +555,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
     pytest.param(("chsh", "--source", "simulated", "--grid-deg", "90",
                   "--trials-per-setting", "4000000", "--json"),
                  "source", "simulated", id="chsh-simulated"),
+    # 49 batches written by forked workers where two CPUs are usable; the
+    # wait4 figure of a process is the peak of the largest of it and its
+    # waited descendants, not their sum, so the ceiling bounds the parent
+    # and each worker on its own
+    pytest.param(("epr", "--trials", "400000", "--out", "run.csv",
+                  "--summary"),
+                 "trials", 400000, id="epr-csv"),
 ])
 def test_large_run_memory_does_not_grow_with_trials(tmp_path, argv, key,
                                                     value):
@@ -404,7 +570,8 @@ def test_large_run_memory_does_not_grow_with_trials(tmp_path, argv, key,
     env.pop("SEPTENARY_SEED", None)
     out = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, *argv, str(tmp_path / "run.json")],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+        cwd=tmp_path)
     code, maxrss_kib = map(int, out.stdout.split())
     assert code == 0
     assert json.loads((tmp_path / "run.json").read_text())[key] == value

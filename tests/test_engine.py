@@ -678,6 +678,16 @@ def test_fixed_settings_alone_select_the_fixed_list():
             TrialConfig(trials=4, seed=0, mode="epr", fixed_settings=bad)
 
 
+def test_trial_count_must_fit_in_int64():
+    # the bin counts and the cycled setting index are int64; the largest
+    # count is accepted, though never run here
+    cfg = TrialConfig(trials=2 ** 63 - 1, seed=0, mode="ghz",
+                      fixed_settings=((0.0, 45.0, 90.0, 135.0),))
+    assert cfg.trials == 2 ** 63 - 1
+    with pytest.raises(ConfigError, match=r"trials must be below 2\*\*63"):
+        TrialConfig(trials=2 ** 63, seed=0)
+
+
 def test_finest_bin_width_is_accepted():
     summary = stream_trials(TrialConfig(trials=100, seed=0, mode="epr",
                                         bin_width_deg=0.01))
