@@ -16,10 +16,11 @@ targets only once every one of them is written, so a run that fails leaves
 no partial output behind there; symlinks, devices and other special targets
 are written in place.
 
-The environment variable SEPTENARY_SEED, when set, overrides any --seed
-flag; summaries record which source won under ``seed_source``. Identical
-flags and seed give byte-identical CSV and JSON files; the SVG plot is
-rendered from the summary and never feeds back into the numbers.
+The environment variable SEPTENARY_SEED, when set, overrides the --seed
+flag of a run; its summary records which source won under ``seed_source``.
+``chsh`` takes no seed: no scan result depends on one. Identical flags and
+seed give byte-identical CSV and JSON files; the SVG plot is rendered from
+the summary and never feeds back into the numbers.
 """
 
 from __future__ import annotations
@@ -203,14 +204,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
-    seed, source = _resolve_seed(args.seed)
     with _staged((args.json,)) as (path,):
-        result = chsh_scan(grid_deg=args.grid_deg, source=args.source,
-                           seed=seed,
-                           trials_per_setting=args.trials_per_setting)
-        result["seed"] = seed
-        result["seed_source"] = source
-        text = _json_text(result)
+        text = _json_text(chsh_scan(grid_deg=args.grid_deg,
+                                    source=args.source))
         if path:
             _write_text(path, text)
     if not args.json:
@@ -292,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--source", choices=("analytic", "simulated"),
                         default="analytic",
                         help="where pair expectations come from")
-    p_chsh.add_argument("--seed", type=int, default=0)
-    p_chsh.add_argument("--trials-per-setting", type=int, default=64,
-                        help="events per grid point when simulating")
     p_chsh.add_argument("--json", metavar="PATH",
                         help="write the result here instead of stdout")
     p_chsh.set_defaults(func=_cmd_chsh, parser=p_chsh)

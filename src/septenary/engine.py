@@ -49,8 +49,8 @@ of an exact zero, which the normalisation above settles.
 Runs
 ----
 ``_batches`` computes a run's batches one at a time, in order; the
-simulated four-term scan adds up each grid point's batch sums as they
-come. ``stream_trials`` takes one ``_Record`` per batch, in batch order:
+simulated four-term scan is one batch of one trial per separation.
+``stream_trials`` takes one ``_Record`` per batch, in batch order:
 the coin sum, each trial's bin, the correlations and, given a file, the
 CSV rows, which it appends as they arrive. It keeps no trial column, so
 memory stays bounded however many trials the run has.
@@ -563,26 +563,21 @@ def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # four-term scans
 
-def _pair_expectation_simulated(deltas_deg: np.ndarray, seed: int,
-                                trials_per_setting: int) -> np.ndarray:
-    """Simulated E(delta) on a grid of separations, one mini-run each.
+def _pair_expectation_simulated(deltas_deg: np.ndarray) -> np.ndarray:
+    """Simulated E(delta) on a grid of separations: the correlations of one
+    engine batch with one trial per separation.
 
-    Each run streams: its mean is the in-order sum of its batch sums over
-    the trial count, which for a single batch is bitwise ``corr.mean()``.
+    A two-detector chain has the same scalar under either coin (see the
+    module docstring), so one trial is E bitwise and the seed moves no bit.
+    The grid's at most 3600 points fit one batch.
     """
-    out = np.empty(len(deltas_deg))
-    for i, d in enumerate(deltas_deg):
-        cfg = TrialConfig(
-            trials=trials_per_setting, seed=seed, mode="epr",
-            fixed_settings=((0.0, float(d)),),
-            bin_width_deg=360.0,
-        )
-        out[i] = sum(b.corr.sum() for b in _batches(cfg)) / cfg.trials
-    return out
+    cfg = TrialConfig(trials=len(deltas_deg), seed=0, mode="epr",
+                      fixed_settings=[(0.0, d) for d in deltas_deg])
+    (batch,) = _batches(cfg)
+    return batch.corr
 
 
-def chsh_scan(grid_deg: float = 5.0, source: str = "analytic",
-              seed: int = 0, trials_per_setting: int = 64) -> dict:
+def chsh_scan(grid_deg: float = 5.0, source: str = "analytic") -> dict:
     """Scan the four-term combination over a planar grid of settings.
 
     The pair correlation depends only on angle differences, so the first
@@ -590,6 +585,8 @@ def chsh_scan(grid_deg: float = 5.0, source: str = "analytic",
     angles are absolute with that convention. Returns the extreme value,
     where it sits, and the grid. The step must divide 360 degrees, since
     the differences are taken around the closed circle of grid points.
+    E(delta) is -cos delta for the analytic source, and for the simulated
+    one the engine's one-trial correlation at each separation.
 
     For each a', S[b, b'] = ((E(a,b) + E(a,b')) + E(a',b)) - E(a',b') is
     u[b] + v[b'] with u = E(a,.) + E(a',.) and v = E(a,.) - E(a',.), up to
@@ -605,8 +602,6 @@ def chsh_scan(grid_deg: float = 5.0, source: str = "analytic",
         raise ConfigError("grid step must be in [0.1, 90] degrees")
     if source not in ("analytic", "simulated"):
         raise ConfigError("source must be 'analytic' or 'simulated'")
-    # checked for either source, as a run checks them
-    TrialConfig(trials=trials_per_setting, seed=seed)
     grid = np.arange(0.0, 360.0, float(grid_deg))
     ng = len(grid)
     if abs(ng * grid_deg - 360.0) > 1e-9:
@@ -614,7 +609,7 @@ def chsh_scan(grid_deg: float = 5.0, source: str = "analytic",
     if source == "analytic":
         e = -np.cos(np.radians(grid))
     else:
-        e = _pair_expectation_simulated(grid, seed, trials_per_setting)
+        e = _pair_expectation_simulated(grid)
     e2 = np.concatenate((e, e))
     # S in the written order is within 6.5 eps max|e| of u[b] + v[b'], so a
     # winning row or column lies within 13 eps max|e| of the extreme; 32

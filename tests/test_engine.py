@@ -733,9 +733,9 @@ def test_analytic_scan_hits_the_ceiling():
 
 
 def test_simulated_scan_agrees_with_the_analytic_one():
-    # every event reproduces the cosine exactly, so even a small simulated
-    # run lands on the analytic ceiling when the grid contains the optimum
-    scan = chsh_scan(45.0, source="simulated", seed=3, trials_per_setting=128)
+    # every event reproduces the cosine exactly, so one trial per separation
+    # lands on the analytic ceiling when the grid contains the optimum
+    scan = chsh_scan(45.0, source="simulated")
     assert scan["max_abs_S"] == pytest.approx(2.0 * ROOT2, abs=1e-9)
 
 
@@ -764,32 +764,14 @@ def test_finest_scan_stays_under_the_ceiling():
     assert scan["max_abs_S"] == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
 
-def _simulated_expectations(deltas_deg, seed, trials):
-    """E(delta) of a simulated run per separation, built from the scalar
-    products rather than the engine's batches.
-
-    Each batch's coins come from its own stream. A coin's correlation is
-    the scalar of ``paired_product`` over detectors built from the row-array
-    cos/sin calls the engine makes, plus 0.0; each batch is summed with
-    ``.sum()`` and the batch sums are added in batch order.
-    """
-    out = []
-    for d in deltas_deg:
-        total = 0.0
-        for i, start in enumerate(range(0, trials, engine.BATCH_SIZE)):
-            n = min(engine.BATCH_SIZE, trials - start)
-            lam = engine._flip_batch(batch_stream(seed, i), n)
-            # every trial of the run has the same two detectors
-            rows = np.array([[0.0] * n, [d] * n])
-            xs = [np.cos(np.radians(row)) for row in rows]
-            ys = [np.sin(np.radians(row)) for row in rows]
-            dets = [detector(make_pair_planar((x[0], y[0], 0.0)))
-                    for x, y in zip(xs, ys)]
-            plus, minus = (paired_product(dets, c)[SCALAR] + 0.0
-                           for c in (1, -1))
-            total += np.where(lam == 1, plus, minus).sum()
-        out.append(total / trials)
-    return np.array(out)
+def _pair_detectors(deltas_deg):
+    """The stacked detectors of settings 0 and delta, from the row-array
+    cos/sin calls the engine makes."""
+    rows = np.array([np.zeros(len(deltas_deg)), deltas_deg])
+    return [detector(make_pair_planar(np.stack(
+                [np.cos(np.radians(r)), np.sin(np.radians(r)),
+                 np.zeros(len(r))], axis=1)))
+            for r in rows]
 
 
 def _loop_scan(grid_deg, source="analytic", e_of_delta=None):
@@ -835,23 +817,23 @@ def test_scan_matches_the_full_loop(step):
     assert chsh_scan(step) == _loop_scan(step)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("step", [15.0, 30.0])
-def test_simulated_scan_matches_the_full_loop(step, seed):
+@pytest.mark.parametrize("step", [0.5, 0.1])
+def test_simulated_expectation_is_the_stacked_pair_product(step):
+    # one trial per separation: the scalar of the +1 product of the two
+    # detectors, bit for bit, which the reversed -1 product equals
     grid = np.arange(0.0, 360.0, step)
-    assert (chsh_scan(step, "simulated", seed, 16)
-            == _loop_scan(step, "simulated",
-                          _simulated_expectations(grid, seed, 16)))
-
-
-@pytest.mark.parametrize("trials", [64, 8192, 20000])
-def test_simulated_expectation_is_the_mean_of_the_collected_run(trials):
-    # each grid point's batch sums, added in order over the trial count:
-    # the column mean bit for bit within one batch, and past it too
-    deltas = np.array([0.0, 45.0, 135.0])
-    got = engine._pair_expectation_simulated(deltas, 3, trials)
-    want = _simulated_expectations(deltas, 3, trials)
+    dets = _pair_detectors(grid)
+    want = mv_mul(*dets, 1, scalar_only=True) + 0.0
+    got = engine._pair_expectation_simulated(grid)
     assert got.tobytes() == want.tobytes()
+    assert np.array_equal(paired_product(dets, -1)[:, SCALAR], want)
+
+
+@pytest.mark.parametrize("step", [15.0, 30.0])
+def test_simulated_scan_matches_the_full_loop(step):
+    grid = np.arange(0.0, 360.0, step)
+    e = mv_mul(*_pair_detectors(grid), 1, scalar_only=True) + 0.0
+    assert chsh_scan(step, "simulated") == _loop_scan(step, "simulated", e)
 
 
 _TIE_STEPS = (20.0, 24.0, 30.0, 36.0, 40.0, 45.0, 60.0, 72.0, 90.0)
@@ -868,6 +850,6 @@ def test_scan_breaks_exact_ties_like_the_full_loop(table):
     step, values = table
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_pair_expectation_simulated",
-                   lambda grid, seed, trials: np.array(values))
+                   lambda grid: np.array(values))
         assert (chsh_scan(step, "simulated")
                 == _loop_scan(step, "simulated", np.array(values)))

@@ -68,11 +68,11 @@ PLOT = "b9cff2c427e8c43d2269295e91a7e87a3f000326e90741f6416253c7da19336e"
 
 CHSH = {
     ("--grid-deg", "5"):
-        "ba30788f1a3d4e236ed0ac6d6ea8d726d915e9a70c9b593704a95d5f37171183",
+        "1b305b94cb10162a6d6c6adda631e936da67a73d7842ef95b0fe109b11fe47d3",
     ("--grid-deg", "0.5"):
-        "25998fd2e2c4345eb8133812095c444546ab88842310ca1b98405eafa502364c",
-    ("--source", "simulated", "--grid-deg", "30", "--seed", "3"):
-        "91433a9c5b5746b92042067217eec53c9d7549c581d1303324a9e629d2de1374",
+        "7f180685ab2a69aa5264b79b7aaf4d990078112b5f9ec5358d881581314abd97",
+    ("--source", "simulated", "--grid-deg", "30"):
+        "579160bf7722ccf81f909995eeb7b4e8ed166b56ea7350b3eab61a6a2837ca39",
 }
 
 CHECK = {
