@@ -768,16 +768,23 @@ def test_chsh_bad_grid(capsys):
         assert captured.out == ""
 
 
-@pytest.mark.parametrize("flags", [
-    pytest.param(("--seed", "1"), id="seed"),
-    pytest.param(("--trials-per-setting", "8"), id="trials-per-setting"),
+@pytest.mark.parametrize("source", ["analytic", "simulated"])
+@pytest.mark.parametrize("flags,message", [
+    (("--seed", "-1"), "seed must fit in 64 bits"),
+    (("--seed", str(2 ** 64)), "seed must fit in 64 bits"),
+    (("--trials-per-setting", "0"), "trials must be a positive integer"),
+    (("--trials-per-setting", "-3"), "trials must be a positive integer"),
 ])
-def test_chsh_seed_and_trial_flags_are_usage_errors(capsys, flags):
-    # the scan takes one trial per separation, and no seed moves a bit
+def test_chsh_bad_seed_or_trials(capsys, source, flags, message):
+    # either source refuses the flag itself as a usage error before any
+    # value check, since a scan has no seed or trial count to validate
     with pytest.raises(SystemExit) as exc:
-        main(["chsh", "--source", "simulated", *flags])
+        main(["chsh", "--grid-deg", "90", "--source", source, *flags])
+    captured = capsys.readouterr()
     assert exc.value.code == 2
-    assert flags[0] in capsys.readouterr().err
+    assert "unrecognized arguments" in captured.err
+    assert flags[0] in captured.err and message not in captured.err
+    assert captured.out == ""
 
 
 def test_chsh_grid_must_divide_360(capsys):

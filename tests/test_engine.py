@@ -829,10 +829,16 @@ def test_simulated_expectation_is_the_stacked_pair_product(step):
     assert np.array_equal(paired_product(dets, -1)[:, SCALAR], want)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("step", [15.0, 30.0])
-def test_simulated_scan_matches_the_full_loop(step):
+def test_simulated_scan_matches_the_full_loop(step, seed):
+    # the loop's E picks each separation's coin from a seeded stream; the
+    # scan takes no seed, and whatever the coins it gives the same result
     grid = np.arange(0.0, 360.0, step)
-    e = mv_mul(*_pair_detectors(grid), 1, scalar_only=True) + 0.0
+    dets = _pair_detectors(grid)
+    lam = engine._flip_batch(batch_stream(seed, 0), len(grid))
+    e = np.where(lam == 1, paired_product(dets, 1)[:, SCALAR],
+                 paired_product(dets, -1)[:, SCALAR]) + 0.0
     assert chsh_scan(step, "simulated") == _loop_scan(step, "simulated", e)
 
 
