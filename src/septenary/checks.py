@@ -30,10 +30,10 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from numpy.random import Generator, PCG64, SeedSequence
 
 from .algebra import E_VOL, PRODUCT_TENSOR, mv_mul, mv_norm, quadric_defect
 from .conformal import stereo_phi, stereo_psi
+from .engine import batch_stream
 from .oracle import nfold_scalar_part
 from .spin import (
     detector, make_pair_general, make_pair_ghz, make_pair_planar, measure,
@@ -50,7 +50,7 @@ _SUITE_SEED = 20260814
 _CHUNK = 128
 
 
-def _draws(gen: Generator, samples: int, width: int):
+def _draws(gen: np.random.Generator, samples: int, width: int):
     """Chunks of up to ``_CHUNK`` rows of ``width`` standard normals, one
     generator call each; the stream fills them row by row, so the rows do
     not depend on the chunk size."""
@@ -252,6 +252,6 @@ def run_checks(names=None, tol: float = DEFAULT_TOL,
     for index, (name, fn) in enumerate(SUITES):
         if name not in wanted:
             continue
-        gen = Generator(PCG64(SeedSequence(_SUITE_SEED, spawn_key=(index,))))
-        results.append(fn(float(tol), int(samples), gen))
+        results.append(fn(float(tol), int(samples),
+                          batch_stream(_SUITE_SEED, index)))
     return results

@@ -1,76 +1,32 @@
 """Event-by-event trial engine for the two- and four-party experiments.
 
-Randomness
-----------
-All draws come from numpy's PCG64 bit generator. Trials are processed in
-batches of a fixed ``BATCH_SIZE`` = 8192 trials; batch ``i`` of a run
-seeded with ``s`` uses the stream ``PCG64(SeedSequence(s, spawn_key=(i,)))``,
-so results depend only on the seed and the trial count. Every draw is a
-uniform from ``Generator.random``: the fair coin is
-``+1 if u > 0.5 else -1``, and a random setting is the requested azimuth
-``360 u`` degrees, one uniform per party and trial.
-
-Within one batch of n trials the draw order is: n uniforms for the coin,
-then ``gen.random((parties, n))``, whose row j holds party j's uniforms.
-A run with ``fixed_settings`` cycles through them instead, indexed into the
-same party-major ``(parties, n)`` rows, and draws just the coin. Either
-way the requested azimuths then take the same path: the four-party map
-``_ghz_reflect`` applied in place, ``radians -> cos/sin -> planar_legs`` on
-one contiguous row per party, ``_ghz_reflect`` in place once more to turn
-the internal azimuths into the reported ones, and the wrap ``_wrap_deg``.
-The wrap and the four-party bin key reduce modulo 360 through ``_mod360``,
-which gives the bits of ``np.mod`` without its divmod wherever the angle
-lies within 720 degrees of zero.
-
-Per trial the engine evaluates the ordered product of the embedded
-detector settings, first to last for a +1 coin and last to first for a -1
-coin, and records its scalar part as the trial correlation together with
-the deterministic outcomes (+coin on first-style wings, -coin on
-second-style wings). The four-party run reports its azimuths with the
-extraction convention that flips the sign of the first angle and reflects
-the fourth (phi_d = 180 - alpha_d), matching the sum convention
-Phi = phi_a + phi_b - phi_c - phi_d under which the correlation is -cos Phi.
-
-Each batch is split by coin before embedding: every party's planar (x, y)
-components are gathered for the trials of one coin and placed into
-per-slot lists, with None in the four slots a planar detector leaves zero.
-The chain then runs ``algebra._product`` under term plans that skip every
-term with a None factor, so each product touches only the slots that can
-be nonzero. A skipped term can turn an exact-zero correlation into -0.0
-where the written expression gives 0.0, so ``corr`` is normalised by
-adding 0.0, which makes every exact zero +0.0.
-
-The coin sets only the order; every chain runs under the +1 table. The -1
-product mirrors its factors, which negates a detector (slots 1..6), and
-mirrors the result back, which keeps the scalar (see ``algebra``). A chain
-of 2 or 4 negated factors has the same scalar term by term, up to the sign
-of an exact zero, which the normalisation above settles.
+A run is processed in batches of ``BATCH_SIZE`` = 8192 trials. Batch ``i``
+of a run seeded with ``s`` takes every draw from the numpy PCG64 stream
+``PCG64(SeedSequence(s, spawn_key=(i,)))``, so results depend only on the
+seed and the trial count. ``_run_batch`` computes a batch in four stages:
+``_draw`` the coins and the requested azimuths, ``_embed`` each setting as
+a detector, ``_chain`` each trial's ordered product to its scalar, the
+trial correlation, and ``_report`` the azimuths. ``_Tally.add`` reduces
+the batches into the summary and ``_csv_rows`` writes them out. A trial's
+outcomes follow from its coin: +coin on first-style wings, -coin on
+second-style wings.
 
 Runs
 ----
-``_batches`` computes a run's batches one at a time, in order; the
-simulated four-term scan is one batch of one trial per separation.
-``stream_trials`` takes one ``_Record`` per batch, in batch order:
-the coin sum, each trial's bin, the correlations and, given a file, the
-CSV rows, which it appends as they arrive. It keeps no trial column, so
-memory stays bounded however many trials the run has.
+``stream_trials`` tallies and writes one ``_Record`` per batch, in batch
+order. It keeps no trial column, so memory stays bounded however many
+trials the run has.
 
 With a file, float ``repr`` is nearly all of the run, and every batch is
 a pure function of the seed and its index. So a run of two or more
 batches forks one worker per usable CPU, at most one per batch, if the
 process has a single thread (a fork copies no other thread, so a lock one
-held would stay held). Worker w computes batches w, w + W, ... and sends
-each record down its own pipe, pickled behind its length; it is sent
-nothing and leaves through ``os._exit``. Only the parent tallies and
-writes, reading the records in batch order, so every byte is that of one
-process. Without a file the records come from ``_run_batch`` in process:
-there workers bought wall time at about the same cost in CPU.
-
-The tally adds each correlation into its bin with ``np.add.at`` in trial
-order, which gives the same bits as one ``bincount`` over the whole run,
-and takes the outcome means from the exact integer sum of the coins.
-The summary is a plain dict, the JSON object the CLI writes; its keys are
-written once, in ``_Tally.summary``.
+held would stay held). Worker w computes batches w, w + W, ... and
+pickles each record down its own pipe; it is sent nothing and leaves
+through ``os._exit``. Only the parent tallies and writes, reading the
+records in batch order, so every byte is that of one process. Without a
+file the records come from ``_run_batch`` in process: there workers
+bought wall time at about the same cost in CPU.
 """
 
 from __future__ import annotations
@@ -278,7 +234,7 @@ def paired_product(detectors: Sequence[np.ndarray], lam: int) -> np.ndarray:
 
 def _chain_scalar(factors: list[list]) -> np.ndarray:
     """Scalar of the ordered +1 product of per-slot factors, which for an
-    even number of detectors is the -1 scalar too (see the module docstring).
+    even number of detectors is the -1 scalar too (see ``_chain``).
 
     Each product runs the plan of its operands' structurally zero slots,
     and the last one evaluates only the scalar row.
@@ -303,7 +259,8 @@ def _mod360(x: np.ndarray) -> np.ndarray:
     other input go to ``np.mod``.
     """
     if x.size and -720.0 < x.min() and x.max() < 720.0:
-        r = np.floor(x / 360.0)
+        r = x / 360.0
+        np.floor(r, out=r)
         r *= -360.0
         r += x
         if r.min() >= 0.0:
@@ -313,7 +270,8 @@ def _mod360(x: np.ndarray) -> np.ndarray:
 
 def _wrap_deg(a: np.ndarray) -> np.ndarray:
     """Wrap into (-180, 180]."""
-    return 180.0 - _mod360(180.0 - a)
+    r = _mod360(180.0 - a)
+    return np.subtract(180.0, r, out=r)
 
 
 def _planar_slots(x: np.ndarray, y: np.ndarray) -> list:
@@ -341,38 +299,73 @@ class _Batch(NamedTuple):
     corr: np.ndarray        # (n,) trial correlations
 
 
-def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
+def _draw(cfg: TrialConfig, batch_index: int) -> tuple:
+    """The batch's coins and its requested azimuths in degrees, one row per
+    party. The stream gives n uniforms for the coins and then
+    ``random((parties, n))``, row j holding party j's uniforms u, each the
+    azimuth 360 u. A run with ``fixed_settings`` draws just the coins and
+    cycles through its tuples into the same party-major rows."""
     start = batch_index * BATCH_SIZE
     n = min(BATCH_SIZE, cfg.trials - start)
     gen = batch_stream(cfg.seed, batch_index)
     lam = _flip_batch(gen, n)
-    parties = len(_PARTIES[cfg.mode])
-    ghz = cfg.mode == "ghz"
-
-    # requested azimuths, one contiguous row per party
     if cfg.fixed_settings:
         tuples = np.array(cfg.fixed_settings, dtype=np.float64).T
-        angles = tuples[:, (start + np.arange(n)) % tuples.shape[1]]
-    else:
-        angles = gen.random((parties, n))
-        angles *= 360.0
-    if ghz:
-        _ghz_reflect(angles)                # requested -> internal
-    # one radian row alive at a time
-    comps = [(np.cos(r), np.sin(r)) for r in map(np.radians, angles)]
+        return lam, tuples[:, (start + np.arange(n)) % tuples.shape[1]]
+    angles = gen.random((len(_PARTIES[cfg.mode]), n))
+    angles *= 360.0
+    return lam, angles
 
-    corr = np.empty(n)
-    for sign in (1, -1):
-        idx = np.flatnonzero(lam == sign)
-        if idx.size:
-            factors = [_planar_slots(x[idx], y[idx]) for x, y in comps]
-            # a -1 coin multiplies last to first
-            corr[idx] = _chain_scalar(factors[::sign])
-    # a pruned term can leave -0.0 where the written expression gives 0.0
+
+def _embed(mode: str, angles: np.ndarray, lam: np.ndarray) -> list:
+    """Each coin's trials as ``(idx, factors)``, the +1 coin first: the
+    detectors of the trials idx as per-slot legs, None in the four slots a
+    planar detector leaves zero, in the order they multiply (first to last
+    for a +1 coin, last to first for a -1 coin). A four-party run maps the
+    requested azimuths to internal ones in place first."""
+    if mode == "ghz":
+        _ghz_reflect(angles)                # requested -> internal
+    coins = [(np.flatnonzero(lam == sign), []) for sign in (1, -1)]
+    # one party's radians, cos and sin alive at a time
+    for r in map(np.radians, angles):
+        x, y = np.cos(r), np.sin(r)
+        for idx, factors in coins:
+            factors.append(_planar_slots(x[idx], y[idx]))
+    coins[1][1].reverse()                   # a -1 coin: last to first
+    return coins
+
+
+def _chain(lam: np.ndarray, coins: list) -> np.ndarray:
+    """The trial correlations, the scalar of each ordered product. Every
+    chain runs under the +1 table: the -1 product mirrors its factors,
+    which negates a detector (slots 1..6), and mirrors the result back,
+    which keeps the scalar (see ``algebra``), so a chain of 2 or 4 negated
+    factors has the same scalar term by term up to the sign of an exact
+    zero. Adding 0.0 makes every exact zero +0.0, also where a term that
+    ``_chain_scalar`` skips leaves -0.0 for the written expression's 0.0."""
+    corr = np.empty(len(lam))
+    for idx, factors in coins:
+        corr[idx] = _chain_scalar(factors)
     corr += 0.0
-    if ghz:
+    return corr
+
+
+def _report(mode: str, angles: np.ndarray) -> np.ndarray:
+    """The reported azimuths, (n, parties), wrapped into (-180, 180]. A
+    four-party run reports in the extraction convention of ``_ghz_reflect``,
+    under which the correlation is -cos(phi_a + phi_b - phi_c - phi_d)."""
+    if mode == "ghz":
         _ghz_reflect(angles)                # internal -> reported
-    return _Batch(start, lam, _wrap_deg(angles).T, corr)
+    return _wrap_deg(angles).T
+
+
+def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
+    lam, angles = _draw(cfg, batch_index)
+    # coins stays bound until the batch returns (see stream_trials)
+    coins = _embed(cfg.mode, angles, lam)
+    corr = _chain(lam, coins)
+    return _Batch(batch_index * BATCH_SIZE, lam, _report(cfg.mode, angles),
+                  corr)
 
 
 def _batch_count(cfg: TrialConfig) -> int:
@@ -443,21 +436,17 @@ def _workers(nbatches: int) -> int:
 
 
 def _send(pipe: IO[bytes], obj) -> None:
-    payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    pipe.write(len(payload).to_bytes(8, "little"))
-    pipe.write(payload)
+    pickle.dump(obj, pipe, pickle.HIGHEST_PROTOCOL)
     pipe.flush()
 
 
 def _receive(pipe: IO[bytes]):
     """The next object sent down ``pipe``, or None if the sender ended
     before sending it whole."""
-    head = pipe.read(8)
-    if len(head) < 8:
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
         return None
-    size = int.from_bytes(head, "little")
-    payload = pipe.read(size)
-    return pickle.loads(payload) if len(payload) == size else None
 
 
 def _work(cfg: TrialConfig, batch_indices: range, fd: int,
@@ -539,8 +528,7 @@ def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
     When ``csv_file`` is an open text file (opened with ``newline=""``),
     the header and then each batch's rows are written to it in batch
     order; forked workers compute the batches where ``_workers`` allows
-    them. No trial column is kept, so memory does not grow with the trial
-    count.
+    them.
     """
     tally = _Tally(cfg)
     csv = csv_file is not None
@@ -548,8 +536,11 @@ def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
         csv_file.write(_csv_header(cfg.mode))
     nbatches = _batch_count(cfg)
     nworkers = _workers(nbatches) if csv else 0
-    # the loop variable holds each batch until the next one is made, which
-    # keeps glibc from trimming the heap and growing it again every batch
+    # glibc trims the heap top when a large block there is freed, and
+    # faults it in again: the loop holds each batch until the next exists,
+    # _run_batch its detectors, and the wrap reuses its temporaries. A ghz
+    # --trials 2000000 child takes 16,700 minor faults; 28,700 if the
+    # detectors go once chained, 30,000 with two more wrap temporaries
     records = (_forked(cfg, nbatches, nworkers) if nworkers
                else (_record(cfg, b, csv) for b in _batches(cfg)))
     with contextlib.closing(records):
@@ -567,8 +558,8 @@ def _pair_expectation_simulated(deltas_deg: np.ndarray) -> np.ndarray:
     """Simulated E(delta) on a grid of separations: the correlations of one
     engine batch with one trial per separation.
 
-    A two-detector chain has the same scalar under either coin (see the
-    module docstring), so one trial is E bitwise and the seed moves no bit.
+    A two-detector chain has the same scalar under either coin (see
+    ``_chain``), so one trial is E bitwise and the seed moves no bit.
     The grid's at most 3600 points fit one batch.
     """
     cfg = TrialConfig(trials=len(deltas_deg), seed=0, mode="epr",
@@ -595,7 +586,9 @@ def chsh_scan(grid_deg: float = 5.0, source: str = "analytic") -> dict:
     in the written term order, and an a' whose bound cannot beat the best
     so far is skipped. The result, ties included, is that of the full
     (ng, ng) table scanned row-major, with a later a' winning only when
-    strictly larger, in O(ng) memory.
+    strictly larger, in O(ng) memory. Among optima that tie mathematically,
+    the last bit of E picks the one reported, so ``argmax_deg`` and the
+    sign of ``S_at_max`` follow numpy's rounding of ``cos``.
     """
     # at most 3600 grid points per axis
     if not (0.1 <= grid_deg <= 90.0):

@@ -353,6 +353,7 @@ def test_failed_run_leaves_existing_outputs_alone(tmp_path, capsys,
 @pytest.mark.parametrize("target", [
     "_csv_rows",        # writing the third batch's rows fails
     "_run_batch",       # computing the third batch fails
+    "_draw",            # the third batch's draw stage fails
 ])
 def test_mid_stream_failure_leaves_no_partial_output(tmp_path, capsys,
                                                      monkeypatch, target):
@@ -486,8 +487,7 @@ def test_a_process_with_threads_runs_in_process_and_warns_nothing(tmp_path):
 
 _WORKER_FAILURE = _FORK_COUNTER + """
 import signal
-tmp, how = sys.argv[1], sys.argv[2]
-target = "_csv_rows" if how == "raise" else "_run_batch"
+tmp, target, how = sys.argv[1:4]
 real = getattr(engine, target)
 
 def failing(*args):
@@ -512,17 +512,24 @@ print(code, len(forks), left)
 """
 
 
+_KILLED = "was killed by SIGKILL before sending its batches"
+
+
 @_needs_two_cpus
-@pytest.mark.parametrize("how,message", [
-    ("raise", "io error: disk full"),
-    ("kill", "was killed by SIGKILL before sending its batches"),
+@pytest.mark.parametrize("target,how,message", [
+    pytest.param("_csv_rows", "raise", "io error: disk full",
+                 id="raise-io error: disk full"),
+    pytest.param("_run_batch", "kill", _KILLED, id="kill-" + _KILLED),
+    pytest.param("_draw", "raise", "io error: disk full",
+                 id="draw-raise-io error: disk full"),
 ])
-def test_worker_failure_leaves_no_partial_output(tmp_path, how, message):
+def test_worker_failure_leaves_no_partial_output(tmp_path, target, how,
+                                                 message):
     # the twin of the in-process case above, with the workers engaged
     csv_path = tmp_path / "run.csv"
     csv_path.write_text("old csv")
     out = subprocess.run(
-        [sys.executable, "-c", _WORKER_FAILURE, str(tmp_path), how],
+        [sys.executable, "-c", _WORKER_FAILURE, str(tmp_path), target, how],
         env=_child_env(), capture_output=True, text=True, timeout=120,
         check=True)
     code, forks, left = out.stdout.split(maxsplit=2)
