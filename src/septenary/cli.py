@@ -93,18 +93,32 @@ def _stageable(target: str) -> bool:
 def _staged(targets):
     """A path to write each target through (None for None).
 
-    Every target is checked before the body runs, so an unwritable one fails
-    before any work. A stageable target gets a temp beside it, which
-    replaces it only after the whole body succeeds; on any error the temps
-    are removed and those targets do not change. Other targets are yielded
-    as they are and written in place.
+    Every target is checked before the body runs, so an unwritable one
+    fails before any work, as do two that name one file: the same device
+    and inode where it exists (hard links included), else the same resolved
+    path. Existing targets that are not plain files, such as /dev/null, may
+    be given to several flags. A stageable target gets a temp beside it,
+    which replaces it only after the whole body succeeds; on any error the
+    temps are removed and those targets do not change. Other targets are
+    yielded as they are and written in place.
     """
-    temps = []
-    try:
-        for target in targets:
-            if target is None:
-                temps.append(None)
+    seen = {}                               # file -> the first target for it
+    for target in filter(None, targets):
+        try:
+            st = os.stat(target)
+        except OSError:
+            key = os.path.realpath(target)
+        else:
+            if not stat.S_ISREG(st.st_mode):
                 continue
+            key = st.st_dev, st.st_ino
+        if key in seen:
+            raise SeptenaryError("%s and %s name the same file"
+                                 % (seen[key], target))
+        seen[key] = target
+    temps = {}                              # stageable target -> its temp
+    try:
+        for target in filter(None, targets):
             if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, "Is a directory",
                                         target)
@@ -112,26 +126,23 @@ def _staged(targets):
                 if os.path.exists(target) and not os.access(target, os.W_OK):
                     raise PermissionError(errno.EACCES, "Permission denied",
                                           target)
-                temps.append(target)
                 continue
             fd, tmp = tempfile.mkstemp(
                 dir=os.path.dirname(os.path.abspath(target)),
                 prefix=".%s." % os.path.basename(target), suffix=".tmp")
             os.close(fd)
-            temps.append(tmp)
+            temps[target] = tmp
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
             else:
                 os.chmod(tmp, 0o666 & ~_UMASK)
-        yield temps
-        for tmp, target in zip(temps, targets):
-            if tmp is not None and tmp != target:
-                os.replace(tmp, target)
+        yield [temps.get(target, target) for target in targets]
+        for target, tmp in temps.items():
+            os.replace(tmp, target)
     except BaseException:
-        for tmp, target in zip(temps, targets):
-            if tmp is not None and tmp != target:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 

@@ -25,13 +25,15 @@ held would stay held). Worker w computes batches w, w + W, ... and
 pickles each record down its own pipe; it is sent nothing and leaves
 through ``os._exit``. Only the parent tallies and writes, reading the
 records in batch order, so every byte is that of one process. Without a
-file the records come from ``_run_batch`` in process: there workers
-bought wall time at about the same cost in CPU.
+file the records come from ``_run_batch`` in process: on a 2-CPU box two
+workers took a ghz 2e6 run's wall time down 3 % for 51 % more CPU, and
+one worker beside a computing parent 5 % for 37 % more (10 paired runs).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
 import os
@@ -135,6 +137,11 @@ class TrialConfig:
         if not (0.01 <= float(self.bin_width_deg) <= 360.0):
             raise ConfigError("bin width must be in [0.01, 360] degrees")
 
+    @functools.cached_property
+    def _fixed_rows(self) -> np.ndarray:
+        """The fixed setting tuples as party-major rows, (parties, count)."""
+        return np.array(self.fixed_settings, dtype=np.float64).T
+
 
 def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
     """The angle each trial is binned under, in [0, 360).
@@ -223,30 +230,11 @@ def paired_product(detectors: Sequence[np.ndarray], lam: int) -> np.ndarray:
     if len(detectors) < 2:
         raise EmptyInput("paired_product needs at least two detectors")
     lam = _check_lam(lam)
-    elems = list(detectors)
-    if lam == -1:
-        elems.reverse()
+    elems = list(detectors)[::lam]          # a -1 coin: last to first
     acc = elems[0]
     for e in elems[1:]:
         acc = mv_mul(acc, e, lam)
     return acc
-
-
-def _chain_scalar(factors: list[list]) -> np.ndarray:
-    """Scalar of the ordered +1 product of per-slot factors, which for an
-    even number of detectors is the -1 scalar too (see ``_chain``).
-
-    Each product runs the plan of its operands' structurally zero slots,
-    and the last one evaluates only the scalar row.
-    """
-    acc = factors[0]
-    for k, nxt in enumerate(factors[1:], 2):
-        plan = term_plan(zero_slots(acc), zero_slots(nxt),
-                         scalar_only=k == len(factors))
-        out = [None] * len(acc)
-        _product(acc, nxt, plan, out)
-        acc = out
-    return acc[SCALAR]
 
 
 def _mod360(x: np.ndarray) -> np.ndarray:
@@ -272,13 +260,6 @@ def _wrap_deg(a: np.ndarray) -> np.ndarray:
     """Wrap into (-180, 180]."""
     r = _mod360(180.0 - a)
     return np.subtract(180.0, r, out=r)
-
-
-def _planar_slots(x: np.ndarray, y: np.ndarray) -> list:
-    """Per-slot legs of the planar pairs for unit directions (x, y), with
-    None in the structurally zero slots."""
-    (rx, ry, _), (dx, dy, _) = planar_legs(x, y)
-    return place_legs([None] * 8, (rx, ry, None), (dx, dy, None))
 
 
 def _ghz_reflect(rows: np.ndarray) -> None:
@@ -310,44 +291,49 @@ def _draw(cfg: TrialConfig, batch_index: int) -> tuple:
     gen = batch_stream(cfg.seed, batch_index)
     lam = _flip_batch(gen, n)
     if cfg.fixed_settings:
-        tuples = np.array(cfg.fixed_settings, dtype=np.float64).T
-        return lam, tuples[:, (start + np.arange(n)) % tuples.shape[1]]
+        rows = cfg._fixed_rows              # indexing copies the rows
+        return lam, rows[:, (start + np.arange(n)) % rows.shape[1]]
     angles = gen.random((len(_PARTIES[cfg.mode]), n))
     angles *= 360.0
     return lam, angles
 
 
 def _embed(mode: str, angles: np.ndarray, lam: np.ndarray) -> list:
-    """Each coin's trials as ``(idx, factors)``, the +1 coin first: the
-    detectors of the trials idx as per-slot legs, None in the four slots a
-    planar detector leaves zero, in the order they multiply (first to last
-    for a +1 coin, last to first for a -1 coin). A four-party run maps the
-    requested azimuths to internal ones in place first."""
+    """The batch's detectors in the order each trial multiplies them, as
+    per-slot legs with None in the four slots a planar detector leaves
+    zero: factor k of a trial is party k's detector, or party P-1-k's where
+    its coin is -1, which multiplies last to first. A four-party run maps
+    the requested azimuths to internal ones in place first."""
     if mode == "ghz":
         _ghz_reflect(angles)                # requested -> internal
-    coins = [(np.flatnonzero(lam == sign), []) for sign in (1, -1)]
-    # one party's radians, cos and sin alive at a time
-    for r in map(np.radians, angles):
-        x, y = np.cos(r), np.sin(r)
-        for idx, factors in coins:
-            factors.append(_planar_slots(x[idx], y[idx]))
-    coins[1][1].reverse()                   # a -1 coin: last to first
-    return coins
+    factors = []
+    # one factor's radians, cos and sin alive at a time
+    for k in range(len(angles)):
+        r = np.radians(np.where(lam < 0, angles[-1 - k], angles[k]))
+        (rx, ry, _), (dx, dy, _) = planar_legs(np.cos(r), np.sin(r))
+        factors.append(place_legs([None] * 8, (rx, ry, None), (dx, dy, None)))
+    return factors
 
 
-def _chain(lam: np.ndarray, coins: list) -> np.ndarray:
-    """The trial correlations, the scalar of each ordered product. Every
-    chain runs under the +1 table: the -1 product mirrors its factors,
-    which negates a detector (slots 1..6), and mirrors the result back,
-    which keeps the scalar (see ``algebra``), so a chain of 2 or 4 negated
-    factors has the same scalar term by term up to the sign of an exact
-    zero. Adding 0.0 makes every exact zero +0.0, also where a term that
-    ``_chain_scalar`` skips leaves -0.0 for the written expression's 0.0."""
-    corr = np.empty(len(lam))
-    for idx, factors in coins:
-        corr[idx] = _chain_scalar(factors)
-    corr += 0.0
-    return corr
+def _chain(factors: list) -> np.ndarray:
+    """The trial correlations, the scalar of each trial's ordered product.
+
+    Each product runs the plan of its operands' structurally zero slots,
+    and the last one evaluates only the scalar row. Every chain runs under
+    the +1 table: the -1 product mirrors its factors, which negates a
+    detector (slots 1..6), and mirrors the result back, which keeps the
+    scalar (see ``algebra``), so a chain of 2 or 4 negated factors has the
+    same scalar term by term up to the sign of an exact zero. Adding 0.0
+    makes every exact zero +0.0, also where a skipped term leaves -0.0 for
+    the written expression's 0.0."""
+    acc = factors[0]
+    for k, nxt in enumerate(factors[1:], 2):
+        plan = term_plan(zero_slots(acc), zero_slots(nxt),
+                         scalar_only=k == len(factors))
+        out = [None] * len(acc)
+        _product(acc, nxt, plan, out)
+        acc = out
+    return np.add(acc[SCALAR], 0.0, out=acc[SCALAR])
 
 
 def _report(mode: str, angles: np.ndarray) -> np.ndarray:
@@ -361,9 +347,9 @@ def _report(mode: str, angles: np.ndarray) -> np.ndarray:
 
 def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
     lam, angles = _draw(cfg, batch_index)
-    # coins stays bound until the batch returns (see stream_trials)
-    coins = _embed(cfg.mode, angles, lam)
-    corr = _chain(lam, coins)
+    # factors stays bound until the batch returns (see stream_trials)
+    factors = _embed(cfg.mode, angles, lam)
+    corr = _chain(factors)
     return _Batch(batch_index * BATCH_SIZE, lam, _report(cfg.mode, angles),
                   corr)
 
@@ -538,9 +524,9 @@ def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
     nworkers = _workers(nbatches) if csv else 0
     # glibc trims the heap top when a large block there is freed, and
     # faults it in again: the loop holds each batch until the next exists,
-    # _run_batch its detectors, and the wrap reuses its temporaries. A ghz
-    # --trials 2000000 child takes 16,700 minor faults; 28,700 if the
-    # detectors go once chained, 30,000 with two more wrap temporaries
+    # and _run_batch its detectors. A ghz --trials 2000000 child takes
+    # 5,850 minor faults, 30 more than at 2e5; 63,600 if the detectors go
+    # once chained
     records = (_forked(cfg, nbatches, nworkers) if nworkers
                else (_record(cfg, b, csv) for b in _batches(cfg)))
     with contextlib.closing(records):

@@ -543,13 +543,26 @@ def test_worker_failure_leaves_no_partial_output(tmp_path, target, how,
 # On Linux exec keeps the larger of the new process's peak RSS and that of
 # the process it was spawned from, so a run spawned straight from the test
 # process would report the test process's peak. A small intermediate
-# spawns the run and reports the run's own wait4 figure.
+# spawns the run and reports the run's own wait4 figures: exit code, peak
+# RSS and minor page faults.
 _PEAK_RSS = """
 import os, sys
 argv = [sys.executable, "-m", "septenary", *sys.argv[1:]]
 _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
 """
+
+
+def _child_usage(tmp_path, argv) -> tuple:
+    """Exit code, peak RSS in KiB and minor faults of one CLI run."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
+    env.pop("SEPTENARY_SEED", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv, str(tmp_path / "run.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+        cwd=tmp_path)
+    return tuple(map(int, out.stdout.split()))
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -568,17 +581,24 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 ])
 def test_large_run_memory_does_not_grow_with_trials(tmp_path, argv, key,
                                                     value):
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(septenary.__file__)))
-    env.pop("SEPTENARY_SEED", None)
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *argv, str(tmp_path / "run.json")],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-        cwd=tmp_path)
-    code, maxrss_kib = map(int, out.stdout.split())
+    code, maxrss_kib, _ = _child_usage(tmp_path, argv)
     assert code == 0
     assert json.loads((tmp_path / "run.json").read_text())[key] == value
     assert maxrss_kib < 96 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the batch memory reuse measured is glibc's")
+def test_large_run_page_faults_do_not_grow_with_batches(tmp_path):
+    # 220 more batches, computed in process; where glibc trims the heap and
+    # grows it again as batches go by, each costs dozens of faults
+    faults = []
+    for trials in ("200000", "2000000"):
+        code, _, minflt = _child_usage(
+            tmp_path, ("ghz", "--trials", trials, "--summary"))
+        assert code == 0
+        faults.append(minflt)
+    assert faults[1] - faults[0] < 2000, faults
 
 
 def _reject_constant(name):
@@ -726,6 +746,48 @@ def test_device_output_is_written_in_place(tmp_path, capsys):
     after = os.stat(os.devnull)
     assert (after.st_mode, after.st_rdev) == (before.st_mode, before.st_rdev)
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def _hard_link(tmp_path):
+    (tmp_path / "b").hardlink_to(tmp_path / "a")
+
+
+def _symlink(tmp_path):
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+
+
+@pytest.mark.parametrize("existing,link,flags", [
+    ((), None, ("--out", "a", "--summary", "a", "--plot", "a")),
+    ((), None, ("--out", "b", "--summary", "./b")),
+    (("a",), None, ("--summary", "a", "--plot", "a")),
+    (("a",), _hard_link, ("--out", "a", "--summary", "b")),
+    (("a",), _symlink, ("--out", "b", "--plot", "a")),
+    ((), _symlink, ("--summary", "a", "--out", "b")),   # a dangling link
+], ids=["three-flags", "dot-slash", "existing", "hard-link", "symlink",
+        "dangling-symlink"])
+def test_one_file_for_two_flags_fails_before_running(tmp_path, capsys,
+                                                     monkeypatch, existing,
+                                                     link, flags):
+    monkeypatch.setattr(cli, "stream_trials", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    for name in existing:
+        (tmp_path / name).write_text("old " + name)
+    if link:
+        link(tmp_path)
+    before = _tree(tmp_path)
+    code = main(["epr", "--trials", "10", *flags])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "name the same file" in captured.err
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
+def test_device_output_may_be_given_to_several_flags(tmp_path, capsys):
+    code, out = run_cli(capsys, "epr", "--trials", "10", "--out", os.devnull,
+                        "--summary", os.devnull, "--plot", os.devnull)
+    assert code == 0
+    assert out == ""
 
 
 def test_version_flag(capsys):
