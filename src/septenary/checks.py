@@ -245,8 +245,10 @@ def run_checks(names=None, tol: float = DEFAULT_TOL,
         raise ValueError("unknown suite(s): %s" % ", ".join(unknown))
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    # written so that nan is refused too
-    if not tol >= 0.0:
+    # an infinite tolerance would pass every floating suite
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite, got %r" % (tol,))
+    if tol < 0.0:
         raise ValueError("tolerance must be non-negative, got %r" % (tol,))
     results = []
     for index, (name, fn) in enumerate(SUITES):

@@ -10,11 +10,16 @@ check     run the built-in consistency suites
 
 Exit codes: 0 success, 1 a check suite failed, 2 usage error, 3 could not
 read or write a file, 4 invalid values in otherwise well-formed flags.
-Output targets are checked before any work starts. A missing target or a
-plain file is written to a temp beside it, and the temps replace their
-targets only once every one of them is written, so a run that fails leaves
-no partial output behind there; symlinks, devices and other special targets
-are written in place.
+This module only turns flags into numbers; the library checks the values
+(``TrialConfig`` a run's settings, the closed forms their angles and
+``run_checks`` its tolerance), and a value it refuses exits 4.
+
+Output targets are checked before any work starts, and an empty one is
+refused as unwritable. A missing target or a plain file is written to a
+temp beside it, and the temps replace their targets only once every one of
+them is written, so a run that fails leaves no partial output behind there;
+symlinks, devices and other special targets are written in place. Every
+text output goes through ``_write_text``.
 
 The environment variable SEPTENARY_SEED, when set, overrides the --seed
 flag of a run; its summary records which source won under ``seed_source``.
@@ -41,7 +46,7 @@ from .checks import DEFAULT_SAMPLES, DEFAULT_TOL, SUITE_NAMES, run_checks
 from .engine import TrialConfig, chsh_scan, stream_trials
 from .errors import SeptenaryError
 from .oracle import epr_expectation, ghz_expectation
-from .svgplot import write_run_svg
+from .svgplot import render_run_svg
 
 _ENV_SEED = "SEPTENARY_SEED"
 
@@ -91,19 +96,22 @@ def _stageable(target: str) -> bool:
 
 @contextlib.contextmanager
 def _staged(targets):
-    """A path to write each target through (None for None).
+    """A path to write each target through, None for a flag not given.
 
-    Every target is checked before the body runs, so an unwritable one
-    fails before any work, as do two that name one file: the same device
-    and inode where it exists (hard links included), else the same resolved
-    path. Existing targets that are not plain files, such as /dev/null, may
-    be given to several flags. A stageable target gets a temp beside it,
-    which replaces it only after the whole body succeeds; on any error the
-    temps are removed and those targets do not change. Other targets are
-    yielded as they are and written in place.
+    Every target is checked before the body runs, so an unwritable one, the
+    empty path included, fails before any work, as do two that name one
+    file: the same device and inode where it exists (hard links included),
+    else the same resolved path. Existing targets that are not plain files,
+    such as /dev/null, may be given to several flags. A stageable target
+    gets a temp beside it, which replaces it only after the whole body
+    succeeds; on any error the temps are removed and those targets do not
+    change. Other targets are yielded as they are and written in place.
     """
+    given = [t for t in targets if t is not None]
+    if "" in given:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     seen = {}                               # file -> the first target for it
-    for target in filter(None, targets):
+    for target in given:
         try:
             st = os.stat(target)
         except OSError:
@@ -118,7 +126,7 @@ def _staged(targets):
         seen[key] = target
     temps = {}                              # stageable target -> its temp
     try:
-        for target in filter(None, targets):
+        for target in given:
             if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, "Is a directory",
                                         target)
@@ -146,70 +154,33 @@ def _staged(targets):
         raise
 
 
-def _finite(values: list, what: str) -> list:
-    if not all(math.isfinite(v) for v in values):
-        raise SeptenaryError("%s must be finite, got %s"
-                             % (what, ",".join(str(v) for v in values)))
-    return values
-
-
-def _parse_setting(text: str, want: int) -> tuple:
-    parts = text.split(",")
-    if len(parts) != want:
-        raise SeptenaryError(
-            "setting %r needs %d comma-separated angles" % (text, want))
+def _floats(text: str, flag: str) -> list:
+    """The comma-separated numbers of a flag; the library checks them."""
     try:
-        return tuple(float(p) for p in parts)
+        return [float(p) for p in text.split(",")]
     except ValueError:
-        raise SeptenaryError("setting %r has a non-numeric angle" % text)
-
-
-def _add_run_options(sub: argparse.ArgumentParser, parties: int) -> None:
-    sub.add_argument("--trials", type=int, default=100000,
-                     help="number of events (default 100000)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="PRNG seed (default 0; %s overrides)" % _ENV_SEED)
-    sub.add_argument("--bin-deg", type=float, default=5.0, metavar="W",
-                     help="summary bin width in degrees (default 5)")
-    sub.add_argument("--fixed-angles", action="append", metavar="ANGLES",
-                     help="setting tuple of %d comma-separated degrees; "
-                          "repeat the flag to cycle through a list; join a "
-                          "tuple that starts with a negative angle with '=', "
-                          "as in --fixed-angles=%s (default: draw settings "
-                          "uniformly in the xy plane)"
-                          % (parties, "-30,45" if parties == 2
-                             else "-30,45,0,90"))
-    sub.add_argument("--out", metavar="CSV",
-                     help="write every trial to this CSV file")
-    sub.add_argument("--summary", metavar="JSON",
-                     help="write the binned summary to this JSON file "
-                          "(default: print to stdout)")
-    sub.add_argument("--plot", metavar="SVG",
-                     help="write an SVG of binned means over the reference")
+        raise SeptenaryError("%s %r has a non-numeric entry" % (flag, text))
 
 
 def _cmd_run(args) -> int:
-    mode = args.command
     if args.trials < 1:
         args.parser.error("--trials must be a positive integer")
     seed, source = _resolve_seed(args.seed)
-    parties = 2 if mode == "epr" else 4
-    fixed = tuple(_parse_setting(s, parties) for s in args.fixed_angles) \
-        if args.fixed_angles else ()
-    cfg = TrialConfig(trials=args.trials, seed=seed, mode=mode,
+    fixed = [_floats(s, "--fixed-angles") for s in args.fixed_angles or ()]
+    cfg = TrialConfig(trials=args.trials, seed=seed, mode=args.command,
                       fixed_settings=fixed, bin_width_deg=args.bin_deg)
     with _staged((args.out, args.plot, args.summary)) as (out, plot, path):
         # the CSV rows go out batch by batch as the run streams
-        with (open(out, "w", newline="") if out
+        with (open(out, "w", newline="") if out is not None
               else contextlib.nullcontext()) as csv_file:
             summary = stream_trials(cfg, csv_file)
-        if plot:
-            write_run_svg(plot, summary)
+        if plot is not None:
+            _write_text(plot, render_run_svg(summary))
         summary["seed_source"] = source
         text = _json_text(summary)
-        if path:
+        if path is not None:
             _write_text(path, text)
-    if not args.summary:
+    if args.summary is None:
         sys.stdout.write(text)
     return 0
 
@@ -218,31 +189,20 @@ def _cmd_chsh(args) -> int:
     with _staged((args.json,)) as (path,):
         text = _json_text(chsh_scan(grid_deg=args.grid_deg,
                                     source=args.source))
-        if path:
+        if path is not None:
             _write_text(path, text)
-    if not args.json:
+    if args.json is None:
         sys.stdout.write(text)
     return 0
 
 
-def _parse_angle_list(text: str, what: str) -> list:
-    try:
-        values = [float(p) for p in text.split(",")]
-    except ValueError:
-        raise SeptenaryError("%s %r has a non-numeric entry" % (what, text))
-    return _finite(values, what)
-
-
 def _cmd_analytic(args) -> int:
     if args.which == "epr":
-        _finite([args.theta], "--theta")
         value = epr_expectation(math.radians(args.theta))
         row = {"mode": "epr", "theta_deg": args.theta, "expectation": value}
     else:
-        thetas = _parse_angle_list(args.thetas, "--thetas")
-        phis = _parse_angle_list(args.phis, "--phis")
-        if len(thetas) != 4 or len(phis) != 4:
-            raise SeptenaryError("--thetas and --phis need four angles each")
+        thetas = _floats(args.thetas, "--thetas")
+        phis = _floats(args.phis, "--phis")
         value = ghz_expectation([math.radians(t) for t in thetas],
                                 [math.radians(p) for p in phis])
         row = {"mode": "ghz", "theta_deg": thetas, "phi_deg": phis,
@@ -260,7 +220,6 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _finite([args.tol], "--tol")
     results = run_checks(names=args.suite, tol=args.tol,
                          samples=args.samples)
     report = {
@@ -285,13 +244,33 @@ def build_parser() -> argparse.ArgumentParser:
                         version="septenary %s" % __version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_epr = subs.add_parser("epr", help="two-party run")
-    _add_run_options(p_epr, 2)
-    p_epr.set_defaults(func=_cmd_run, parser=p_epr)
-
-    p_ghz = subs.add_parser("ghz", help="four-party run")
-    _add_run_options(p_ghz, 4)
-    p_ghz.set_defaults(func=_cmd_run, parser=p_ghz)
+    for mode, text, parties, example in (
+            ("epr", "two-party run", 2, "-30,45"),
+            ("ghz", "four-party run", 4, "-30,45,0,90")):
+        sub = subs.add_parser(mode, help=text)
+        sub.add_argument("--trials", type=int, default=100000,
+                         help="number of events (default 100000)")
+        sub.add_argument("--seed", type=int, default=0,
+                         help="PRNG seed (default 0; %s overrides)"
+                              % _ENV_SEED)
+        sub.add_argument("--bin-deg", type=float, default=5.0, metavar="W",
+                         help="summary bin width in degrees (default 5)")
+        sub.add_argument("--fixed-angles", action="append", metavar="ANGLES",
+                         help="setting tuple of %d comma-separated degrees; "
+                              "repeat the flag to cycle through a list; join "
+                              "a tuple that starts with a negative angle with "
+                              "'=', as in --fixed-angles=%s (default: draw "
+                              "settings uniformly in the xy plane)"
+                              % (parties, example))
+        sub.add_argument("--out", metavar="CSV",
+                         help="write every trial to this CSV file")
+        sub.add_argument("--summary", metavar="JSON",
+                         help="write the binned summary to this JSON file "
+                              "(default: print to stdout)")
+        sub.add_argument("--plot", metavar="SVG",
+                         help="write an SVG of binned means over the "
+                              "reference")
+        sub.set_defaults(func=_cmd_run, parser=sub)
 
     p_chsh = subs.add_parser("chsh", help="four-term scan")
     p_chsh.add_argument("--grid-deg", type=float, default=5.0, metavar="G",
@@ -301,22 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where pair expectations come from")
     p_chsh.add_argument("--json", metavar="PATH",
                         help="write the result here instead of stdout")
-    p_chsh.set_defaults(func=_cmd_chsh, parser=p_chsh)
+    p_chsh.set_defaults(func=_cmd_chsh)
 
     p_an = subs.add_parser("analytic", help="closed-form expectations")
     an_subs = p_an.add_subparsers(dest="which", required=True)
-    an_epr = an_subs.add_parser("epr", help="two-party expectation")
-    an_epr.add_argument("--theta", type=float, required=True,
-                        help="separation angle in degrees")
-    an_epr.add_argument("--format", choices=("json", "csv"), default="json")
-    an_epr.set_defaults(func=_cmd_analytic, parser=an_epr)
-    an_ghz = an_subs.add_parser("ghz", help="four-party expectation")
-    an_ghz.add_argument("--thetas", required=True, metavar="T1,T2,T3,T4",
-                        help="polar angles in degrees")
-    an_ghz.add_argument("--phis", required=True, metavar="P1,P2,P3,P4",
-                        help="azimuthal angles in degrees")
-    an_ghz.add_argument("--format", choices=("json", "csv"), default="json")
-    an_ghz.set_defaults(func=_cmd_analytic, parser=an_ghz)
+    for which, text, flags in (
+            ("epr", "two-party expectation",
+             {"--theta": dict(type=float,
+                              help="separation angle in degrees")}),
+            ("ghz", "four-party expectation",
+             {"--thetas": dict(metavar="T1,T2,T3,T4",
+                               help="polar angles in degrees"),
+              "--phis": dict(metavar="P1,P2,P3,P4",
+                             help="azimuthal angles in degrees")})):
+        sub = an_subs.add_parser(which, help=text)
+        for flag, kwargs in flags.items():
+            sub.add_argument(flag, required=True, **kwargs)
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+        sub.set_defaults(func=_cmd_analytic)
 
     p_chk = subs.add_parser("check", help="consistency suites")
     p_chk.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -327,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                             % DEFAULT_SAMPLES)
     p_chk.add_argument("--suite", action="append", choices=SUITE_NAMES,
                        help="run only this suite, repeatable")
-    p_chk.set_defaults(func=_cmd_check, parser=p_chk)
+    p_chk.set_defaults(func=_cmd_check)
 
     return parser
 

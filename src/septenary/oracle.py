@@ -56,7 +56,10 @@ def _cross(a, b) -> np.ndarray:
 
 
 def epr_expectation(theta: float) -> float:
-    """Two-party correlation at separation angle theta (radians)."""
+    """Two-party correlation at separation angle theta (radians); a
+    non-finite theta raises ValueError."""
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite, got %r" % (theta,))
     return -math.cos(theta)
 
 
@@ -64,12 +67,16 @@ def ghz_expectation(thetas: Sequence[float], phis: Sequence[float]) -> float:
     """Four-party correlation for polar angles thetas and azimuths phis.
 
     All angles in radians. For four equatorial settings (theta = pi/2) this
-    reduces to -cos(phi_a + phi_b - phi_c - phi_d).
+    reduces to -cos(phi_a + phi_b - phi_c - phi_d). Counts other than four
+    raise ArityUnsupported, a non-finite angle ValueError.
     """
     t = [float(x) for x in thetas]
     p = [float(x) for x in phis]
     if len(t) != 4 or len(p) != 4:
         raise ArityUnsupported("four polar and four azimuthal angles required")
+    bad = [x for x in t + p if not math.isfinite(x)]
+    if bad:
+        raise ValueError("angles must be finite, got %r" % bad[0])
     return (math.cos(t[0]) * math.cos(t[1]) * math.cos(t[2]) * math.cos(t[3])
             - math.sin(t[0]) * math.sin(t[1]) * math.sin(t[2]) * math.sin(t[3])
             * math.cos(p[0] + p[1] - p[2] - p[3]))

@@ -1,8 +1,8 @@
 """Tiny dependency-free SVG scatter for binned correlations.
 
-Writes a fixed-size plot over angles 0..360 degrees: the reference curve
--cos as a polyline and the binned means as circles. Good enough to eyeball
-a run; anything fancier belongs in a real plotting package.
+Renders a fixed-size plot over angles 0..360 degrees as SVG text: the
+reference curve -cos as a polyline and the binned means as circles. Good
+enough to eyeball a run; anything fancier belongs in a real plotting package.
 """
 
 from __future__ import annotations
@@ -78,10 +78,8 @@ def render_correlation_svg(bins: Sequence, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_run_svg(path, summary: dict) -> None:
+def render_run_svg(summary: dict) -> str:
     """Plot the bins of a run summary, the dict ``stream_trials`` returns."""
     title = "%s run, %d trials, seed %d" % (
         summary["mode"], summary["trials"], summary["seed"])
-    svg = render_correlation_svg(summary["bins"], title)
-    with open(path, "w") as fh:
-        fh.write(svg)
+    return render_correlation_svg(summary["bins"], title)

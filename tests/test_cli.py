@@ -61,15 +61,23 @@ def test_analytic_csv_format(capsys):
     assert float(cells[2]) == -1.0
 
 
-@pytest.mark.parametrize("thetas,phis", [
-    ("1,2,3", "0,0,0,0"),
-    ("1,2,3,4", "0,0"),
-    ("a,b,c,d", "0,0,0,0"),
+_ARITY = "four polar and four azimuthal angles required"
+
+
+@pytest.mark.parametrize("thetas,phis,message", [
+    pytest.param("1,2,3", "0,0,0,0", _ARITY, id="1,2,3-0,0,0,0"),
+    pytest.param("1,2,3,4", "0,0", _ARITY, id="1,2,3,4-0,0"),
+    pytest.param("a,b,c,d", "0,0,0,0",
+                 "--thetas 'a,b,c,d' has a non-numeric entry",
+                 id="a,b,c,d-0,0,0,0"),
 ])
-def test_analytic_ghz_rejects_bad_lists(capsys, thetas, phis):
-    code, _ = run_cli(capsys, "analytic", "ghz",
-                      "--thetas", thetas, "--phis", phis)
+def test_analytic_ghz_rejects_bad_lists(capsys, thetas, phis, message):
+    # the CLI only parses the numbers; the closed form checks their count
+    code = main(["analytic", "ghz", "--thetas", thetas, "--phis", phis])
+    captured = capsys.readouterr()
     assert code == 4
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +263,22 @@ def test_random_flag_is_a_usage_error(capsys):
     assert "--random" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["10", "1,2,3", "a,b"])
-def test_malformed_fixed_angles(capsys, setting):
-    code, _ = run_cli(capsys, "epr", "--trials", "10",
-                      "--fixed-angles", setting)
+@pytest.mark.parametrize("setting,message", [
+    pytest.param("10", "each fixed setting needs 2 angles, got (10.0,)",
+                 id="10"),
+    pytest.param("1,2,3",
+                 "each fixed setting needs 2 angles, got (1.0, 2.0, 3.0)",
+                 id="1,2,3"),
+    pytest.param("a,b", "--fixed-angles 'a,b' has a non-numeric entry",
+                 id="a,b"),
+])
+def test_malformed_fixed_angles(capsys, setting, message):
+    # the CLI only parses the numbers; TrialConfig checks their count
+    code = main(["epr", "--trials", "10", "--fixed-angles", setting])
+    captured = capsys.readouterr()
     assert code == 4
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,6 +316,33 @@ def test_unwritable_output_path(tmp_path, capsys):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("computed although an output cannot be written")
+
+
+@pytest.mark.parametrize("argv,compute", [
+    pytest.param(("epr", "--trials", "10", "--out", ""), "stream_trials",
+                 id="out"),
+    pytest.param(("epr", "--trials", "10", "--plot", ""), "stream_trials",
+                 id="plot"),
+    pytest.param(("epr", "--trials", "10", "--summary", ""), "stream_trials",
+                 id="summary"),
+    pytest.param(("chsh", "--grid-deg", "45", "--json", ""), "chsh_scan",
+                 id="chsh-json"),
+])
+def test_empty_output_path_fails_before_running(tmp_path, capsys,
+                                                monkeypatch, argv, compute):
+    # an empty target is an unwritable path, not a flag left out; its temp
+    # would land in the parent of the working directory
+    monkeypatch.setattr(cli, compute, _must_not_run)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err ==         "io error: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [cwd]
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -983,6 +1029,13 @@ def test_check_rejects_zero_samples(capsys):
     assert code == 4
     assert captured.err == "error: samples must be at least 1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_run_checks_refuses_a_non_finite_tolerance(tol):
+    # an infinite tolerance would pass every floating suite
+    with pytest.raises(ValueError, match="must be finite"):
+        run_checks(tol=tol, samples=1)
 
 
 def test_check_rejects_a_negative_tolerance(capsys):

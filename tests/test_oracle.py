@@ -199,6 +199,22 @@ def test_ghz_expectation_reference_points():
         ghz_expectation([0.0] * 3, [0.0] * 4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_epr_expectation_refuses_a_non_finite_angle(bad):
+    # cos gives NaN for nan and a bare domain error for inf
+    with pytest.raises(ValueError, match="must be finite"):
+        epr_expectation(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("slot", ["theta", "phi"])
+def test_ghz_expectation_refuses_a_non_finite_angle(slot, bad):
+    thetas, phis = [math.pi / 2] * 4, [0.0] * 4
+    (thetas if slot == "theta" else phis)[2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        ghz_expectation(thetas, phis)
+
+
 def test_component_form_matches_the_spherical_form():
     rng = np.random.default_rng(91)
     for _ in range(300):
