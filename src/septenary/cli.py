@@ -9,7 +9,8 @@ analytic  evaluate the closed-form expectations without simulating
 check     run the built-in consistency suites
 
 Exit codes: 0 success, 1 a check suite failed, 2 usage error, 3 could not
-read or write a file, 4 invalid values in otherwise well-formed flags.
+read or write a file, 4 invalid values in otherwise well-formed flags, 130
+interrupted (SIGINT, one "interrupted" line on stderr).
 This module only turns flags into numbers; the library checks the values
 (``TrialConfig`` a run's settings, the closed forms their angles and
 ``run_checks`` its tolerance), and a value it refuses exits 4.
@@ -324,6 +325,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # _staged has removed the temps and _forked reaped its workers
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

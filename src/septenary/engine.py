@@ -17,17 +17,18 @@ Runs
 order. It keeps no trial column, so memory stays bounded however many
 trials the run has.
 
-With a file, float ``repr`` is nearly all of the run, and every batch is
-a pure function of the seed and its index. So a run of two or more
-batches forks one worker per usable CPU, at most one per batch, if the
-process has a single thread (a fork copies no other thread, so a lock one
-held would stay held). Worker w computes batches w, w + W, ... and
-pickles each record down its own pipe; it is sent nothing and leaves
-through ``os._exit``. Only the parent tallies and writes, reading the
-records in batch order, so every byte is that of one process. Without a
-file the records come from ``_run_batch`` in process: on a 2-CPU box two
-workers took a ghz 2e6 run's wall time down 3 % for 51 % more CPU, and
-one worker beside a computing parent 5 % for 37 % more (10 paired runs).
+With a file, the CSV text is most of the run (0.15 of 0.18 s for a
+2e5-trial epr run on one core), and every batch is a pure function of the
+seed and its index. So a run of two or more batches forks one worker per
+usable CPU, at most one per batch, if the process has a single thread (a
+fork copies no other thread, so a lock one held would stay held). Worker
+w computes batches w, w + W, ... and pickles each record down its own
+pipe; it is sent nothing and leaves through ``os._exit``. Only the parent
+tallies and writes, reading the records in batch order, so every byte is
+that of one process. Without a file the records come from ``_run_batch``
+in process: on a 2-CPU box two workers took a ghz 2e6 run's wall time
+down 3 % for 51 % more CPU, and one worker beside a computing parent 5 %
+for 37 % more (10 paired runs).
 """
 
 from __future__ import annotations
@@ -369,29 +370,176 @@ def _csv_header(mode: str) -> str:
                     + list(names) + ["corr"]) + "\r\n"
 
 
+# 10**0 .. 10**22, every one an exact double, and Dekker's split of each
+# into two halves of at most 26 significant bits
+_TENS = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+_TENS_HI = _TENS * 134217729.0
+_TENS_HI -= _TENS_HI - _TENS
+_TENS_LO = _TENS - _TENS_HI
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_ROWS = np.arange(18, dtype=np.uint8)[:, None]
+_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+
+
+def _digit_rows(v: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digits of each int64 v in [0, 10**width), (width, n),
+    most significant first, zero padded. Each chunk of nine digits is an
+    int32 divided by every power of ten once."""
+    out = np.empty((width, len(v)), dtype=np.uint8)
+    for end in range(width, 0, -9):
+        chunk = (v % _POW10[9]).astype(np.int32)
+        v = v // _POW10[9]
+        prev = None
+        for row in range(max(end - 9, 0), end):
+            q = chunk // np.int32(_POW10[end - 1 - row])
+            out[row] = q if prev is None else q - 10 * prev
+            prev = q
+    out += ord("0")
+    return out
+
+
+def _int_text(v: np.ndarray) -> np.ndarray:
+    """``str`` of each non-negative int64, (n, w) NUL-padded ASCII."""
+    width = len(str(int(v.max())))
+    rows = _digit_rows(v, width)
+    np.copyto(rows[:-1], 0, where=_POW10[width - 1:0:-1, None] > v)
+    return rows.T
+
+
+def _shortest(a: np.ndarray, bits: np.ndarray) -> tuple:
+    """The shortest decimal that reads back as each double a, for a in
+    [1e-4, 1e16) with raw bits ``bits``: (v, j, k), where the decimal is
+    v 10**-k, v is a 17-digit integer and a multiple of 10**j, and j is as
+    large as it can be.
+
+    v is taken from the integers within half an ulp of a, scaled by 10**k
+    so that a 10**k lies in [1e16, 1e17): [lo, hi]. Dekker's product gives
+    a 10**k exactly as an integer y and a fraction f. Of the multiples of
+    the largest 10**j among them, v is the one nearest y + f, the even one
+    on a tie, as ``repr`` picks (Steele and White's shortest output).
+
+    Two details of the reals that round to a move no digit in this domain,
+    so they are left out. An end of the interval belongs to it iff a's
+    significand is even, but an end is an integer only where a >= 2**52,
+    and there y is itself a multiple of 10 and no end is one of 100. Below
+    a power of two the interval reaches only a quarter ulp, but no shorter
+    decimal lies in the quarter left out: the tests try every power of two
+    in the domain.
+    """
+    exp = ((bits >> 52) & 0x7FF) - 1022         # a = m 2**exp, m in [1/2, 1)
+    # floor(log10 a) is this or one more
+    k = 16 - np.floor((exp - 1) * math.log10(2.0)).astype(np.intp)
+    k -= a * _TENS[k] >= 1e17
+    t = _TENS[k]
+    y = a * t
+    split = a * 134217729.0
+    ah = split - (split - a)
+    al = a - ah
+    th, tl = _TENS_HI[k], _TENS_LO[k]
+    f = ((ah * th - y) + ah * tl + al * th) + al * tl   # a t - y, exactly
+    whole = np.floor(f)
+    f -= whole
+    y = y.astype(np.int64) + whole.astype(np.int64)
+    half = np.ldexp(t, exp - 54)                # exact, as are f -+ half
+    lo = y + np.ceil(f - half).astype(np.int64)
+    hi = y + np.floor(f + half).astype(np.int64)
+    # 10**0: half exceeds 1/2, so the nearest integer is inside
+    v = y + ((f > 0.5) | ((f == 0.5) & (y & 1 == 1)))
+    # an interval has a multiple of 10**j only if it has one of
+    # 10**(j - 1); past 10**1 it has at most one, as hi - lo < 23
+    live = np.flatnonzero(hi // 10 > (lo - 1) // 10)
+    j = np.zeros(len(a), dtype=np.intp)
+    j[live] = 1
+    for jj in range(2, 18):
+        top = hi[live] // _POW10[jj]
+        ok = top > (lo[live] - 1) // _POW10[jj]
+        live = live[ok]
+        if not len(live):
+            break
+        j[live] = jj
+        v[live] = top[ok] * _POW10[jj]
+    # 10**1 can have up to three multiples inside; the interval is
+    # symmetric, so the multiple of 10 nearest y + f is one of them
+    tens = np.flatnonzero(j == 1)
+    q, r = np.divmod(y[tens], 10)
+    carry = (r > 5) | ((r == 5) & ((f[tens] > 0) | (q & 1 == 1)))
+    v[tens] = 10 * (q + carry)
+    return v, j, k
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of x, (n, 24) NUL-padded ASCII: remove the
+    NULs of a row to read its text.
+
+    Each distinct bit pattern is formatted once (-0.0 is not 0.0); a
+    column without repeats needs no gather back. A value in [1e-4, 1e16)
+    is written by ``repr``'s fixed-notation rule from the digits of
+    ``_shortest``: a sign, the digits with the decimal point placed, "0."
+    and zeros before a point at or left of the first digit, and ".0" after
+    an integer. Every other value takes ``repr`` itself.
+    """
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+    inv = None
+    order = np.sort(bits)
+    if (order[1:] == order[:-1]).any():
+        bits, inv = np.unique(bits, return_inverse=True)
+    a = np.abs(bits.view(np.float64))
+    fast = (a >= 1e-4) & (a < 1e16)
+    one = np.float64(1.0).view(np.int64)
+    v, j, k = _shortest(np.where(fast, a, 1.0), np.where(fast, bits, one))
+    # the layout holds 17 digits and points at -3..16; no value of the
+    # domain is known to leave them, but one that did would take repr
+    fast &= (v < _POW10[17]) & (v >= _POW10[16]) & (k >= 1) & (k <= 20)
+    point = 17 - k                  # digits before the decimal point
+    keep = np.maximum(17 - j, point + 1)
+    field = np.zeros((24, len(bits)), dtype=np.uint8)
+    field[0] = (bits < 0) * np.uint8(ord("-"))
+    np.multiply(_ROWS[:5] < (2 - point) * (point <= 0), _LEAD, out=field[1:6])
+    digits = _digit_rows(v, 17)
+    digits *= _ROWS[:17] < keep     # trailing zeros go
+    body = field[6:]
+    body[:17] = digits
+    shift = np.where(point > 0, point, 18).astype(np.uint8)
+    np.copyto(body[1:], digits, where=_ROWS[1:] > shift)
+    # left of the first digit, the point is the one after "0"
+    field[np.where(point > 0, 6 + point, 2), np.arange(len(bits))] = ord(".")
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = [repr(s) for s in bits[slow].view(np.float64).tolist()]
+        field[:, slow] = np.array(text, dtype="S24").view(np.uint8) \
+            .reshape(-1, 24).T
+    return (field if inv is None else field[:, inv]).T
+
+
 def _csv_rows(mode: str, batch: _Batch) -> str:
     """One CRLF-terminated CSV row per trial of the batch.
 
-    Integers print with ``%d`` (their ``str``) and floats with ``%r``
-    (their ``repr``, the shortest round-trip text). An outcome is the
-    party's sign times the coin, so every outcome column is the coin column
-    or its negation. The columns are interleaved into one argument tuple by
-    slice assignment, and one ``%`` over the repeated row format writes the
-    batch with no string per field or row.
+    Integers print as their ``str`` and floats as their ``repr``, the
+    shortest round-trip text, from ``_int_text`` and ``_float_text``. An
+    outcome is the party's sign times the coin, so every outcome column is
+    the coin column or its negation. The fields, commas and line ends are
+    laid side by side in one byte matrix, whose NULs are dropped once.
     """
     n = len(batch.corr)
-    parties = len(_PARTIES[mode])
-    coin, flipped = batch.lam.tolist(), (-batch.lam).tolist()
-    cols = [range(batch.start, batch.start + n), coin]
-    cols += [c.tolist() for c in batch.phis.T]
-    cols += [coin if s > 0 else flipped for s in _OUTCOME_SIGNS[mode]]
-    cols.append(batch.corr.tolist())
-    args = [None] * (len(cols) * n)
-    for j, col in enumerate(cols):
-        args[j::len(cols)] = col
-    row = ",".join(["%d", "%d"] + ["%r"] * parties + ["%d"] * parties
-                   + ["%r"]) + "\r\n"
-    return (row * n) % tuple(args)
+    coin = np.zeros((n, 2), dtype=np.uint8)
+    coin[:, 1] = ord("1")
+    flipped = coin.copy()
+    coin[:, 0] = (batch.lam < 0) * np.uint8(ord("-"))
+    flipped[:, 0] = (batch.lam > 0) * np.uint8(ord("-"))
+    fields = [_int_text(np.arange(batch.start, batch.start + n)), coin]
+    fields += [_float_text(c) for c in batch.phis.T]
+    fields += [coin if s > 0 else flipped for s in _OUTCOME_SIGNS[mode]]
+    fields.append(_float_text(batch.corr))
+    rows = np.empty((n, sum(f.shape[1] + 1 for f in fields) + 1),
+                    dtype=np.uint8)
+    col = 0
+    for f in fields:
+        rows[:, col:col + f.shape[1]] = f
+        col += f.shape[1]
+        rows[:, col] = ord(",")
+        col += 1
+    rows[:, col - 1:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class _Record(NamedTuple):

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +586,46 @@ def test_worker_failure_leaves_no_partial_output(tmp_path, target, how,
     assert message in out.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
     assert csv_path.read_text() == "old csv"
+
+
+_INTERRUPTED = _FORK_COUNTER + """
+code = cli.main(["epr", "--trials", "20000000",
+                 "--out", os.path.join(sys.argv[1], "run.csv")])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child is left"
+except ChildProcessError:
+    left = "no child left"
+print(code, len(forks), left)
+sys.exit(code)
+"""
+
+
+def test_sigint_exits_130_with_one_line_and_leaves_nothing(tmp_path):
+    # SIGINT once the temp holds a batch's rows, so the batch workers run
+    # where two CPUs are usable
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED, str(tmp_path)],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(p.stat().st_size > 8192 * 40
+                      for p in tmp_path.glob(".run.csv.*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    code, forks, left = out.split(maxsplit=2)
+    assert (proc.returncode, int(code)) == (130, 130)
+    workers = _CPUS if _CPUS >= 2 and os.path.isdir("/proc/self/task") else 0
+    assert int(forks) == workers
+    assert left.strip() == "no child left"
+    assert err == "interrupted\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # On Linux exec keeps the larger of the new process's peak RSS and that of

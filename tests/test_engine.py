@@ -514,6 +514,81 @@ def test_chunked_csv_matches_a_row_writer(tmp_path, monkeypatch, kwargs):
     assert path.read_bytes() == _csv_writer_reference(cfg)
 
 
+def _texts(values) -> list:
+    """The CSV writer's text of each float64, NULs removed."""
+    field = engine._float_text(np.array(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii")
+            for row in field]
+
+
+def _neighbours(values) -> list:
+    x = np.array(values, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, -np.inf),
+                           np.nextafter(x, np.inf)]).tolist()
+
+
+_EDGES = _neighbours(
+    [1e-4, 1e16, 90.0, 180.0, 0.1, 1 / 3, 6.123233995736766e-17]
+    + [2.0 ** e for e in range(-14, 54)]) + [0.0, -0.0, 5e-324, 1e-300]
+
+
+def test_float_text_is_repr_at_the_edges():
+    # the fast domain's bounds, every power of two in it (whose rounding
+    # interval is lopsided), values the runs print, zeros and tiny values
+    values = _EDGES + [-v for v in _EDGES]
+    assert _texts(values) == [repr(v) for v in values]
+
+
+def test_float_text_is_repr_over_a_seeded_sweep(monkeypatch):
+    # uniform exponents over [1e-4, 1e16), short decimals and their
+    # neighbours, round numbers (many trailing zeros), integers from 2**52
+    # (where an end of the rounding interval is an integer), uniform
+    # angles, and every bit pattern
+    rng = np.random.default_rng(71)
+    n = 25000
+    spread = 10.0 ** rng.uniform(-4, 16, n)
+    short = np.array([float("%.*f" % (d, u)) for d, u in zip(
+        rng.integers(0, 8, n).tolist(), rng.uniform(-1e4, 1e4, n).tolist())])
+    rounded = rng.integers(1, 10 ** 6, n) * 10.0 ** rng.integers(-10, 11, n)
+    values = np.concatenate([
+        spread, -spread, *np.array(_neighbours(short)).reshape(3, n),
+        *np.array(_neighbours(rounded)).reshape(3, n),
+        rng.integers(2 ** 52, 10 ** 16, n).astype(np.float64),
+        rng.uniform(-180.0, 180.0, n),
+        rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(np.float64),
+    ]).tolist()
+    assert len(values) == 11 * n
+    fallback = []
+    monkeypatch.setattr(engine, "repr", lambda v: fallback.append(v)
+                        or repr(v), raising=False)
+    assert _texts(values) == [repr(v) for v in values]
+    # only values outside [1e-4, 1e16) take repr itself
+    assert fallback and not any(1e-4 <= abs(v) < 1e16 for v in fallback)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_float_text_is_repr(values):
+    assert _texts(values) == [repr(v) for v in values]
+
+
+def test_float_text_formats_each_bit_pattern_once(monkeypatch):
+    # a fixed-setting run repeats a few values thousands of times; -0.0
+    # must keep its sign although it equals 0.0
+    values = [0.0, -0.0, 6.123233995736766e-17, 90.0, 0.5] * 1000
+    calls = []
+    real = engine._shortest
+
+    def counted(a, bits):
+        calls.append(len(a))
+        return real(a, bits)
+
+    monkeypatch.setattr(engine, "_shortest", counted)
+    assert _texts(values) == [repr(v) for v in values]
+    assert calls == [5]
+
+
 def test_summary_json_round_trip(tmp_path):
     cfg = TrialConfig(trials=300, seed=43, mode="ghz")
     summary = stream_trials(cfg)
