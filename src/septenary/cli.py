@@ -10,10 +10,12 @@ check     run the built-in consistency suites
 
 Exit codes: 0 success, 1 a check suite failed, 2 usage error, 3 could not
 read or write a file, 4 invalid values in otherwise well-formed flags, 130
-interrupted (SIGINT, one "interrupted" line on stderr).
-This module only turns flags into numbers; the library checks the values
-(``TrialConfig`` a run's settings, the closed forms their angles and
-``run_checks`` its tolerance), and a value it refuses exits 4.
+interrupted (SIGINT, one "interrupted" line on stderr), 128 + the signal
+number on SIGTERM (143) or SIGHUP (129).
+This module only turns flags into numbers, and flag text that is not a
+number is a usage error. The library checks the values (``TrialConfig`` a
+run's settings, the closed forms their angles and ``run_checks`` its
+tolerance), and a value it refuses exits 4.
 
 Output targets are checked before any work starts, and an empty one is
 refused as unwritable. A missing target or a plain file is written to a
@@ -155,21 +157,22 @@ def _staged(targets):
         raise
 
 
-def _floats(text: str, flag: str) -> list:
+def _floats(text: str) -> list:
     """The comma-separated numbers of a flag; the library checks them."""
     try:
         return [float(p) for p in text.split(",")]
     except ValueError:
-        raise SeptenaryError("%s %r has a non-numeric entry" % (flag, text))
+        raise argparse.ArgumentTypeError(
+            "%r has a non-numeric entry" % text)
 
 
 def _cmd_run(args) -> int:
     if args.trials < 1:
         args.parser.error("--trials must be a positive integer")
     seed, source = _resolve_seed(args.seed)
-    fixed = [_floats(s, "--fixed-angles") for s in args.fixed_angles or ()]
     cfg = TrialConfig(trials=args.trials, seed=seed, mode=args.command,
-                      fixed_settings=fixed, bin_width_deg=args.bin_deg)
+                      fixed_settings=args.fixed_angles or (),
+                      bin_width_deg=args.bin_deg)
     with _staged((args.out, args.plot, args.summary)) as (out, plot, path):
         # the CSV rows go out batch by batch as the run streams
         with (open(out, "w", newline="") if out is not None
@@ -202,12 +205,10 @@ def _cmd_analytic(args) -> int:
         value = epr_expectation(math.radians(args.theta))
         row = {"mode": "epr", "theta_deg": args.theta, "expectation": value}
     else:
-        thetas = _floats(args.thetas, "--thetas")
-        phis = _floats(args.phis, "--phis")
-        value = ghz_expectation([math.radians(t) for t in thetas],
-                                [math.radians(p) for p in phis])
-        row = {"mode": "ghz", "theta_deg": thetas, "phi_deg": phis,
-               "expectation": value}
+        value = ghz_expectation([math.radians(t) for t in args.thetas],
+                                [math.radians(p) for p in args.phis])
+        row = {"mode": "ghz", "theta_deg": args.thetas,
+               "phi_deg": args.phis, "expectation": value}
     if args.format == "json":
         sys.stdout.write(_json_text(row))
     else:
@@ -256,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                               % _ENV_SEED)
         sub.add_argument("--bin-deg", type=float, default=5.0, metavar="W",
                          help="summary bin width in degrees (default 5)")
-        sub.add_argument("--fixed-angles", action="append", metavar="ANGLES",
+        sub.add_argument("--fixed-angles", action="append", type=_floats,
+                         metavar="ANGLES",
                          help="setting tuple of %d comma-separated degrees; "
                               "repeat the flag to cycle through a list; join "
                               "a tuple that starts with a negative angle with "
@@ -290,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
              {"--theta": dict(type=float,
                               help="separation angle in degrees")}),
             ("ghz", "four-party expectation",
-             {"--thetas": dict(metavar="T1,T2,T3,T4",
+             {"--thetas": dict(type=_floats, metavar="T1,T2,T3,T4",
                                help="polar angles in degrees"),
-              "--phis": dict(metavar="P1,P2,P3,P4",
+              "--phis": dict(type=_floats, metavar="P1,P2,P3,P4",
                              help="azimuthal angles in degrees")})):
         sub = an_subs.add_parser(which, help=text)
         for flag, kwargs in flags.items():
@@ -314,9 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # imported here, so that --version, which exits while parsing, skips it
+    import signal
+    # SIGTERM and SIGHUP unwind the stack, so _staged removes its temps; a
+    # signal the caller ignores (SIGHUP under nohup) stays ignored
+    stops = [s for s in (signal.SIGTERM, signal.SIGHUP)
+             if signal.getsignal(s) == signal.SIG_DFL]
+    for s in stops:
+        signal.signal(s, _exit_on_signal)
     try:
         return args.func(args)
     except (SeptenaryError, ValueError) as exc:
@@ -326,9 +340,12 @@ def main(argv=None) -> int:
         print("io error: %s" % exc, file=sys.stderr)
         return 3
     except KeyboardInterrupt:
-        # _staged has removed the temps and _forked reaped its workers
+        # _staged has removed the temps
         print("interrupted", file=sys.stderr)
         return 130
+    finally:
+        for s in stops:
+            signal.signal(s, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

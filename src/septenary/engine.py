@@ -13,32 +13,24 @@ second-style wings.
 
 Runs
 ----
-``stream_trials`` tallies and writes one ``_Record`` per batch, in batch
-order. It keeps no trial column, so memory stays bounded however many
-trials the run has.
+``stream_trials`` computes, tallies and writes one ``_Record`` per batch,
+in batch order, in the calling process. It keeps no trial column, so
+memory stays bounded however many trials the run has, and no byte depends
+on the CPUs the run may use.
 
 With a file, the CSV text is most of the run (0.15 of 0.18 s for a
-2e5-trial epr run on one core), and every batch is a pure function of the
-seed and its index. So a run of two or more batches forks one worker per
-usable CPU, at most one per batch, if the process has a single thread (a
-fork copies no other thread, so a lock one held would stay held). Worker
-w computes batches w, w + W, ... and pickles each record down its own
-pipe; it is sent nothing and leaves through ``os._exit``. Only the parent
-tallies and writes, reading the records in batch order, so every byte is
-that of one process. Without a file the records come from ``_run_batch``
-in process: on a 2-CPU box two workers took a ghz 2e6 run's wall time
-down 3 % for 51 % more CPU, and one worker beside a computing parent 5 %
-for 37 % more (10 paired runs).
+2e5-trial epr run on one core), yet forking batch workers does not pay: at
+about 6 ms of text a batch, workers that pipe each record to the parent
+cost more CPU than the wall time they save (an epr 2e5 run with CSV, JSON
+and SVG took 0.59 s of CPU with two workers against 0.50 s in process,
+medians of 12 benchmark pairs on 2 vCPUs).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import numbers
-import os
-import pickle
 from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -555,133 +547,27 @@ def _record(cfg: TrialConfig, batch: _Batch, csv: bool) -> _Record:
                    batch.corr, _csv_rows(cfg.mode, batch) if csv else None)
 
 
-def _workers(nbatches: int) -> int:
-    """How many batch workers a CSV run forks: one per usable CPU, at most
-    one per batch, and none if that is fewer than two. A process with more
-    than one thread forks none, since a lock another thread holds would
-    stay held in the worker."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):        # not Linux
-        return 0
-    n = min(cpus, nbatches) if threads == 1 else 0
-    return n if n >= 2 else 0
-
-
-def _send(pipe: IO[bytes], obj) -> None:
-    pickle.dump(obj, pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.flush()
-
-
-def _receive(pipe: IO[bytes]):
-    """The next object sent down ``pipe``, or None if the sender ended
-    before sending it whole."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-
-
-def _work(cfg: TrialConfig, batch_indices: range, fd: int,
-          inherited: list) -> None:
-    """A forked worker: send the record of each batch down ``fd``, or the
-    exception that stopped it, then leave through ``os._exit``, so nothing
-    the parent set up (temp cleanup, buffered files) runs twice. The read
-    ends it inherited are closed first, so it gets a broken pipe instead of
-    blocking if the parent dies."""
-    code = 1
-    try:
-        for r in inherited:
-            os.close(r)
-        with open(fd, "wb") as pipe:
-            try:
-                for i in batch_indices:
-                    batch = _run_batch(cfg, i)      # held as in stream_trials
-                    _send(pipe, _record(cfg, batch, True))
-                code = 0
-            except Exception as exc:
-                _send(pipe, exc)
-    finally:
-        os._exit(code)
-
-
-def _forked(cfg: TrialConfig, nbatches: int,
-            nworkers: int) -> Iterator[_Record]:
-    """The run's records in batch order, computed by ``nworkers`` workers.
-
-    Worker w computes batches w, w + nworkers, ... and a full pipe holds it
-    back, so about one record per worker waits at a time. A worker's
-    exception is raised here; a worker that ends before sending its batches
-    raises ChildProcessError. Every worker is killed and reaped before this
-    returns or raises: one that sent its last record has nothing left to do.
-    """
-    import signal
-    workers = []                            # (pid, read end of its pipe)
-    dead = None
-    try:
-        for w in range(nworkers):
-            r, fd = os.pipe()
-            inherited = [r] + [pipe.fileno() for _, pipe in workers]
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(fd)
-                raise
-            if pid == 0:
-                _work(cfg, range(w, nbatches, nworkers), fd, inherited)
-            os.close(fd)
-            workers.append((pid, open(r, "rb")))
-        for i in range(nbatches):
-            pid, pipe = workers[i % nworkers]
-            rec = _receive(pipe)
-            if rec is None:
-                dead = pid
-                break
-            if isinstance(rec, BaseException):
-                raise rec
-            yield rec
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-        status = {pid: os.waitpid(pid, 0)[1] for pid, _ in workers}
-    if dead is not None:
-        code = os.waitstatus_to_exitcode(status[dead])
-        raise ChildProcessError(
-            "batch worker %d %s before sending its batches" % (
-                dead, "was killed by %s" % signal.Signals(-code).name
-                if code < 0 else "exited with status %d" % code))
-
-
 def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
     """Run ``cfg`` batch by batch and return its summary, the dict of
     ``_Tally.summary`` that the CLI writes as JSON.
 
     When ``csv_file`` is an open text file (opened with ``newline=""``),
     the header and then each batch's rows are written to it in batch
-    order; forked workers compute the batches where ``_workers`` allows
-    them.
+    order.
     """
     tally = _Tally(cfg)
     csv = csv_file is not None
     if csv:
         csv_file.write(_csv_header(cfg.mode))
-    nbatches = _batch_count(cfg)
-    nworkers = _workers(nbatches) if csv else 0
     # glibc trims the heap top when a large block there is freed, and
     # faults it in again: the loop holds each batch until the next exists,
     # and _run_batch its detectors. A ghz --trials 2000000 child takes
     # 5,850 minor faults, 30 more than at 2e5; 63,600 if the detectors go
     # once chained
-    records = (_forked(cfg, nbatches, nworkers) if nworkers
-               else (_record(cfg, b, csv) for b in _batches(cfg)))
-    with contextlib.closing(records):
-        for rec in records:
-            tally.add(rec)
-            if csv:
-                csv_file.write(rec.rows)
+    for rec in (_record(cfg, b, csv) for b in _batches(cfg)):
+        tally.add(rec)
+        if csv:
+            csv_file.write(rec.rows)
     return tally.summary()
 
 

@@ -33,6 +33,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _exit_code(argv) -> int:
+    """main's exit code, also where argparse exits on a usage error."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 # ---------------------------------------------------------------------------
 # analytic
 
@@ -66,19 +74,23 @@ def test_analytic_csv_format(capsys):
 _ARITY = "four polar and four azimuthal angles required"
 
 
-@pytest.mark.parametrize("thetas,phis,message", [
-    pytest.param("1,2,3", "0,0,0,0", _ARITY, id="1,2,3-0,0,0,0"),
-    pytest.param("1,2,3,4", "0,0", _ARITY, id="1,2,3,4-0,0"),
-    pytest.param("a,b,c,d", "0,0,0,0",
-                 "--thetas 'a,b,c,d' has a non-numeric entry",
+@pytest.mark.parametrize("thetas,phis,code,message", [
+    pytest.param("1,2,3", "0,0,0,0", 4, "error: " + _ARITY,
+                 id="1,2,3-0,0,0,0"),
+    pytest.param("1,2,3,4", "0,0", 4, "error: " + _ARITY, id="1,2,3,4-0,0"),
+    pytest.param("a,b,c,d", "0,0,0,0", 2,
+                 "septenary analytic ghz: error: argument --thetas: "
+                 "'a,b,c,d' has a non-numeric entry",
                  id="a,b,c,d-0,0,0,0"),
 ])
-def test_analytic_ghz_rejects_bad_lists(capsys, thetas, phis, message):
+def test_analytic_ghz_rejects_bad_lists(capsys, thetas, phis, code,
+                                        message):
     # the CLI only parses the numbers; the closed form checks their count
-    code = main(["analytic", "ghz", "--thetas", thetas, "--phis", phis])
+    assert _exit_code(["analytic", "ghz", "--thetas", thetas,
+                       "--phis", phis]) == code
     captured = capsys.readouterr()
-    assert code == 4
-    assert captured.err == "error: %s\n" % message
+    # a usage error prints argparse's usage lines first
+    assert captured.err.splitlines()[-1 if code == 2 else 0:] == [message]
     assert captured.out == ""
 
 
@@ -249,7 +261,7 @@ def test_unknown_command_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("mode", ["epr", "ghz"])
 def test_thread_flag_is_a_usage_error(capsys, mode):
-    # a CSV run sizes its batch workers from the usable CPUs; no flag does
+    # a run computes its batches in one process; no flag asks for more
     with pytest.raises(SystemExit) as exc:
         main([mode, "--trials", "10", "--threads", "2"])
     assert exc.value.code == 2
@@ -265,22 +277,70 @@ def test_random_flag_is_a_usage_error(capsys):
     assert "--random" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting,message", [
-    pytest.param("10", "each fixed setting needs 2 angles, got (10.0,)",
+@pytest.mark.parametrize("setting,code,message", [
+    pytest.param("10", 4,
+                 "error: each fixed setting needs 2 angles, got (10.0,)",
                  id="10"),
-    pytest.param("1,2,3",
-                 "each fixed setting needs 2 angles, got (1.0, 2.0, 3.0)",
+    pytest.param("1,2,3", 4,
+                 "error: each fixed setting needs 2 angles, "
+                 "got (1.0, 2.0, 3.0)",
                  id="1,2,3"),
-    pytest.param("a,b", "--fixed-angles 'a,b' has a non-numeric entry",
+    pytest.param("a,b", 2,
+                 "septenary epr: error: argument --fixed-angles: 'a,b' has "
+                 "a non-numeric entry",
                  id="a,b"),
 ])
-def test_malformed_fixed_angles(capsys, setting, message):
+def test_malformed_fixed_angles(capsys, setting, code, message):
     # the CLI only parses the numbers; TrialConfig checks their count
-    code = main(["epr", "--trials", "10", "--fixed-angles", setting])
+    assert _exit_code(["epr", "--trials", "10", "--fixed-angles",
+                       setting]) == code
     captured = capsys.readouterr()
-    assert code == 4
-    assert captured.err == "error: %s\n" % message
+    # a usage error prints argparse's usage lines first
+    assert captured.err.splitlines()[-1 if code == 2 else 0:] == [message]
     assert captured.out == ""
+
+
+# Every numeric flag, with the value given where {} stands: flag text that
+# is not a number is a usage error (exit 2, argparse names the flag), and
+# a number the library refuses exits 4 with the library's message. An
+# integer flag takes no nan or inf.
+_NUMERIC_FLAGS = [
+    pytest.param(("epr", "--trials", "{}"), id="trials"),
+    pytest.param(("epr", "--seed", "{}"), id="seed"),
+    pytest.param(("epr", "--bin-deg", "{}"), id="bin-deg"),
+    pytest.param(("epr", "--fixed-angles", "0,{}"), id="epr-fixed-angles"),
+    pytest.param(("ghz", "--fixed-angles", "0,0,0,{}"),
+                 id="ghz-fixed-angles"),
+    pytest.param(("chsh", "--grid-deg", "{}"), id="grid-deg"),
+    pytest.param(("analytic", "epr", "--theta", "{}"), id="theta"),
+    pytest.param(("analytic", "ghz", "--thetas", "90,90,90,{}",
+                  "--phis", "0,0,0,0"), id="thetas"),
+    pytest.param(("analytic", "ghz", "--thetas", "90,90,90,90",
+                  "--phis", "0,0,0,{}"), id="phis"),
+    pytest.param(("check", "--tol", "{}"), id="tol"),
+    pytest.param(("check", "--samples", "{}"), id="samples"),
+]
+_INTEGER_FLAGS = ("--trials", "--seed", "--samples")
+
+
+@pytest.mark.parametrize("text", ["x", "nan", "inf", ""])
+@pytest.mark.parametrize("argv", _NUMERIC_FLAGS)
+def test_numeric_flags_exit_2_on_text_and_4_on_a_refused_number(
+        capsys, argv, text):
+    flag = argv[[i for i, a in enumerate(argv) if "{}" in a][0] - 1]
+    code = _exit_code(a.format(text) for a in argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if text in ("nan", "inf") and flag not in _INTEGER_FLAGS:
+        # the library's one-line message
+        assert code == 4
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    else:
+        # argparse's usage, naming the flag
+        assert code == 2
+        assert captured.err.startswith("usage: ")
+        assert "error: argument %s: " % flag in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,18 +499,13 @@ def _child_env():
     return env
 
 
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_needs_two_cpus = pytest.mark.skipif(
-    _CPUS < 2 or not os.path.isdir("/proc/self/task"),
-    reason="batch workers need two usable CPUs and /proc/self/task")
-
 # The test process imported numpy before the package, so OpenBLAS holds a
-# thread there and a run in it never forks. These drivers import the
-# package first and count the forks of each run.
+# thread there. These drivers import the package first, as the CLI does,
+# and count the forks of each run.
 _FORK_COUNTER = """
-import hashlib, json, os, pathlib, sys
+import json, os, pathlib, sys
 import septenary
-from septenary import cli, engine
+from septenary import cli
 forks = []
 _fork = os.fork
 def _counted_fork():
@@ -470,31 +525,16 @@ def run(argv, d):
 
 tmp, argv = sys.argv[1], sys.argv[2:]
 cpus = os.sched_getaffinity(0)
-report = []
+same = []
 for trials in ("1", "8192", "8193", str(3 * 8192 + 5)):
     case = [*argv, "--trials", trials]
-    before = len(forks)
-    pooled = run(case, os.path.join(tmp, trials + "-pooled"))
-    pooled_forks = len(forks) - before
+    every = run(case, os.path.join(tmp, trials + "-every"))
     os.sched_setaffinity(0, {min(cpus)})
-    single = run(case, os.path.join(tmp, trials + "-single"))
+    one = run(case, os.path.join(tmp, trials + "-one"))
     os.sched_setaffinity(0, cpus)
-    report.append({"trials": trials, "forks": pooled_forks,
-                   "single_forks": len(forks) - before - pooled_forks,
-                   "same": pooled == single,
-                   "digest": hashlib.sha256(b"".join(pooled)).hexdigest()})
-print(json.dumps(report))
+    same.append(every == one)
+print(json.dumps({"forks": len(forks), "same": same}))
 """
-
-
-def _same_bytes(tmp_path, argv, **env):
-    tmp_path.mkdir(exist_ok=True)
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _SAME_BYTES, str(tmp_path),
-         *argv], env=dict(_child_env(), **env), capture_output=True,
-        text=True, timeout=120, check=True)
-    assert out.stderr == ""
-    return json.loads(out.stdout)
 
 
 _RUNS = [
@@ -508,89 +548,32 @@ _RUNS = [
 ]
 
 
-@_needs_two_cpus
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the one-CPU run needs sched_setaffinity")
 @pytest.mark.parametrize("argv", _RUNS)
-def test_worker_runs_write_the_bytes_of_a_single_cpu_run(tmp_path, argv):
-    for case in _same_bytes(tmp_path, argv):
-        nbatches = -(-int(case["trials"]) // 8192)
-        # one worker per usable CPU, at most one per batch, none for one
-        want = min(_CPUS, nbatches) if nbatches >= 2 else 0
-        assert case["forks"] == want, case
-        assert case["single_forks"] == 0, case
-        assert case["same"], case
-
-
-@_needs_two_cpus
-def test_a_process_with_threads_runs_in_process_and_warns_nothing(tmp_path):
-    # OpenBLAS holds a second thread here, so a fork could copy a held
-    # lock (and Python 3.12 would warn); the run must not fork
-    threaded = _same_bytes(tmp_path / "threaded", ("epr",),
-                           OPENBLAS_NUM_THREADS="2")
-    pooled = _same_bytes(tmp_path / "pooled", ("epr",))
-    assert [c["forks"] for c in threaded] == [0, 0, 0, 0]
-    assert [c["forks"] for c in pooled][2:] == [2, min(_CPUS, 4)]
-    assert [c["digest"] for c in threaded] == [c["digest"] for c in pooled]
-    assert all(c["same"] for c in threaded)
-
-
-_WORKER_FAILURE = _FORK_COUNTER + """
-import signal
-tmp, target, how = sys.argv[1:4]
-real = getattr(engine, target)
-
-def failing(*args):
-    # the third batch fails in whichever process computes it
-    start = args[1].start if target == "_csv_rows" else args[1] * 8192
-    if start == 2 * 8192:
-        if how == "raise":
-            raise OSError("disk full")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return real(*args)
-
-setattr(engine, target, failing)
-csv_path = os.path.join(tmp, "run.csv")
-code = cli.main(["epr", "--trials", "50000", "--out", csv_path,
-                 "--summary", os.path.join(tmp, "run.json")])
-try:
-    os.waitpid(-1, os.WNOHANG)
-    left = "a child is left"
-except ChildProcessError:
-    left = "no child left"
-print(code, len(forks), left)
-"""
-
-
-_KILLED = "was killed by SIGKILL before sending its batches"
-
-
-@_needs_two_cpus
-@pytest.mark.parametrize("target,how,message", [
-    pytest.param("_csv_rows", "raise", "io error: disk full",
-                 id="raise-io error: disk full"),
-    pytest.param("_run_batch", "kill", _KILLED, id="kill-" + _KILLED),
-    pytest.param("_draw", "raise", "io error: disk full",
-                 id="draw-raise-io error: disk full"),
-])
-def test_worker_failure_leaves_no_partial_output(tmp_path, target, how,
-                                                 message):
-    # the twin of the in-process case above, with the workers engaged
-    csv_path = tmp_path / "run.csv"
-    csv_path.write_text("old csv")
+def test_csv_runs_fork_nothing_and_write_the_bytes_of_a_one_cpu_run(
+        tmp_path, argv):
+    # at 1, 8192, 8193 and 3 * 8192 + 5 trials: one batch, a full one, a
+    # second of one trial, and four batches
     out = subprocess.run(
-        [sys.executable, "-c", _WORKER_FAILURE, str(tmp_path), target, how],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
-        check=True)
-    code, forks, left = out.stdout.split(maxsplit=2)
-    assert (int(code), int(forks)) == (3, min(_CPUS, 7))
-    assert left.strip() == "no child left"
-    assert message in out.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
-    assert csv_path.read_text() == "old csv"
+        [sys.executable, "-W", "error", "-c", _SAME_BYTES, str(tmp_path),
+         *argv], env=_child_env(), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert out.stderr == ""
+    assert json.loads(out.stdout) == {"forks": 0, "same": [True] * 4}
 
 
-_INTERRUPTED = _FORK_COUNTER + """
-code = cli.main(["epr", "--trials", "20000000",
-                 "--out", os.path.join(sys.argv[1], "run.csv")])
+_STOPPED = _FORK_COUNTER + """
+import signal
+# as outside nohup, so that the CLI catches SIGHUP
+signal.signal(signal.SIGHUP, signal.SIG_DFL)
+tmp = sys.argv[1]
+try:
+    code = cli.main(["epr", "--trials", "20000000",
+                     "--out", os.path.join(tmp, "run.csv"),
+                     "--summary", os.path.join(tmp, "run.json")])
+except SystemExit as exc:
+    code = exc.code
 try:
     os.waitpid(-1, os.WNOHANG)
     left = "a child is left"
@@ -601,11 +584,11 @@ sys.exit(code)
 """
 
 
-def test_sigint_exits_130_with_one_line_and_leaves_nothing(tmp_path):
-    # SIGINT once the temp holds a batch's rows, so the batch workers run
-    # where two CPUs are usable
+def _stop(tmp_path, signum) -> tuple:
+    """Exit code, stdout and stderr of a CSV run sent ``signum`` once its
+    CSV temp holds a batch's rows."""
     proc = subprocess.Popen(
-        [sys.executable, "-c", _INTERRUPTED, str(tmp_path)],
+        [sys.executable, "-c", _STOPPED, str(tmp_path)],
         env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     try:
@@ -614,18 +597,63 @@ def test_sigint_exits_130_with_one_line_and_leaves_nothing(tmp_path):
                       for p in tmp_path.glob(".run.csv.*.tmp")):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         out, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
         proc.wait()
-    code, forks, left = out.split(maxsplit=2)
-    assert (proc.returncode, int(code)) == (130, 130)
-    workers = _CPUS if _CPUS >= 2 and os.path.isdir("/proc/self/task") else 0
-    assert int(forks) == workers
-    assert left.strip() == "no child left"
+    return proc.returncode, out, err
+
+
+def test_sigint_exits_130_with_one_line_and_leaves_nothing(tmp_path):
+    code, out, err = _stop(tmp_path, signal.SIGINT)
+    assert out.split(maxsplit=2) == ["130", "0", "no child left\n"]
+    assert code == 130
     assert err == "interrupted\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("signum,want", [(signal.SIGTERM, 143),
+                                         (signal.SIGHUP, 129)],
+                         ids=["SIGTERM", "SIGHUP"])
+def test_sigterm_exits_by_its_number_and_keeps_the_old_targets(
+        tmp_path, signum, want):
+    # the handler unwinds the stack, so the temps go as on any error
+    (tmp_path / "run.csv").write_text("old csv")
+    (tmp_path / "run.json").write_text("old json")
+    code, out, err = _stop(tmp_path, signum)
+    assert out.split(maxsplit=2) == [str(want), "0", "no child left\n"]
+    assert code == want
+    assert err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv",
+                                                         "run.json"]
+    assert (tmp_path / "run.csv").read_text() == "old csv"
+    assert (tmp_path / "run.json").read_text() == "old json"
+
+
+def test_stop_handlers_hold_while_a_command_runs(monkeypatch, capsys):
+    # a SIGHUP the caller ignores (nohup) stays ignored, and main puts back
+    # the default dispositions it replaced
+    seen = []
+
+    def spy(args):
+        seen.extend(signal.getsignal(s) for s in (signal.SIGTERM,
+                                                  signal.SIGHUP))
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_analytic", spy)
+    before = [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGHUP)]
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    try:
+        assert main(["analytic", "epr", "--theta", "0"]) == 0
+        after = [signal.getsignal(s) for s in (signal.SIGTERM,
+                                               signal.SIGHUP)]
+    finally:
+        for s, handler in zip((signal.SIGTERM, signal.SIGHUP), before):
+            signal.signal(s, handler)
+    assert seen == [cli._exit_on_signal, signal.SIG_IGN]
+    assert after == [signal.SIG_DFL, signal.SIG_IGN]
 
 
 # On Linux exec keeps the larger of the new process's peak RSS and that of
@@ -659,10 +687,7 @@ def _child_usage(tmp_path, argv) -> tuple:
     # collected, the columns of 2e6 four-party trials alone take 104 MB
     pytest.param(("ghz", "--trials", "2000000", "--summary"),
                  "trials", 2000000, id="ghz"),
-    # 49 batches written by forked workers where two CPUs are usable; the
-    # wait4 figure of a process is the peak of the largest of it and its
-    # waited descendants, not their sum, so the ceiling bounds the parent
-    # and each worker on its own
+    # 49 batches, each computed, tallied and written in process
     pytest.param(("epr", "--trials", "400000", "--out", "run.csv",
                   "--summary"),
                  "trials", 400000, id="epr-csv"),

@@ -6,7 +6,6 @@ import io
 import itertools
 import json
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -601,32 +600,6 @@ def test_summary_json_round_trip(tmp_path):
     # where the seed came from is the CLI's to report, not the engine's
     assert list(data) == ["trials", "seed", "bin_width_deg", "bins",
                           "ave_outcomes", "mode"]
-
-
-def test_a_record_cut_short_is_received_as_none():
-    # a worker that dies while sending leaves part of a record in its pipe
-    cfg = TrialConfig(trials=5, seed=3, mode="ghz")
-    (batch,) = engine._batches(cfg)
-    rec = engine._record(cfg, batch, True)
-    sent = io.BytesIO()
-    engine._send(sent, rec)
-    payload = sent.getvalue()
-    for cut in range(len(payload)):
-        assert engine._receive(io.BytesIO(payload[:cut])) is None
-
-    def received(data, count):
-        r, w = os.pipe()
-        with open(w, "wb") as pipe:
-            pipe.write(data)
-        with open(r, "rb") as pipe:
-            return [engine._receive(pipe) for _ in range(count)]
-
-    assert received(payload[:len(payload) // 2], 1) == [None]
-    got, end = received(payload, 2)
-    assert end is None
-    assert (got.lam_sum, got.rows) == (rec.lam_sum, rec.rows)
-    assert got.idx.tobytes() == rec.idx.tobytes()
-    assert got.corr.tobytes() == rec.corr.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [64, 8192])
