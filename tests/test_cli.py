@@ -503,7 +503,7 @@ def _child_env():
 # thread there. These drivers import the package first, as the CLI does,
 # and count the forks of each run.
 _FORK_COUNTER = """
-import json, os, pathlib, sys
+import hashlib, json, os, pathlib, sys
 import septenary
 from septenary import cli
 forks = []
@@ -525,7 +525,7 @@ def run(argv, d):
 
 tmp, argv = sys.argv[1], sys.argv[2:]
 cpus = os.sched_getaffinity(0)
-same = []
+same, digests = [], []
 for trials in ("1", "8192", "8193", str(3 * 8192 + 5)):
     case = [*argv, "--trials", trials]
     every = run(case, os.path.join(tmp, trials + "-every"))
@@ -533,8 +533,21 @@ for trials in ("1", "8192", "8193", str(3 * 8192 + 5)):
     one = run(case, os.path.join(tmp, trials + "-one"))
     os.sched_setaffinity(0, cpus)
     same.append(every == one)
-print(json.dumps({"forks": len(forks), "same": same}))
+    digests.append(hashlib.sha256(b"".join(every)).hexdigest())
+print(json.dumps({"forks": len(forks), "same": same, "digests": digests}))
 """
+
+
+def _same_bytes(tmp_path, argv, **env) -> dict:
+    """Forks, one-CPU byte equality and output digests of ``argv`` at each
+    trial count, run under ``-W error`` with ``env`` added."""
+    tmp_path.mkdir(exist_ok=True)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SAME_BYTES, str(tmp_path),
+         *argv], env=dict(_child_env(), **env), capture_output=True,
+        text=True, timeout=120, check=True)
+    assert out.stderr == ""
+    return json.loads(out.stdout)
 
 
 _RUNS = [
@@ -555,12 +568,23 @@ def test_csv_runs_fork_nothing_and_write_the_bytes_of_a_one_cpu_run(
         tmp_path, argv):
     # at 1, 8192, 8193 and 3 * 8192 + 5 trials: one batch, a full one, a
     # second of one trial, and four batches
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _SAME_BYTES, str(tmp_path),
-         *argv], env=_child_env(), capture_output=True, text=True,
-        timeout=120, check=True)
-    assert out.stderr == ""
-    assert json.loads(out.stdout) == {"forks": 0, "same": [True] * 4}
+    report = _same_bytes(tmp_path, argv)
+    assert report["forks"] == 0
+    assert report["same"] == [True] * 4
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the one-CPU run needs sched_setaffinity")
+def test_a_process_with_threads_runs_in_process_and_warns_nothing(tmp_path):
+    # OpenBLAS holds a second thread here, so a fork could copy a held
+    # lock (and Python 3.12 would warn); the run stays in process and
+    # writes the bytes of a run without that thread
+    threaded = _same_bytes(tmp_path / "threaded", ("epr",),
+                           OPENBLAS_NUM_THREADS="2")
+    plain = _same_bytes(tmp_path / "plain", ("epr",))
+    assert threaded["forks"] == 0
+    assert threaded["same"] == [True] * 4
+    assert threaded["digests"] == plain["digests"]
 
 
 _STOPPED = _FORK_COUNTER + """
