@@ -79,36 +79,32 @@ def _quadric_rows(c: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 
-def _suite_product_table(tol, samples, gen) -> CheckResult:
+def _suite_product_table(tol, samples, gen) -> tuple:
     for lam in (1, -1):
         t = PRODUCT_TENSOR[lam]  # t[rho, mu, nu]: blade rho in (mu * nu)
         eye = np.zeros((8, 8), dtype=t.dtype)
         np.fill_diagonal(eye, 1)
         if not (t[:, 0, :] == eye).all() or not (t[:, :, 0] == eye).all():
-            return CheckResult("product-table", False,
-                               "identity row or column broken")
+            return False, "identity row or column broken"
         for k in range(1, 7):
             sq = t[:, k, k]
             if sq[0] != -1 or sq[1:].any():
-                return CheckResult("product-table", False,
-                                   "square of basis %d is not -1" % k)
+                return False, "square of basis %d is not -1" % k
         sq = t[:, E_VOL, E_VOL]
         if sq[0] != 1 or sq[1:].any():
-            return CheckResult("product-table", False,
-                               "square of the null volume blade is not +1")
+            return False, "square of the null volume blade is not +1"
         w = t.astype(np.int64)
         lhs = np.einsum("rmn,srk->mnks", w, w)
         rhs = np.einsum("rnk,smr->mnks", w, w)
         if not (lhs == rhs).all():
-            return CheckResult("product-table", False,
-                               "basis associativity broken at orientation %+d"
-                               % lam)
-    return CheckResult(
-        "product-table", True,
-        "squares, identity and all 512 basis triples exact, both orientations")
+            return (False,
+                    "basis associativity broken at orientation %+d" % lam)
+    return (True,
+            "squares, identity and all 512 basis triples exact, both "
+            "orientations")
 
 
-def _suite_associativity(tol, samples, gen) -> CheckResult:
+def _suite_associativity(tol, samples, gen) -> tuple:
     worst = 0.0
     for r in _draws(gen, samples, 25):
         lams = np.where(r[:, 0] > 0, 1, -1)
@@ -116,24 +112,22 @@ def _suite_associativity(tol, samples, gen) -> CheckResult:
         left = mv_mul(mv_mul(x, y, lams), z, lams)
         right = mv_mul(x, mv_mul(y, z, lams), lams)
         worst = max(worst, float(np.abs(left - right).max()))
-    return CheckResult("associativity", worst <= tol,
-                       "max defect %.3e over %d random triples"
-                       % (worst, samples))
+    return (worst <= tol,
+            "max defect %.3e over %d random triples" % (worst, samples))
 
 
-def _suite_norm_composition(tol, samples, gen) -> CheckResult:
+def _suite_norm_composition(tol, samples, gen) -> tuple:
     worst = 0.0
     for r in _draws(gen, samples, 16):
         p = mv_mul(_quadric_rows(r[:, :8]), _quadric_rows(r[:, 8:]), 1)
         worst = max(worst, float(np.abs(mv_norm(p) - 1.0).max()),
                     float(np.abs(quadric_defect(p)).max()))
-    return CheckResult(
-        "norm-composition", worst <= tol,
-        "max norm/closure defect %.3e over %d unit products"
-        % (worst, samples))
+    return (worst <= tol,
+            "max norm/closure defect %.3e over %d unit products"
+            % (worst, samples))
 
 
-def _suite_conservation(tol, samples, gen) -> CheckResult:
+def _suite_conservation(tol, samples, gen) -> tuple:
     worst = 0.0
     for r in _draws(gen, samples, 5):
         lams = np.where(r[:, 0] > 0, 1, -1)
@@ -148,24 +142,21 @@ def _suite_conservation(tol, samples, gen) -> CheckResult:
         worst = max(worst, float(np.abs(prod + minus_cos).max()))
         out = measure(da, lams, "first") * measure(db, lams, "second")
         if (out != -1).any():
-            return CheckResult("conservation", False,
-                               "paired outcomes did not cancel")
-    return CheckResult(
-        "conservation", worst <= tol,
-        "outcomes cancel, scalar tracks -cos within %.3e" % worst)
+            return False, "paired outcomes did not cancel"
+    return (worst <= tol,
+            "outcomes cancel, scalar tracks -cos within %.3e" % worst)
 
 
-def _suite_source_recovery(tol, samples, gen) -> CheckResult:
+def _suite_source_recovery(tol, samples, gen) -> tuple:
     worst = 0.0
     for r in _draws(gen, samples, 6):
         b, s = _unit_rows(r[:, :3]), _unit_rows(r[:, 3:])
         worst = max(worst, float(np.abs(recover_source_axis(b, s) - s).max()))
-    return CheckResult("source-recovery", worst <= tol,
-                       "max axis error %.3e over %d round trips"
-                       % (worst, samples))
+    return (worst <= tol,
+            "max axis error %.3e over %d round trips" % (worst, samples))
 
 
-def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
+def _suite_sphere_maps(tol, samples, gen) -> tuple:
     worst = 0.0
     exact0 = stereo_psi(np.zeros(3)).tolist() == [0.0, 0.0, 0.0, -1.0]
     for r in _draws(gen, samples, 4):
@@ -177,12 +168,10 @@ def _suite_sphere_maps(tol, samples, gen) -> CheckResult:
                     float(np.abs(up[:, :3] - down[:, :3]).max()),
                     float(np.abs((up[:, 3] - 1.0) - d3).max()))
     ok = exact0 and worst <= tol
-    return CheckResult("sphere-maps", ok,
-                       "unit norm and shifted-pole agreement within %.3e"
-                       % worst)
+    return ok, "unit norm and shifted-pole agreement within %.3e" % worst
 
 
-def _suite_chain_forms(tol, samples, gen) -> CheckResult:
+def _suite_chain_forms(tol, samples, gen) -> tuple:
     worst = 0.0
     for r in _draws(gen, samples, 13):
         lams = np.where(r[:, 0] > 0, 1, -1)
@@ -195,22 +184,19 @@ def _suite_chain_forms(tol, samples, gen) -> CheckResult:
             acc = mv_mul(acc, elems[:, k], lams)
             gap = np.abs(nfold_scalar_part(legs[:, :k + 1]) - acc[:, 0])
             worst = max(worst, float(gap.max()))
-    return CheckResult("chain-forms", worst <= tol,
-                       "closed forms match chains within %.3e" % worst)
+    return worst <= tol, "closed forms match chains within %.3e" % worst
 
 
-def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
+def _suite_outcome_maps(tol, samples, gen) -> tuple:
     worst = 0.0
     target = 2.0 ** -0.5
     for r in _draws(gen, samples, 3):
         lams = np.where(r[:, 0] > 0, 1, -1)
         det = detector(make_pair_planar(_unit_rows(r[:, 1:])))
         if (measure(det, lams, "first") != lams).any():
-            return CheckResult("outcome-maps", False,
-                               "first-side outcome is not the coin")
+            return False, "first-side outcome is not the coin"
         if (measure(det, lams, "second") != -lams).any():
-            return CheckResult("outcome-maps", False,
-                               "second-side outcome is not the flipped coin")
+            return False, "second-side outcome is not the flipped coin"
     for role in "ABCD":
         for r in _draws(gen, max(1, samples // 4), 3):
             (rx, ry, rz), (dx, dy, dz) = np.moveaxis(
@@ -218,10 +204,10 @@ def _suite_outcome_maps(tol, samples, gen) -> CheckResult:
             rr = (rx * rx + ry * ry) + rz * rz
             dd = (dx * dx + dy * dy) + dz * dz
             worst = max(worst, float(np.abs(rr + dd - target).max()))
-    return CheckResult("outcome-maps", worst <= tol,
-                       "outcomes exact, role norms within %.3e" % worst)
+    return worst <= tol, "outcomes exact, role norms within %.3e" % worst
 
 
+# each suite returns (passed, detail), which run_checks names
 SUITES = (
     ("product-table", _suite_product_table),
     ("associativity", _suite_associativity),
@@ -254,6 +240,6 @@ def run_checks(names=None, tol: float = DEFAULT_TOL,
     for index, (name, fn) in enumerate(SUITES):
         if name not in wanted:
             continue
-        results.append(fn(float(tol), int(samples),
-                          batch_stream(_SUITE_SEED, index)))
+        gen = batch_stream(_SUITE_SEED, index)
+        results.append(CheckResult(name, *fn(float(tol), int(samples), gen)))
     return results

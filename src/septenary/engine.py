@@ -13,17 +13,12 @@ second-style wings.
 
 Runs
 ----
-``stream_trials`` computes, tallies and writes one ``_Record`` per batch,
-in batch order, in the calling process. It keeps no trial column, so
-memory stays bounded however many trials the run has, and no byte depends
-on the CPUs the run may use.
-
-With a file, the CSV text is most of the run (0.15 of 0.18 s for a
-2e5-trial epr run on one core), yet forking batch workers does not pay: at
-about 6 ms of text a batch, workers that pipe each record to the parent
-cost more CPU than the wall time they save (an epr 2e5 run with CSV, JSON
-and SVG took 0.59 s of CPU with two workers against 0.50 s in process,
-medians of 12 benchmark pairs on 2 vCPUs).
+``stream_trials`` computes the batches in order in the calling process and
+hands each one to ``_Tally.add`` and, with a file, to ``_csv_rows``. It
+keeps no trial column, so memory stays bounded however many trials the run
+has, and no byte depends on the CPUs the run may use. With a file, the CSV
+text is most of the run (0.15 of 0.18 s for a 2e5-trial epr run on one
+core).
 """
 
 from __future__ import annotations
@@ -148,17 +143,8 @@ def _angle_keys(mode: str, phis_deg: np.ndarray) -> np.ndarray:
     return _mod360(s)
 
 
-def _bin_index(cfg: TrialConfig, phis: np.ndarray) -> np.ndarray:
-    """The summary bin of each trial. A key lies in [0, 360], so key / width
-    is at most 36000 and the index fits a uint16."""
-    width = float(cfg.bin_width_deg)
-    last = math.ceil(360.0 / width) - 1
-    return np.minimum((_angle_keys(cfg.mode, phis) / width).astype(np.uint16),
-                      last)
-
-
 class _Tally:
-    """The summary of a run, fed its batch records in order.
+    """The summary of a run, fed its batches in order.
 
     It keeps the binned correlation sums and counts and the coin sum.
     ``np.add.at`` adds each correlation into its bin in trial order, as one
@@ -170,15 +156,20 @@ class _Tally:
     def __init__(self, cfg: TrialConfig):
         self.cfg = cfg
         self.width = float(cfg.bin_width_deg)
-        nbins = int(math.ceil(360.0 / self.width))
+        nbins = math.ceil(360.0 / self.width)
         self.counts = np.zeros(nbins, dtype=np.int64)
         self.sums = np.zeros(nbins)
         self.lam_sum = 0
 
-    def add(self, rec: _Record) -> None:
-        self.counts += np.bincount(rec.idx, minlength=len(self.counts))
-        np.add.at(self.sums, rec.idx, rec.corr)
-        self.lam_sum += rec.lam_sum
+    def add(self, batch: _Batch) -> None:
+        # a key lies in [0, 360], so key / width is at most 36000 and the
+        # bin index fits a uint16
+        keys = _angle_keys(self.cfg.mode, batch.phis)
+        idx = np.minimum((keys / self.width).astype(np.uint16),
+                         len(self.counts) - 1)
+        self.counts += np.bincount(idx, minlength=len(self.counts))
+        np.add.at(self.sums, idx, batch.corr)
+        self.lam_sum += int(batch.lam.sum())
 
     def centre(self, i: int) -> float:
         """The angle bin i is reported at: the middle of its key range,
@@ -347,13 +338,10 @@ def _run_batch(cfg: TrialConfig, batch_index: int) -> _Batch:
                   corr)
 
 
-def _batch_count(cfg: TrialConfig) -> int:
-    return (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
-
-
 def _batches(cfg: TrialConfig) -> Iterator[_Batch]:
     """Every batch of the run, computed one at a time in order."""
-    return (_run_batch(cfg, i) for i in range(_batch_count(cfg)))
+    count = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
+    return (_run_batch(cfg, i) for i in range(count))
 
 
 def _csv_header(mode: str) -> str:
@@ -534,19 +522,6 @@ def _csv_rows(mode: str, batch: _Batch) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-class _Record(NamedTuple):
-    """What the summary and the CSV take from one batch."""
-    lam_sum: int            # exact sum of the coins
-    idx: np.ndarray         # (n,) uint16 summary bins, from _bin_index
-    corr: np.ndarray        # (n,) trial correlations
-    rows: str | None        # the batch's CSV rows, if the run writes them
-
-
-def _record(cfg: TrialConfig, batch: _Batch, csv: bool) -> _Record:
-    return _Record(int(batch.lam.sum()), _bin_index(cfg, batch.phis),
-                   batch.corr, _csv_rows(cfg.mode, batch) if csv else None)
-
-
 def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
     """Run ``cfg`` batch by batch and return its summary, the dict of
     ``_Tally.summary`` that the CLI writes as JSON.
@@ -556,18 +531,21 @@ def stream_trials(cfg: TrialConfig, csv_file: IO[str] | None = None) -> dict:
     order.
     """
     tally = _Tally(cfg)
-    csv = csv_file is not None
-    if csv:
+    if csv_file is not None:
         csv_file.write(_csv_header(cfg.mode))
     # glibc trims the heap top when a large block there is freed, and
-    # faults it in again: the loop holds each batch until the next exists,
-    # and _run_batch its detectors. A ghz --trials 2000000 child takes
-    # 5,850 minor faults, 30 more than at 2e5; 63,600 if the detectors go
-    # once chained
-    for rec in (_record(cfg, b, csv) for b in _batches(cfg)):
-        tally.add(rec)
-        if csv:
-            csv_file.write(rec.rows)
+    # faults it in again: the loop holds each batch, and its CSV text, until
+    # the next one exists, and _run_batch its detectors. A ghz --trials
+    # 2000000 child takes 5,850 minor faults, 30 more than at 2e5; 63,600
+    # if the detectors go once chained. An epr --trials 800000 child with
+    # --out /dev/null takes about 26,000 with the text formatted before the
+    # tally, 60,000 if the text is written as a temporary
+    for batch in _batches(cfg):
+        if csv_file is not None:
+            rows = _csv_rows(cfg.mode, batch)
+        tally.add(batch)
+        if csv_file is not None:
+            csv_file.write(rows)
     return tally.summary()
 
 

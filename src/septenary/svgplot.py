@@ -8,7 +8,6 @@ enough to eyeball a run; anything fancier belongs in a real plotting package.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .oracle import epr_expectation
 
@@ -26,7 +25,11 @@ def _y(value: float) -> float:
     return MARGIN + (1.1 - value) / 2.2 * (HEIGHT - 2 * MARGIN)
 
 
-def render_correlation_svg(bins: Sequence, title: str) -> str:
+def render_run_svg(summary: dict) -> str:
+    """Plot the bins of a run summary, the dict ``stream_trials`` returns."""
+    bins = summary["bins"]
+    title = "%s run, %d trials, seed %d" % (
+        summary["mode"], summary["trials"], summary["seed"])
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
         % (WIDTH, HEIGHT),
@@ -76,10 +79,3 @@ def render_correlation_svg(bins: Sequence, title: str) -> str:
             % (_x(b["angle_deg"]), _y(b["mean_corr"])))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render_run_svg(summary: dict) -> str:
-    """Plot the bins of a run summary, the dict ``stream_trials`` returns."""
-    title = "%s run, %d trials, seed %d" % (
-        summary["mode"], summary["trials"], summary["seed"])
-    return render_correlation_svg(summary["bins"], title)

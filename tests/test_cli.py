@@ -738,6 +738,22 @@ def test_large_run_page_faults_do_not_grow_with_batches(tmp_path):
     assert faults[1] - faults[0] < 2000, faults
 
 
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the batch memory reuse measured is glibc's")
+def test_csv_run_page_faults_per_batch_are_bounded(tmp_path):
+    # 85 more batches, each formatted and written in place to /dev/null. A
+    # batch costs about 200 faults while the loop holds its text until the
+    # next batch's exists, and about 540 where the text goes once written
+    faults = []
+    for trials in ("100000", "800000"):
+        code, _, minflt = _child_usage(
+            tmp_path, ("epr", "--trials", trials, "--out", os.devnull,
+                       "--summary"))
+        assert code == 0
+        faults.append(minflt)
+    assert (faults[1] - faults[0]) / 85 < 320, faults
+
+
 def _reject_constant(name):
     raise ValueError("JSON holds the non-finite constant %s" % name)
 
